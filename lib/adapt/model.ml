@@ -35,7 +35,8 @@ type t = {
   base_dur : int array;  (* D(b) *)
   base_fid : int array;  (* log F(b), fixed point *)
   d_lb : int;  (* admissible lower bound on the makespan *)
-  conflict_pairs : (int * int) list;  (* Eq. 1 pairs, by substitution id *)
+  excludes : int list array;  (* Eq. 1 partners, by substitution id *)
+  by_block : Rules.t list array;  (* substitutions of each block *)
   false_lit : Lit.t;  (* a literal asserted false, for infeasible prunes *)
   mutable consumed : bool;
   (* Incremental-reuse state. [session] keeps one set of portfolio
@@ -47,38 +48,43 @@ type t = {
   selectors : (objective, Totalizer.selector) Hashtbl.t;
 }
 
-(* Longest path over the block dependency graph for given durations;
-   also returns one critical path (block ids). *)
+(* Longest path over the block dependency graph for given durations,
+   into [finish] (caller-owned scratch, one slot per block, so scoring
+   greedy candidates allocates nothing). A block starts when its latest
+   predecessor finishes, or at 0. *)
+let longest_path part durations finish =
+  let order = part.Block.order and preds = part.Block.preds in
+  let best = ref 0 in
+  for k = 0 to Array.length order - 1 do
+    let b = order.(k) in
+    let ps = preds.(b) in
+    let start = ref 0 in
+    for j = 0 to Array.length ps - 1 do
+      let f = finish.(ps.(j)) in
+      if f > !start then start := f
+    done;
+    let f = !start + durations.(b) in
+    finish.(b) <- f;
+    if f > !best then best := f
+  done;
+  !best
+
+(* The makespan and one critical path (block ids): it ends at the first
+   block finishing last and steps back through the first predecessor
+   finishing latest (with a positive finish). *)
 let critical_path_detail part durations =
   let n = Array.length part.Block.blocks in
   let finish = Array.make n 0 in
-  let via = Array.make n (-1) in
-  List.iter
-    (fun b ->
-      let start, pred =
-        List.fold_left
-          (fun (acc, pr) p -> if finish.(p) > acc then (finish.(p), p) else (acc, pr))
-          (0, -1) (Block.predecessors part b)
-      in
-      finish.(b) <- start + durations.(b);
-      via.(b) <- pred)
-    (Block.topological_order part);
-  let sink = ref 0 and best = ref 0 in
-  Array.iteri
-    (fun b f ->
-      if f > !best then begin
-        best := f;
-        sink := b
-      end)
-    finish;
-  let rec walk b acc = if b < 0 then acc else walk via.(b) (b :: acc) in
-  let path = if n = 0 then [] else walk !sink [] in
-  (!best, path)
-
-let critical_path part durations = fst (critical_path_detail part durations)
-
-let subs_of_block subs b =
-  Array.to_list subs |> List.filter (fun s -> s.Rules.block_id = b)
+  let best = longest_path part durations finish in
+  let via b =
+    Array.fold_left
+      (fun (start, pred) p -> if finish.(p) > start then (finish.(p), p) else (start, pred))
+      (0, -1) part.Block.preds.(b)
+    |> snd
+  in
+  let rec walk b acc = if b < 0 then acc else walk (via b) (b :: acc) in
+  let rec last b = if best = 0 || finish.(b) = best then b else last (b + 1) in
+  (best, if n = 0 then [] else walk (last 0) [])
 
 (* The SMT model keeps the Boolean structure (choice variables and the
    Eq. 1 mutual-exclusion clauses) in the CDCL solver; the scheduling
@@ -92,11 +98,18 @@ let build ?options hw part subs_list =
   let choice = Array.init n_subs (fun _ -> Lit.pos (Smt.new_bool smt)) in
   Array.iter (fun s -> assert (s.Rules.id < n_subs)) subs;
   (* Eq. 1: overlapping substitutions exclude each other. *)
-  let conflict_pairs = Rules.conflicts subs_list in
+  let excludes = Array.make n_subs [] in
   List.iter
-    (fun (i, j) -> Smt.add_clause smt [ Lit.negate choice.(i); Lit.negate choice.(j) ])
-    conflict_pairs;
+    (fun (i, j) ->
+      Smt.add_clause smt [ Lit.negate choice.(i); Lit.negate choice.(j) ];
+      excludes.(i) <- j :: excludes.(i);
+      excludes.(j) <- i :: excludes.(j))
+    (Rules.conflicts subs_list);
   let n_blocks = Array.length part.Block.blocks in
+  let by_block = Array.make n_blocks [] in
+  List.iter
+    (fun s -> by_block.(s.Rules.block_id) <- s :: by_block.(s.Rules.block_id))
+    (List.rev subs_list);
   let base_dur =
     Array.init n_blocks (fun b -> Rules.block_reference_duration hw part b)
   in
@@ -109,10 +122,10 @@ let build ?options hw part subs_list =
     Array.init n_blocks (fun b ->
         List.fold_left
           (fun acc s -> acc + min 0 s.Rules.delta_duration)
-          base_dur.(b) (subs_of_block subs b)
+          base_dur.(b) by_block.(b)
         |> max 0)
   in
-  let d_lb = critical_path part min_dur in
+  let d_lb = longest_path part min_dur (Array.make n_blocks 0) in
   let false_var = Smt.new_bool smt in
   Smt.add_clause smt [ Lit.neg_of_var false_var ];
   {
@@ -124,7 +137,8 @@ let build ?options hw part subs_list =
     base_dur;
     base_fid;
     d_lb;
-    conflict_pairs;
+    excludes;
+    by_block;
     false_lit = Lit.pos false_var;
     consumed = false;
     session = None;
@@ -133,8 +147,7 @@ let build ?options hw part subs_list =
 
 let duration_terms t b =
   ( t.base_dur.(b),
-    subs_of_block t.subs b
-    |> List.map (fun s -> (s.Rules.id, s.Rules.delta_duration)) )
+    List.map (fun s -> (s.Rules.id, s.Rules.delta_duration)) t.by_block.(b) )
 
 (* Integer objective as   d_weight·D + Σ w_s·c_s + constant   (to be
    minimized; equivalent to maximizing Eq. 8/9/10, see DESIGN.md).
@@ -179,15 +192,13 @@ let objective_terms t obj =
     }
 
 let durations_for t chosen_mask =
-  Array.mapi
-    (fun b base ->
-      Array.fold_left
-        (fun acc (s : Rules.t) ->
-          if s.Rules.block_id = b && chosen_mask.(s.Rules.id) then
-            acc + s.Rules.delta_duration
-          else acc)
-        base t.subs)
-    t.base_dur
+  let d = Array.copy t.base_dur in
+  Array.iter
+    (fun (s : Rules.t) ->
+      if chosen_mask.(s.Rules.id) then
+        d.(s.Rules.block_id) <- d.(s.Rules.block_id) + s.Rules.delta_duration)
+    t.subs;
+  d
 
 let exact_objective t terms chosen_mask =
   let d, path = critical_path_detail t.part (durations_for t chosen_mask) in
@@ -206,7 +217,9 @@ type solution = {
 }
 
 type error =
-  [ `Already_consumed | `Budget_exhausted of Solver.stop_reason ]
+  [ `Already_consumed
+  | `Budget_exhausted of Solver.stop_reason
+  | `Unverified_schedule ]
 
 (* Verify the chosen schedule with the independent difference-logic
    solver: start times obeying Eq. 2 with the chosen durations must be
@@ -234,6 +247,86 @@ let verify_schedule t chosen_mask makespan =
   | Dl.Negative_cycle _ -> false
 
 let sat_stats t = Smt.sat_stats t.smt
+
+(* Budget and fault consultation of the greedy steps and the OMT
+   rounds; the deadline/cancel checks make a 1 ms deadline observable
+   before any solving starts on deep circuits. *)
+let governed budget site exhaust_reason =
+  match Solver.budget_status budget with
+  | Some r -> Some r
+  | None -> (
+    match Fault.check budget.Solver.fault site with
+    | Some Fault.Exhaust -> Some exhaust_reason
+    | Some Fault.Cancel -> Some Solver.Cancelled
+    | Some Fault.Spurious_conflict | None -> None)
+
+type greedy_result = {
+  mask : bool array;
+  value : int;
+  makespan : int;
+  interrupted : Solver.stop_reason option;
+}
+
+exception Interrupted of Solver.stop_reason
+
+let poll = Option.iter (fun r -> raise (Interrupted r))
+
+(* Best improvement from the empty choice: each step scores every
+   compatible substitution exactly and adds the strictly best one
+   (lowest id on ties), until none improves. Durations, the PB sum and
+   the per-substitution count of chosen conflict partners are kept in
+   place, so scoring a candidate is one allocation-free longest-path
+   pass with its block's delta applied — none at all when the
+   objective ignores the makespan or the delta is zero. *)
+let greedy ?(budget = Solver.no_budget) ~site t obj =
+  let terms = objective_terms t obj in
+  let n = Array.length t.subs in
+  let by_id = Array.copy t.subs in
+  Array.iter (fun (s : Rules.t) -> by_id.(s.Rules.id) <- s) t.subs;
+  let mask = Array.make n false and blocked = Array.make n 0 in
+  let dur = Array.copy t.base_dur in
+  let finish = Array.make (Array.length dur) 0 in
+  let makespan = ref (longest_path t.part dur finish) and pb = ref 0 in
+  let current = ref ((terms.d_weight * !makespan) + terms.constant) in
+  let evals = ref 0 in
+  let rec step () =
+    poll (governed budget site Solver.Deadline);
+    let best_s = ref (-1) and best_v = ref !current in
+    for i = 0 to n - 1 do
+      if (not mask.(i)) && blocked.(i) = 0 then begin
+        incr evals;
+        if !evals land 63 = 0 then poll (Solver.budget_status budget);
+        let { Rules.block_id = b; delta_duration = delta; _ } = by_id.(i) in
+        let d =
+          if terms.d_weight = 0 || delta = 0 then !makespan
+          else begin
+            dur.(b) <- dur.(b) + delta;
+            let d = longest_path t.part dur finish in
+            dur.(b) <- dur.(b) - delta;
+            d
+          end
+        in
+        let v = (terms.d_weight * d) + !pb + terms.weights.(i) + terms.constant in
+        if v < !best_v then begin
+          best_v := v;
+          best_s := i
+        end
+      end
+    done;
+    if !best_s >= 0 then begin
+      let i = !best_s in
+      let { Rules.block_id = b; delta_duration = delta; _ } = by_id.(i) in
+      mask.(i) <- true;
+      List.iter (fun j -> blocked.(j) <- blocked.(j) + 1) t.excludes.(i);
+      dur.(b) <- dur.(b) + delta;
+      pb := !pb + terms.weights.(i);
+      makespan := longest_path t.part dur finish;
+      current := !best_v;
+      step ()
+    end
+  in
+  let interrupted = try step (); None with Interrupted r -> Some r in
+  { mask; value = !current; makespan = !makespan; interrupted }
 
 let default_round_budget = 120
 
@@ -336,66 +429,6 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
             bound)
     end
   in
-  (* Fault/budget consultation shared by the warm start and the OMT
-     rounds; the deadline/cancel checks make a 1 ms deadline observable
-     before any solving starts on deep circuits. *)
-  let governed site exhaust_reason =
-    match Solver.budget_status budget with
-    | Some r -> Some r
-    | None -> (
-      match Fault.check budget.Solver.fault site with
-      | Some Fault.Exhaust -> Some exhaust_reason
-      | Some Fault.Cancel -> Some Solver.Cancelled
-      | Some Fault.Spurious_conflict | None -> None)
-  in
-  (* Greedy warm start: a good incumbent keeps the first pruning
-     encoding small and tight. Budget-governed per sweep: an
-     interruption here means no incumbent exists yet, which the
-     pipeline's degradation ladder turns into the greedy fallback. *)
-  let warm_start () =
-    let mask = Array.make n false in
-    let compatible s =
-      not
-        (List.exists
-           (fun (i, j) -> (i = s && mask.(j)) || (j = s && mask.(i)))
-           t.conflict_pairs)
-    in
-    let obj mask =
-      let v, _, _ = exact_objective t terms mask in
-      v
-    in
-    let current = ref (obj mask) in
-    let improved = ref true in
-    let stop = ref None in
-    while !improved && !stop = None do
-      match governed Fault.Warm_start Solver.Deadline with
-      | Some r -> stop := Some r
-      | None ->
-        improved := false;
-        let best_s = ref (-1) and best_v = ref !current in
-        for s = 0 to n - 1 do
-          if (not mask.(s)) && compatible s then begin
-            mask.(s) <- true;
-            let v = obj mask in
-            mask.(s) <- false;
-            if v < !best_v then begin
-              best_v := v;
-              best_s := s
-            end
-          end
-        done;
-        if !best_s >= 0 then begin
-          mask.(!best_s) <- true;
-          current := !best_v;
-          improved := true
-        end
-    done;
-    match !stop with
-    | Some r -> Error r
-    | None ->
-      let _, d, _ = exact_objective t terms mask in
-      Ok (!current, mask, d)
-  in
   (* The round solver. Incremental (the default): one solver — and at
      [jobs > 1] one persistent portfolio session — stays alive across
      every round, the tightened bound entering as an assumption literal
@@ -471,7 +504,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
       best
     end
     else begin
-    match governed Fault.Omt_round Solver.Out_of_rounds with
+    match governed budget Fault.Omt_round Solver.Out_of_rounds with
     | Some r ->
       proven := false;
       stopped := Some r;
@@ -528,30 +561,37 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     | None -> ()
     | Some a -> Solver.add_clause sat [ Lit.negate a ]
   in
-  match Trace.span "omt.warm_start" warm_start with
-  | Error r ->
+  (* Greedy warm start: a good incumbent keeps the first pruning
+     encoding small and tight. An interruption here means no incumbent
+     exists yet, which the pipeline's degradation ladder turns into the
+     greedy fallback. *)
+  match
+    Trace.span "omt.warm_start" (fun () ->
+        greedy ~budget ~site:Fault.Warm_start t obj)
+  with
+  | { interrupted = Some r; _ } ->
     retire ();
     Error (`Budget_exhausted r)
-  | Ok warm ->
-    let warm_v, _, _ = warm in
-    Obs.set m_omt_incumbent (float_of_int warm_v);
-    Trace.counter "omt.incumbent" (float_of_int warm_v);
-    (match improve (Some warm) with
+  | { mask; value; makespan; interrupted = None } ->
+    Obs.set m_omt_incumbent (float_of_int value);
+    Trace.counter "omt.incumbent" (float_of_int value);
+    (match improve (Some (value, mask, makespan)) with
     | None -> assert false (* the warm start is an incumbent *)
     | Some (v, mask, d) ->
       retire ();
-      assert (verify_schedule t mask d);
-      Ok
-        {
-          chosen =
-            Array.to_list t.subs |> List.filter (fun s -> mask.(s.Rules.id));
-          objective_value = v;
-          makespan = d;
-          rounds = !rounds;
-          theory_conflicts = !cuts;
-          proven_optimal = !proven;
-          stopped = !stopped;
-        })
+      if not (verify_schedule t mask d) then Error `Unverified_schedule
+      else
+        Ok
+          {
+            chosen =
+              Array.to_list t.subs |> List.filter (fun s -> mask.(s.Rules.id));
+            objective_value = v;
+            makespan = d;
+            rounds = !rounds;
+            theory_conflicts = !cuts;
+            proven_optimal = !proven;
+            stopped = !stopped;
+          })
   end
 
 let evaluate_choice t obj chosen =

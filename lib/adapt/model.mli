@@ -51,7 +51,37 @@ type error =
   | `Budget_exhausted of Solver.stop_reason
     (** the budget tripped before any incumbent existed (during the
         warm start) — no solution at all is available from this tier *)
+  | `Unverified_schedule
+    (** {!verify_schedule} rejected the final schedule (a model bug) *)
   ]
+
+type greedy_result = {
+  mask : bool array;  (** chosen substitutions, indexed by id *)
+  value : int;  (** exact integer objective of [mask] *)
+  makespan : int;  (** circuit duration of [mask] *)
+  interrupted : Solver.stop_reason option;
+      (** set when the budget or a fault stopped the search; [mask] is
+          then the conflict-free prefix chosen so far *)
+}
+
+val greedy :
+  ?budget:Solver.budget ->
+  site:Qca_util.Fault.site ->
+  t ->
+  objective ->
+  greedy_result
+(** Best improvement from the empty choice: each step adds the
+    compatible substitution with the strictly lowest exact objective
+    (lowest id on ties) until none improves. {!optimize}'s warm start
+    and the pipeline's [Greedy] method and ladder rung. Scoring a
+    candidate is one allocation-free longest-path pass:
+    O(steps·S·(B+E)) for S substitutions, B blocks, E edges.
+
+    Each step consults [budget] and the fault plan at [site] once
+    ([Warm_start] from {!optimize}, [Greedy_step] from the pipeline;
+    [Exhaust] reads as [Deadline]); inside a step, every 64 candidates
+    poll {!Solver.budget_status}. A stop discards the unfinished step.
+    Pure: works on a consumed model. *)
 
 val optimize :
   ?round_budget:int ->
@@ -63,7 +93,7 @@ val optimize :
   t ->
   objective ->
   (solution, error) result
-(** Optimizes the objective: greedy warm start, then branch-and-bound
+(** Optimizes the objective: {!greedy} warm start, then branch-and-bound
     over the CDCL solver with admissible pseudo-Boolean pruning and
     lazily generated critical-path lemmas. Solves to proven optimality
     unless the round budget (default 120) runs out first, in which case
@@ -72,7 +102,8 @@ val optimize :
     (fault sites {!Qca_util.Fault.Warm_start}, [Omt_round] and
     [Sat_step]); when it trips after an incumbent exists the incumbent
     is returned with [stopped] set, before one exists the typed
-    [`Budget_exhausted] error is returned. Never raises.
+    [`Budget_exhausted] error is returned; a schedule that
+    {!verify_schedule} rejects, [`Unverified_schedule]. Never raises.
 
     [jobs > 1] races a {!Qca_par.Portfolio} of diversified CDCL seats
     on every OMT round (the final UNSAT-proving round included); the
@@ -101,7 +132,12 @@ val optimize :
 
 val evaluate_choice : t -> objective -> Rules.t list -> int
 (** Exact integer objective of an arbitrary conflict-free choice of
-    substitutions (used by tests and the greedy heuristic). *)
+    substitutions, from scratch in O(B+E+S). *)
+
+val verify_schedule : t -> bool array -> int -> bool
+(** [verify_schedule t mask makespan]: whether the difference-logic
+    solver finds Eq. 2 start times, under the durations of the choice
+    [mask] (by id), that finish every block by [makespan]. *)
 
 val sat_stats : t -> Solver.stats
 (** Counters of the CDCL solver underlying the model's SMT instance

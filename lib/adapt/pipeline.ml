@@ -128,58 +128,8 @@ let template_choose metric subs =
     [] subs
   |> List.rev
 
-(* The future-work heuristic: repeatedly add the substitution (from the
-   full space, KAK included) that improves the exact global objective
-   the most. Governed per refinement step; an interruption keeps the
-   substitutions chosen so far (still conflict-free, still valid). *)
-let greedy_choose_governed ?(budget = Solver.no_budget) model obj subs =
-  let compatible chosen s =
-    not
-      (List.exists
-         (fun (s' : Rules.t) ->
-           List.exists (fun i -> List.mem i s'.Rules.substituted) s.Rules.substituted)
-         chosen)
-  in
-  let governed () =
-    match Solver.budget_status budget with
-    | Some r -> Some r
-    | None -> (
-      match Fault.check budget.Solver.fault Fault.Greedy_step with
-      | Some Fault.Exhaust -> Some Solver.Deadline
-      | Some Fault.Cancel -> Some Solver.Cancelled
-      | Some Fault.Spurious_conflict | None -> None)
-  in
-  let stop = ref None in
-  let rec refine chosen current =
-    match governed () with
-    | Some r ->
-      stop := Some r;
-      chosen
-    | None -> (
-      let candidates =
-        List.filter (fun s -> compatible chosen s) subs
-        |> List.map (fun s -> (s, Model.evaluate_choice model obj (s :: chosen)))
-        |> List.filter (fun (_, v) -> v < current)
-      in
-      match candidates with
-      | [] -> chosen
-      | _ ->
-        let s, v =
-          List.fold_left
-            (fun (bs, bv) (s, v) -> if v < bv then (s, v) else (bs, bv))
-            (List.hd candidates)
-            (List.tl candidates)
-        in
-        refine (s :: chosen) v)
-  in
-  let chosen = refine [] (Model.evaluate_choice model obj []) in
-  (chosen, !stop)
-
-let greedy_choose model obj subs =
-  fst (greedy_choose_governed model obj subs)
-
-let adapt_with_info ?options ?(jobs = 1) ?(incremental = true) ?(share = true)
-    hw method_ circuit =
+(* Methods without a solver: they always complete, no ladder needed. *)
+let adapt_polynomial hw method_ circuit =
   Obs.incr m_adaptations;
   let part = Trace.span "partition" (fun () -> Block.partition circuit) in
   match method_ with
@@ -203,39 +153,7 @@ let adapt_with_info ?options ?(jobs = 1) ?(incremental = true) ?(share = true)
         substitutions_considered = List.length subs;
         substitutions_chosen = List.length chosen;
       } )
-  | Sat obj ->
-    let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-    let model = Trace.span "encode" (fun () -> Model.build ?options hw part subs) in
-    let sol =
-      match
-        Trace.span "solve" (fun () ->
-            Model.optimize ~jobs ~incremental ~share model obj)
-      with
-      | Ok sol -> sol
-      | Error (`Already_consumed | `Budget_exhausted _) ->
-        (* fresh model, unlimited budget: neither error can occur *)
-        assert false
-    in
-    ( Trace.span "apply" (fun () -> apply_substitutions part sol.Model.chosen),
-      {
-        substitutions_considered = List.length subs;
-        substitutions_chosen = List.length sol.Model.chosen;
-        omt_rounds = sol.Model.rounds;
-        theory_conflicts = sol.Model.theory_conflicts;
-      } )
-  | Greedy obj ->
-    let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-    let model = Trace.span "encode" (fun () -> Model.build ?options hw part subs) in
-    let chosen = Trace.span "solve" (fun () -> greedy_choose model obj subs) in
-    ( Trace.span "apply" (fun () -> apply_substitutions part chosen),
-      {
-        no_info with
-        substitutions_considered = List.length subs;
-        substitutions_chosen = List.length chosen;
-      } )
-
-let adapt ?options ?jobs ?incremental ?share hw method_ circuit =
-  fst (adapt_with_info ?options ?jobs ?incremental ?share hw method_ circuit)
+  | Sat _ | Greedy _ -> invalid_arg "Pipeline.adapt_polynomial"
 
 (* {1 Encoded templates} *)
 
@@ -364,6 +282,30 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
     finish ~tier:Direct_fallback ~reason ~info:no_info
       (Trace.span "apply" (fun () -> Basis.direct circuit))
   in
+  (* The future-work heuristic — {!Model.greedy} over the full space,
+     KAK included, the same code as the SMT warm start — served at
+     [tier]; [reason] defaults to the greedy's own stop. An interruption
+     keeps the (conflict-free) prefix; an empty one is no choice. *)
+  let greedy_tier ~span ~tier ?reason (part, subs, model, _) obj =
+    let g =
+      Trace.span span (fun () ->
+          Model.greedy ~budget ~site:Fault.Greedy_step model obj)
+    in
+    match
+      (List.filter (fun (s : Rules.t) -> g.Model.mask.(s.Rules.id)) subs, g.Model.interrupted)
+    with
+    | [], Some r -> direct ~reason:(Some r)
+    | chosen, stop ->
+      let info =
+        {
+          no_info with
+          substitutions_considered = List.length subs;
+          substitutions_chosen = List.length chosen;
+        }
+      in
+      finish ~tier ~reason:(if Option.is_some reason then reason else stop) ~info
+        (Trace.span "apply" (fun () -> apply_substitutions part chosen))
+  in
   Trace.span "adapt" ~args:[ ("method", method_name method_) ] @@ fun () ->
   match method_ with
   | Sat obj -> (
@@ -371,7 +313,17 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
     match Solver.budget_status budget with
     | Some r -> direct ~reason:(Some r)
     | None -> (
-      let part, subs, model, reuse = front () in
+      let ((part, subs, model, reuse) as front) = front () in
+      (* No incumbent from the SMT tier: try the greedy heuristic if the
+         budget still has headroom (a fault-injected stop leaves it
+         intact, a real deadline does not). The greedy is pure, so the
+         consumed model still serves. *)
+      let greedy_rung r =
+        match Solver.budget_status budget with
+        | Some r2 -> direct ~reason:(Some r2)
+        | None ->
+          greedy_tier ~span:"rung.greedy" ~tier:Greedy_fallback ~reason:r front obj
+      in
       match
         Trace.span "solve" (fun () ->
             Model.optimize ~budget ~jobs ~incremental ~share ~reuse model obj)
@@ -397,55 +349,32 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
         (* fresh models can't be consumed; template models only ever run
            the non-consuming reuse path *)
         assert false
-      | Error (`Budget_exhausted r) -> (
-        (* no incumbent from the SMT tier; try the greedy heuristic if
-           the budget still has headroom (a fault-injected stop leaves
-           it intact, a real deadline does not) *)
-        match Solver.budget_status budget with
-        | Some r2 -> direct ~reason:(Some r2)
-        | None -> (
-          (* evaluate_choice is pure — the consumed model still serves *)
-          match
-            Trace.span "rung.greedy" (fun () ->
-                greedy_choose_governed ~budget model obj subs)
-          with
-          | [], Some r2 -> direct ~reason:(Some r2)
-          | chosen, _ ->
-            let info =
-              {
-                no_info with
-                substitutions_considered = List.length subs;
-                substitutions_chosen = List.length chosen;
-              }
-            in
-            finish ~tier:Greedy_fallback ~reason:(Some r) ~info
-              (Trace.span "apply" (fun () ->
-                   apply_substitutions part chosen))))))
+      | Error (`Budget_exhausted r) -> greedy_rung r
+      | Error `Unverified_schedule -> greedy_rung Solver.Theory_divergence))
   | Greedy obj -> (
     Obs.incr m_adaptations;
     match Solver.budget_status budget with
     | Some r -> direct ~reason:(Some r)
-    | None -> (
-      let part, subs, model, _reuse = front () in
-      match
-        Trace.span "solve" (fun () ->
-            greedy_choose_governed ~budget model obj subs)
-      with
-      | [], Some r -> direct ~reason:(Some r)
-      | chosen, stop ->
-        let info =
-          {
-            no_info with
-            substitutions_considered = List.length subs;
-            substitutions_chosen = List.length chosen;
-          }
-        in
-        finish ~tier:Full ~reason:stop ~info
-          (Trace.span "apply" (fun () -> apply_substitutions part chosen))))
+    | None -> greedy_tier ~span:"solve" ~tier:Full (front ()) obj)
   | Direct | Kak_only_cz | Kak_only_cz_db | Template_f | Template_r ->
-    (* polynomial methods: always complete, no ladder needed *)
-    let c, info = adapt_with_info ?options ~jobs hw method_ circuit in
+    let c, info = adapt_polynomial hw method_ circuit in
     finish ~tier:Full ~reason:None ~info c
+
+let adapt_with_info ?options ?jobs ?incremental ?share hw method_ circuit =
+  match method_ with
+  | Sat _ | Greedy _ ->
+    (* [no_budget] never trips and skips the solver's governance layer:
+       the ungoverned path, bit for bit *)
+    let o =
+      adapt_governed ?options ~budget:Solver.no_budget ?jobs ?incremental
+        ?share hw method_ circuit
+    in
+    (o.circuit, o.info)
+  | Direct | Kak_only_cz | Kak_only_cz_db | Template_f | Template_r ->
+    adapt_polynomial hw method_ circuit
+
+let adapt ?options ?jobs ?incremental ?share hw method_ circuit =
+  fst (adapt_with_info ?options ?jobs ?incremental ?share hw method_ circuit)
 
 let adapt_template ?budget ?jobs ?incremental ?share tm method_ =
   adapt_governed ?budget ?jobs ?incremental ?share ~template:tm tm.t_hw method_

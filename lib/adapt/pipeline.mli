@@ -15,7 +15,10 @@ open Qca_sat
     - {!Sat}: the SMT model with objective SAT F / SAT R / SAT P
       (section IV);
     - {!Greedy}: the future-work heuristic — globally evaluated greedy
-      selection over the same substitution space as {!Sat}. *)
+      selection over the same substitution space as {!Sat}. It runs
+      {!Model.greedy}, the same code as the SMT warm start, with fault
+      site [Greedy_step]; under {!adapt_governed} an interruption keeps
+      the conflict-free prefix chosen so far. *)
 
 type method_ =
   | Direct
@@ -85,7 +88,9 @@ val apply_substitutions :
       incumbent is served ({!Incumbent});
     - if it stops before any incumbent exists, the greedy heuristic
       over the same substitution space runs with the remaining budget
-      ({!Greedy_fallback});
+      ({!Greedy_fallback}); so it does, with reason [Theory_divergence],
+      when the difference-logic check rejects the SMT tier's schedule
+      ({!Model.verify_schedule});
     - if even that is impossible, direct basis translation — always
       valid, always fast — serves the request ({!Direct_fallback}).
 

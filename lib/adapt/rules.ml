@@ -145,17 +145,29 @@ let find_all hw part =
          let kak = kak_substitutions hw part blk ~fresh in
          List.rev local @ kak)
 
+(* Substituted gates never leave their block, so only substitutions of
+   one block can overlap. Pairs come out in list-position order (i, j),
+   as an all-pairs scan would emit them. *)
 let conflicts subs =
   let arr = Array.of_list subs in
+  let n_blocks = Array.fold_left (fun m s -> max m (s.block_id + 1)) 0 arr in
+  (* later.(i): the positions after i in i's block, ascending *)
+  let later = Array.make (Array.length arr) [] in
+  let seen = Array.make n_blocks [] in
+  for i = Array.length arr - 1 downto 0 do
+    let b = arr.(i).block_id in
+    later.(i) <- seen.(b);
+    seen.(b) <- i :: seen.(b)
+  done;
   let overlap s1 s2 =
     List.exists (fun i -> List.mem i s2.substituted) s1.substituted
   in
   let pairs = ref [] in
   Array.iteri
     (fun i s1 ->
-      Array.iteri
-        (fun j s2 -> if j > i && overlap s1 s2 then pairs := (s1.id, s2.id) :: !pairs)
-        arr)
+      List.iter
+        (fun j -> if overlap s1 arr.(j) then pairs := (s1.id, arr.(j).id) :: !pairs)
+        later.(i))
     arr;
   List.rev !pairs
 

@@ -7,6 +7,9 @@ type t = {
   blocks : block array;
   deps : (int * int) list;
   gate_block : int array;
+  preds : int array array;
+  succs : int array array;
+  order : int array;
 }
 
 type builder = { mutable wires_b : wires; mutable rev_gids : int list }
@@ -97,7 +100,38 @@ let partition circuit =
     Hashtbl.fold (fun e () acc -> e :: acc) edges []
   in
   let deps = List.sort compare deps in
-  { circuit; blocks; deps; gate_block }
+  let n_blocks = Array.length blocks in
+  (* [deps] is sorted, so both adjacencies come out ascending. *)
+  let preds = Array.make n_blocks [] and succs = Array.make n_blocks [] in
+  List.iter
+    (fun (a, b) ->
+      preds.(b) <- a :: preds.(b);
+      succs.(a) <- b :: succs.(a))
+    (List.rev deps);
+  let preds = Array.map Array.of_list preds in
+  let succs = Array.map Array.of_list succs in
+  (* Kahn's algorithm: FIFO queue seeded in id order, successors visited
+     ascending. Gate emission follows this order, so it is fixed. *)
+  let order = Array.make n_blocks 0 in
+  let indeg = Array.map Array.length preds in
+  let head = ref 0 and tail = ref 0 in
+  let push b =
+    order.(!tail) <- b;
+    incr tail
+  in
+  Array.iteri (fun b d -> if d = 0 then push b) indeg;
+  while !head < !tail do
+    let b = order.(!head) in
+    incr head;
+    Array.iter
+      (fun s ->
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 then push s)
+      succs.(b)
+  done;
+  (* edges follow per-qubit chains in creation order: never a cycle *)
+  assert (!tail = n_blocks);
+  { circuit; blocks; deps; gate_block; preds; succs; order }
 
 let local_wire wires q =
   match wires with
@@ -123,33 +157,9 @@ let block_circuit t blk =
 
 let block_unitary t blk = Circuit.unitary (block_circuit t blk)
 
-let predecessors t bid =
-  List.filter_map (fun (a, b) -> if b = bid then Some a else None) t.deps
-
-let successors t bid =
-  List.filter_map (fun (a, b) -> if a = bid then Some b else None) t.deps
-
-let topological_order t =
-  let n = Array.length t.blocks in
-  let indeg = Array.make n 0 in
-  List.iter (fun (_, b) -> indeg.(b) <- indeg.(b) + 1) t.deps;
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i queue
-  done;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let b = Queue.pop queue in
-    order := b :: !order;
-    List.iter
-      (fun s ->
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then Queue.add s queue)
-      (successors t b)
-  done;
-  let order = List.rev !order in
-  if List.length order <> n then invalid_arg "Block.topological_order: cycle";
-  order
+let predecessors t bid = Array.to_list t.preds.(bid)
+let successors t bid = Array.to_list t.succs.(bid)
+let topological_order t = Array.to_list t.order
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%d blocks:" (Array.length t.blocks);

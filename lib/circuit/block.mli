@@ -23,6 +23,11 @@ type t = {
   blocks : block array;
   deps : (int * int) list;  (** edges (b', b): b' must finish before b starts *)
   gate_block : int array;  (** gate index -> owning block id *)
+  preds : int array array;  (** block id -> predecessor ids, ascending *)
+  succs : int array array;  (** block id -> successor ids, ascending *)
+  order : int array;
+      (** block ids in dependency order (Kahn's algorithm, FIFO queue
+          seeded in id order, successors visited ascending) *)
 }
 
 val partition : Circuit.t -> t
@@ -34,9 +39,14 @@ val block_circuit : t -> block -> Circuit.t
 val block_unitary : t -> block -> Qca_linalg.Mat.t
 
 val predecessors : t -> int -> int list
+(** [Array.to_list t.preds.(bid)]: the sources of [bid]'s edges in
+    [deps] order. *)
+
 val successors : t -> int -> int list
+(** [Array.to_list t.succs.(bid)]: the targets of [bid]'s edges in
+    [deps] order. *)
 
 val topological_order : t -> int list
-(** Block ids in a dependency-respecting order. *)
+(** [Array.to_list t.order]. *)
 
 val pp : Format.formatter -> t -> unit

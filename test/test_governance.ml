@@ -186,7 +186,7 @@ let test_optimize_warm_start_interrupted () =
   let budget = Solver.budget ~fault () in
   match Model.optimize ~budget model Model.Sat_p with
   | Error (`Budget_exhausted _) -> ()
-  | Ok _ | Error `Already_consumed ->
+  | Ok _ | Error (`Already_consumed | `Unverified_schedule) ->
     Alcotest.fail "expected Budget_exhausted before any incumbent"
 
 let test_optimize_stopped_at_incumbent () =

@@ -20,6 +20,7 @@ let () =
       ("diff_logic", Test_diff_logic.suite);
       ("smt", Test_smt.suite);
       ("adapt", Test_adapt.suite);
+      ("greedy", Test_greedy.suite);
       ("sim", Test_sim.suite);
       ("workloads", Test_workloads.suite);
       ("formats", Test_formats.suite);
