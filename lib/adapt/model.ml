@@ -1,7 +1,6 @@
 module Block = Qca_circuit.Block
 module Circuit = Qca_circuit.Circuit
 open Qca_sat
-module Smt = Qca_smt.Smt
 module Totalizer = Qca_pseudo_bool.Totalizer
 module Dl = Qca_diff_logic.Dl
 module Fault = Qca_util.Fault
@@ -30,7 +29,7 @@ type t = {
   hw : Hardware.t;
   part : Block.t;
   subs : Rules.t array;
-  smt : Smt.t;
+  sat : Solver.t;
   choice : Lit.t array;  (* c_s per substitution id *)
   base_dur : int array;  (* D(b) *)
   base_fid : int array;  (* log F(b), fixed point *)
@@ -92,16 +91,16 @@ let critical_path_detail part durations =
    lemmas during optimization — see [optimize] — and through a final
    difference-logic verification of the returned schedule. *)
 let build ?options hw part subs_list =
-  let smt = Smt.create ?options () in
+  let sat = Solver.create ?options () in
   let subs = Array.of_list subs_list in
   let n_subs = Array.length subs in
-  let choice = Array.init n_subs (fun _ -> Lit.pos (Smt.new_bool smt)) in
+  let choice = Array.init n_subs (fun _ -> Lit.pos (Solver.new_var sat)) in
   Array.iter (fun s -> assert (s.Rules.id < n_subs)) subs;
   (* Eq. 1: overlapping substitutions exclude each other. *)
   let excludes = Array.make n_subs [] in
   List.iter
     (fun (i, j) ->
-      Smt.add_clause smt [ Lit.negate choice.(i); Lit.negate choice.(j) ];
+      Solver.add_clause sat [ Lit.negate choice.(i); Lit.negate choice.(j) ];
       excludes.(i) <- j :: excludes.(i);
       excludes.(j) <- i :: excludes.(j))
     (Rules.conflicts subs_list);
@@ -126,13 +125,13 @@ let build ?options hw part subs_list =
         |> max 0)
   in
   let d_lb = longest_path part min_dur (Array.make n_blocks 0) in
-  let false_var = Smt.new_bool smt in
-  Smt.add_clause smt [ Lit.neg_of_var false_var ];
+  let false_var = Solver.new_var sat in
+  Solver.add_clause sat [ Lit.neg_of_var false_var ];
   {
     hw;
     part;
     subs;
-    smt;
+    sat;
     choice;
     base_dur;
     base_fid;
@@ -211,7 +210,7 @@ type solution = {
   objective_value : int;
   makespan : int;
   rounds : int;
-  theory_conflicts : int;
+  path_cuts : int;
   proven_optimal : bool;
   stopped : Solver.stop_reason option;
 }
@@ -246,7 +245,7 @@ let verify_schedule t chosen_mask makespan =
   | Dl.Consistent _ -> true
   | Dl.Negative_cycle _ -> false
 
-let sat_stats t = Smt.sat_stats t.smt
+let sat_stats t = Solver.stats t.sat
 
 (* Budget and fault consultation of the greedy steps and the OMT
    rounds; the deadline/cancel checks make a 1 ms deadline observable
@@ -345,7 +344,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
      in the live solver. One-shot runs add them permanently (no guard
      overhead on the common path). *)
   let act =
-    if reuse then Some (Lit.pos (Smt.new_bool t.smt)) else None
+    if reuse then Some (Lit.pos (Solver.new_var t.sat)) else None
   in
   let run_assumptions = match act with None -> [] | Some a -> [ a ] in
   let guard_clause lits =
@@ -365,7 +364,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     Array.to_list (Array.mapi (fun i w -> (t.choice.(i), w)) terms.weights)
     |> List.filter (fun (_, w) -> w <> 0)
   in
-  let sat = Smt.solver t.smt in
+  let sat = t.sat in
   (* One totalizer serves every pruning bound of the optimization: the
      bound only shrinks as the incumbent improves, so it is built once
      at the warm-start budget and queried per round. Memoized per
@@ -588,7 +587,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
             objective_value = v;
             makespan = d;
             rounds = !rounds;
-            theory_conflicts = !cuts;
+            path_cuts = !cuts;
             proven_optimal = !proven;
             stopped = !stopped;
           })

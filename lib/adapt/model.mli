@@ -1,17 +1,19 @@
 module Block = Qca_circuit.Block
 open Qca_sat
 
-(** The SMT model of section IV-C.
+(** The SMT model of section IV-C, solved without an SMT solver.
 
-    Variables: a Boolean [c_s] per substitution (set C), a start-time
-    integer [e_b] per block (set E), derived finish times realizing the
-    block durations of Eq. 3 as conditional difference-logic chains, and
-    the total circuit duration [D]. Constraints: mutual exclusion of
-    overlapping substitutions (Eq. 1), block dependencies (Eq. 2), and
-    duration/fidelity accumulation (Eq. 3–6, log-fidelities in 1e6·ln
-    fixed point). Objectives (Eq. 8–10) are optimized exactly by the
-    branch-and-bound OMT driver of {!Qca_smt.Smt.minimize} with
-    admissible pseudo-Boolean and makespan pruning. *)
+    The paper's model has a Boolean [c_s] per substitution (set C), a
+    start-time integer [e_b] per block (set E) and the circuit duration
+    [D], under mutual exclusion of overlapping substitutions (Eq. 1),
+    block dependencies (Eq. 2) and duration/fidelity accumulation
+    (Eq. 3–6, log-fidelities in 1e6·ln fixed point). Here only the
+    [c_s] and the Eq. 1 clauses live in the CDCL solver: for any choice
+    the start times and [D] are a longest path over the block DAG.
+    {!optimize} minimizes Eq. 8–10 by branch and bound over that solver,
+    with admissible totalizer pruning and lazily added critical-path
+    cuts; {!verify_schedule} checks the final schedule with the
+    difference-logic solver. *)
 
 type objective =
   | Sat_f  (** fidelity objective, Eq. 8 *)
@@ -36,7 +38,7 @@ type solution = {
   objective_value : int;  (** minimized integer objective *)
   makespan : int;  (** optimal circuit duration for the chosen set *)
   rounds : int;  (** OMT improvement rounds *)
-  theory_conflicts : int;  (** lazily generated scheduling lemmas *)
+  path_cuts : int;  (** critical-path cuts added during the search *)
   proven_optimal : bool;
       (** true when the search closed with an UNSAT certificate; false
           when the anytime round budget stopped it at the incumbent *)
@@ -96,8 +98,10 @@ val optimize :
 (** Optimizes the objective: {!greedy} warm start, then branch-and-bound
     over the CDCL solver with admissible pseudo-Boolean pruning and
     lazily generated critical-path lemmas. Solves to proven optimality
-    unless the round budget (default 120) runs out first, in which case
-    the incumbent is returned with [proven_optimal = false]. A resource
+    unless the anytime round cap runs out first, in which case the
+    incumbent is returned with [proven_optimal = false]. The cap is
+    [round_budget], by default [max 16 (min 120 (4000 / S))] for S
+    substitutions, so deep circuits can stop at the cap. A resource
     [budget] governs the warm start, the OMT rounds and every CDCL call
     (fault sites {!Qca_util.Fault.Warm_start}, [Omt_round] and
     [Sat_step]); when it trips after an incumbent exists the incumbent
@@ -140,6 +144,6 @@ val verify_schedule : t -> bool array -> int -> bool
     [mask] (by id), that finish every block by [makespan]. *)
 
 val sat_stats : t -> Solver.stats
-(** Counters of the CDCL solver underlying the model's SMT instance
-    (conflicts, propagations, learnt-clause minimization, arena
-    GCs, ...). Valid before and after {!optimize}. *)
+(** Counters of the model's CDCL solver (conflicts, propagations,
+    learnt-clause minimization, arena GCs, ...). Valid before and after
+    {!optimize}. *)

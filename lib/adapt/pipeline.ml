@@ -77,10 +77,10 @@ type info = {
   substitutions_considered : int;
   substitutions_chosen : int;
   omt_rounds : int;
-  theory_conflicts : int;
+  path_cuts : int;
 }
 
-let no_info = { substitutions_considered = 0; substitutions_chosen = 0; omt_rounds = 0; theory_conflicts = 0 }
+let no_info = { substitutions_considered = 0; substitutions_chosen = 0; omt_rounds = 0; path_cuts = 0 }
 
 (* Splice a conflict-free choice of substitutions into the circuit:
    blocks are emitted in dependency order; within a block, a gate opens
@@ -276,7 +276,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
         | Some Solver.Deadline -> 2
         | Some Solver.Cancelled -> 3
         | Some Solver.Out_of_rounds -> 4
-        | Some Solver.Theory_divergence -> 5)
+        | Some Solver.Unverified_schedule -> 5)
         budget.Solver.conflicts_spent;
       Trace.instant "degrade"
         ~args:
@@ -359,7 +359,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
             substitutions_considered = List.length subs;
             substitutions_chosen = List.length sol.Model.chosen;
             omt_rounds = sol.Model.rounds;
-            theory_conflicts = sol.Model.theory_conflicts;
+            path_cuts = sol.Model.path_cuts;
           }
         in
         let tier, reason =
@@ -375,7 +375,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
            the non-consuming reuse path *)
         assert false
       | Error (`Budget_exhausted r) -> greedy_rung r
-      | Error `Unverified_schedule -> greedy_rung Solver.Theory_divergence))
+      | Error `Unverified_schedule -> greedy_rung Solver.Unverified_schedule))
   | Greedy obj -> (
     Obs.incr m_adaptations;
     match Solver.budget_status budget with

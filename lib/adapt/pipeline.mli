@@ -50,7 +50,7 @@ type info = {
   substitutions_considered : int;
   substitutions_chosen : int;
   omt_rounds : int;  (** 0 for non-SAT methods *)
-  theory_conflicts : int;
+  path_cuts : int;  (** critical-path cuts added by the OMT search *)
 }
 
 val adapt :
@@ -99,9 +99,9 @@ val apply_substitutions :
       incumbent is served ({!Incumbent});
     - if it stops before any incumbent exists, the greedy heuristic
       over the same substitution space runs with the remaining budget
-      ({!Greedy_fallback}); so it does, with reason [Theory_divergence],
-      when the difference-logic check rejects the SMT tier's schedule
-      ({!Model.verify_schedule});
+      ({!Greedy_fallback}); so it does, with reason
+      [Unverified_schedule], when the difference-logic check rejects
+      the SMT tier's schedule ({!Model.verify_schedule});
     - if even that is impossible, direct basis translation — always
       valid, always fast — serves the request ({!Direct_fallback}).
 

@@ -67,27 +67,3 @@ let check ~num_vars constraints =
       (* unreachable when the relaxation rounds reported a change *)
       assert false
   end
-
-let implied_bound ~num_vars constraints x y =
-  (* shortest path from y to x in the constraint graph *)
-  match check ~num_vars constraints with
-  | Negative_cycle _ -> None
-  | Consistent _ ->
-    let inf = max_int / 4 in
-    let dist = Array.make num_vars inf in
-    dist.(y) <- 0;
-    let constraints = Array.of_list constraints in
-    let changed = ref true in
-    let rounds = ref 0 in
-    while !changed && !rounds <= num_vars do
-      changed := false;
-      incr rounds;
-      Array.iter
-        (fun c ->
-          if dist.(c.y) < inf && dist.(c.y) + c.k < dist.(c.x) then begin
-            dist.(c.x) <- dist.(c.y) + c.k;
-            changed := true
-          end)
-        constraints
-    done;
-    if dist.(x) >= inf then None else Some dist.(x)

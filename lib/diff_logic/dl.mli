@@ -3,9 +3,10 @@
     A conjunction of constraints [x − y ≤ k] over integer variables is
     satisfiable iff the constraint graph (edge [y → x] of weight [k])
     has no negative cycle. This module runs Bellman-Ford from a virtual
-    source and either returns a satisfying assignment or the set of
-    tags of the constraints forming a negative cycle — exactly the
-    theory-conflict explanation the DPLL(T) loop needs. *)
+    source and either returns a satisfying assignment or the tags of
+    the constraints forming a negative cycle, a witness that the system
+    is infeasible. [Model.verify_schedule] uses it as a schedule oracle
+    independent of the model's own longest-path code. *)
 
 type 'tag constr = { x : int; y : int; k : int; tag : 'tag }
 (** [x − y ≤ k]. Variables are indices in [0, num_vars). *)
@@ -17,9 +18,3 @@ type 'tag result =
       (** Tags of a minimal inconsistent constraint cycle. *)
 
 val check : num_vars:int -> 'tag constr list -> 'tag result
-
-val implied_bound :
-  num_vars:int -> 'tag constr list -> int -> int -> int option
-(** [implied_bound ~num_vars cs x y] is the strongest implied [k] with
-    [x − y ≤ k] (shortest path from [y] to [x]), or [None] when
-    unbounded or the system is inconsistent. *)

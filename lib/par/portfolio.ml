@@ -124,7 +124,7 @@ type outcome = {
    remainder — the portfolio deliberately spends up to K× the
    sequential work to finish sooner). Fault plans are stateful and not
    domain-safe, so seats run fault-free; the parent's plan keeps firing
-   at the coordinator-side sites (Smt loop, OMT rounds). Only the
+   at the coordinator-side sites (warm start, OMT rounds). Only the
    decisive seat's spend is charged back to the parent. *)
 let seat_budget parent ~should_stop =
   let remaining cap spent = if cap = max_int then max_int else max 0 (cap - spent) in
@@ -133,20 +133,18 @@ let seat_budget parent ~should_stop =
       remaining parent.Solver.max_conflicts parent.Solver.conflicts_spent;
     max_propagations =
       remaining parent.Solver.max_propagations parent.Solver.propagations_spent;
-    max_theory_rounds = parent.Solver.max_theory_rounds;
     deadline = parent.Solver.deadline;
     cancelled = (fun () -> should_stop () || parent.Solver.cancelled ());
     fault = Fault.none;
     created = (if parent.Solver.created = 0.0 then Clock.now () else parent.Solver.created);
     conflicts_spent = 0;
     propagations_spent = 0;
-    theory_rounds_spent = 0;
   }
 
 (* {1 Sessions: persistent seats across rounds}
 
    A session keeps the [jobs] diversified clones alive between solves,
-   so one OMT (or DPLL(T)) round's learnt clauses, saved phases, VSIDS
+   so one OMT round's learnt clauses, saved phases, VSIDS
    activities and simplification results carry into the next round of
    the same incremental problem. Clauses the caller adds to the base
    between solves are replayed into every seat from the base's
@@ -297,7 +295,7 @@ let session_solve ?(assumptions = []) ?(budget = Solver.no_budget) ss =
     (* Adopt a SAT model into the base solver by re-solving under the
        full model as assumptions: pure propagation (the model satisfies
        every clause, learnt ones included), after which the existing
-       readers — Smt atom values, Model decode, Lint — see the winner's
+       readers — Model decode, Lint — see the winner's
        model on the solver they already hold. *)
     (match verdict with
     | Solver.Sat ->

@@ -81,7 +81,7 @@ type stop_reason =
   | Deadline
   | Cancelled
   | Out_of_rounds
-  | Theory_divergence
+  | Unverified_schedule
 
 let string_of_stop_reason = function
   | Out_of_conflicts -> "conflict budget exhausted"
@@ -89,7 +89,7 @@ let string_of_stop_reason = function
   | Deadline -> "deadline exceeded"
   | Cancelled -> "cancelled"
   | Out_of_rounds -> "optimization round budget exhausted"
-  | Theory_divergence -> "theory refinement did not converge"
+  | Unverified_schedule -> "schedule failed verification"
 
 type result = Sat | Unsat | Unknown of stop_reason
 
@@ -100,38 +100,32 @@ type result = Sat | Unsat | Unknown of stop_reason
 type budget = {
   max_conflicts : int;
   max_propagations : int;
-  max_theory_rounds : int;  (* DPLL(T) refinement rounds per Smt.solve *)
   deadline : float;  (* absolute Clock.now seconds; infinity = none *)
   cancelled : unit -> bool;
   fault : Fault.t;
   created : float;
   mutable conflicts_spent : int;
   mutable propagations_spent : int;
-  mutable theory_rounds_spent : int;
 }
-
-let default_theory_rounds = 1_000_000
 
 let no_budget =
   {
     max_conflicts = max_int;
     max_propagations = max_int;
-    max_theory_rounds = default_theory_rounds;
     deadline = infinity;
     cancelled = (fun () -> false);
     fault = Fault.none;
     created = 0.0;
     conflicts_spent = 0;
     propagations_spent = 0;
-    theory_rounds_spent = 0;
   }
   [@@qca.domain_safe
     "spent counters are scratch: every limit is max_int / infinity, so a \
      racy increment can never trip a budget check"]
 
 let budget ?timeout_ms ?(max_conflicts = max_int)
-    ?(max_propagations = max_int) ?(max_theory_rounds = default_theory_rounds)
-    ?(cancelled = fun () -> false) ?(fault = Fault.none) () =
+    ?(max_propagations = max_int) ?(cancelled = fun () -> false)
+    ?(fault = Fault.none) () =
   let created = Clock.now () in
   let deadline =
     match timeout_ms with
@@ -141,14 +135,12 @@ let budget ?timeout_ms ?(max_conflicts = max_int)
   {
     max_conflicts;
     max_propagations;
-    max_theory_rounds;
     deadline;
     cancelled;
     fault;
     created;
     conflicts_spent = 0;
     propagations_spent = 0;
-    theory_rounds_spent = 0;
   }
 
 (* Caps / deadline / cancellation only — fault plans are consulted at
@@ -1935,7 +1927,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
         | Deadline -> 2
         | Cancelled -> 3
         | Out_of_rounds -> 4
-        | Theory_divergence -> 5
+        | Unverified_schedule -> 5
       in
       Ring.record k_stop reason_ix t.n_conflicts t.n_propagations;
       (* leave the solver reusable: no partial assignment survives *)

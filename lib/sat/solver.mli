@@ -75,16 +75,14 @@ type stop_reason =
   | Deadline
   | Cancelled
   | Out_of_rounds  (** an OMT round budget stopped the search *)
-  | Theory_divergence  (** the DPLL(T) refinement fuel ran out *)
+  | Unverified_schedule
+      (** the difference-logic check rejected an optimized schedule *)
 
 val string_of_stop_reason : stop_reason -> string
 
 type budget = {
   max_conflicts : int;
   max_propagations : int;
-  max_theory_rounds : int;
-      (** DPLL(T) refinement rounds, cumulative across calls sharing the
-          budget; exhaustion surfaces as [Unknown Theory_divergence] *)
   deadline : float;  (** absolute {!Qca_util.Clock.now} seconds; [infinity] = none *)
   cancelled : unit -> bool;
       (** polled cooperatively; must be domain-safe when the budget is
@@ -93,7 +91,6 @@ type budget = {
   created : float;
   mutable conflicts_spent : int;
   mutable propagations_spent : int;
-  mutable theory_rounds_spent : int;
 }
 
 val no_budget : budget
@@ -104,7 +101,6 @@ val budget :
   ?timeout_ms:float ->
   ?max_conflicts:int ->
   ?max_propagations:int ->
-  ?max_theory_rounds:int ->
   ?cancelled:(unit -> bool) ->
   ?fault:Qca_util.Fault.t ->
   unit ->

@@ -139,7 +139,7 @@ let no_info =
     Pipeline.substitutions_considered = 0;
     substitutions_chosen = 0;
     omt_rounds = 0;
-    theory_conflicts = 0;
+    path_cuts = 0;
   }
 
 (* Solve with bounded retry: a request degraded by *transient* budget

@@ -1,6 +1,5 @@
 type site =
   | Sat_step
-  | Theory_check
   | Omt_round
   | Warm_start
   | Greedy_step
@@ -11,14 +10,13 @@ type action = Exhaust | Spurious_conflict | Cancel
 
 let site_index = function
   | Sat_step -> 0
-  | Theory_check -> 1
-  | Omt_round -> 2
-  | Warm_start -> 3
-  | Greedy_step -> 4
-  | Serve_accept -> 5
-  | Serve_request -> 6
+  | Omt_round -> 1
+  | Warm_start -> 2
+  | Greedy_step -> 3
+  | Serve_accept -> 4
+  | Serve_request -> 5
 
-let num_sites = 7
+let num_sites = 6
 
 type mode =
   | Off
@@ -60,7 +58,6 @@ let consultations t site = t.counts.(site_index site)
 
 let site_name = function
   | Sat_step -> "sat-step"
-  | Theory_check -> "theory-check"
   | Omt_round -> "omt-round"
   | Warm_start -> "warm-start"
   | Greedy_step -> "greedy-step"
@@ -74,7 +71,6 @@ let action_name = function
 
 let site_of_name = function
   | "sat-step" -> Ok Sat_step
-  | "theory-check" -> Ok Theory_check
   | "omt-round" -> Ok Omt_round
   | "warm-start" -> Ok Warm_start
   | "greedy-step" -> Ok Greedy_step

@@ -1,20 +1,19 @@
 (** Deterministic fault injection for the solving stack.
 
-    The resource-governance layer (solver budget checks, the DPLL(T)
-    refinement loop, the OMT driver, and the adaptation pipeline's
-    degradation ladder) consults a fault plan at well-known sites. A
+    The resource-governance layer (solver budget checks, the OMT
+    driver, the adaptation pipeline's degradation ladder and the serve
+    daemon) consults a fault plan at well-known sites. A
     plan fires a chosen action at the [n]th consultation of a site —
     fully deterministic — or, in random mode, with a seeded Bernoulli
     coin. Production code passes {!none}, which is free.
 
     Injected actions simulate the real failure, so every degradation
-    edge (budget exhaustion at each tier, spurious theory conflicts,
-    cancellation mid-search) can be exercised by tests instead of
+    edge (budget exhaustion at each tier, cancellation mid-search,
+    transient serve failures) can be exercised by tests instead of
     relying on hitting real resource limits. *)
 
 type site =
   | Sat_step  (** once per CDCL conflict/decision iteration *)
-  | Theory_check  (** before each difference-logic consistency check *)
   | Omt_round  (** before each OMT improvement round *)
   | Warm_start  (** before each greedy warm-start sweep in [Model.optimize] *)
   | Greedy_step  (** before each refinement step of the greedy fallback *)
@@ -31,8 +30,8 @@ type site =
 type action =
   | Exhaust  (** report budget exhaustion at this site *)
   | Spurious_conflict
-      (** at {!Theory_check}: a transient theory conflict — the loop
-          must retry (consuming fuel) without learning a clause *)
+      (** a transient failure; meaningful only at {!Serve_accept} and
+          {!Serve_request} (see there), the solving sites ignore it *)
   | Cancel  (** behave as if the request was cancelled *)
 
 type t
@@ -55,7 +54,7 @@ val of_spec : string -> (t, string) result
     ["serve-request:3:exhaust,serve-accept:1:cancel"] — which builds
     {!inject}, or ["random:SEED:P:action"], which builds {!random}.
     Site names are the constructor names in kebab-case ([sat-step],
-    [theory-check], [omt-round], [warm-start], [greedy-step],
+    [omt-round], [warm-start], [greedy-step],
     [serve-accept], [serve-request]); actions are [exhaust],
     [spurious-conflict] and [cancel]. *)
 

@@ -85,16 +85,6 @@ let prop_random_systems =
         let sum = List.fold_left (fun acc x -> acc + x.Dl.k) 0 blamed in
         sum < 0)
 
-let test_implied_bound () =
-  let cs = [ c 1 0 5 "a"; c 2 1 3 "b" ] in
-  (* x2 − x0 ≤ 8 implied *)
-  (match Dl.implied_bound ~num_vars:3 cs 2 0 with
-  | Some k -> Alcotest.check Alcotest.int "path bound" 8 k
-  | None -> Alcotest.fail "bound exists");
-  match Dl.implied_bound ~num_vars:3 cs 0 2 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "no reverse bound"
-
 let test_self_loop_negative () =
   match Dl.check ~num_vars:1 [ c 0 0 (-1) "self" ] with
   | Dl.Negative_cycle [ "self" ] -> ()
@@ -110,6 +100,5 @@ let suite =
     ("longer cycle blamed", `Quick, test_longer_cycle);
     ("assignment satisfies all", `Quick, test_assignment_satisfies_all);
     QCheck_alcotest.to_alcotest prop_random_systems;
-    ("implied bound", `Quick, test_implied_bound);
     ("negative self loop", `Quick, test_self_loop_negative);
   ]

@@ -6,7 +6,6 @@
 open Qca_sat
 module Fault = Qca_util.Fault
 module Rng = Qca_util.Rng
-module Smt = Qca_smt.Smt
 module Circuit = Qca_circuit.Circuit
 module Block = Qca_circuit.Block
 open Qca_adapt
@@ -131,38 +130,6 @@ let test_fault_random_mode () =
   let f2 = Fault.random ~seed:42 ~p:0.5 Fault.Cancel in
   let fired2 = List.init 64 (fun _ -> Fault.check f2 Fault.Sat_step <> None) in
   checkb "seeded reproducibility" true (fired = fired2)
-
-(* {1 SMT verdict propagation} *)
-
-let scheduling_smt () =
-  let t = Smt.create () in
-  let x = Smt.new_int t "x" and y = Smt.new_int t "y" in
-  let o = Smt.origin t in
-  Smt.add_clause t [ Smt.atom_ge t x o 0 ];
-  Smt.add_clause t [ Smt.atom_ge t y x 10 ];
-  t
-
-let test_smt_spurious_theory_conflict_is_transient () =
-  (* a spurious conflict burns refinement fuel but must not flip the
-     verdict: the loop retries without learning a clause *)
-  let t = scheduling_smt () in
-  let fault = Fault.inject [ (Fault.Theory_check, 1, Fault.Spurious_conflict) ] in
-  let budget = Solver.budget ~fault () in
-  checkb "still sat" true (Smt.solve ~budget t = Smt.Sat);
-  checki "the retry was consulted" 2 (Fault.consultations fault Fault.Theory_check)
-
-let test_smt_unknown_propagates () =
-  let t = scheduling_smt () in
-  let fault = Fault.inject [ (Fault.Theory_check, 1, Fault.Cancel) ] in
-  let budget = Solver.budget ~fault () in
-  (match Smt.solve ~budget t with
-  | Smt.Unknown Solver.Cancelled -> ()
-  | _ -> Alcotest.fail "expected Unknown Cancelled");
-  let t2 = scheduling_smt () in
-  let fault2 = Fault.inject [ (Fault.Theory_check, 1, Fault.Exhaust) ] in
-  (match Smt.solve ~budget:(Solver.budget ~fault:fault2 ()) t2 with
-  | Smt.Unknown Solver.Theory_divergence -> ()
-  | _ -> Alcotest.fail "expected Unknown Theory_divergence")
 
 (* {1 Model.optimize under budgets} *)
 
@@ -390,8 +357,6 @@ let suite =
     ("fault: sites independent", `Quick, test_fault_sites_independent);
     ("fault: injected solver stop", `Quick, test_fault_injected_solver_stop);
     ("fault: random mode", `Quick, test_fault_random_mode);
-    ("smt: spurious conflict transient", `Quick, test_smt_spurious_theory_conflict_is_transient);
-    ("smt: unknown propagates", `Quick, test_smt_unknown_propagates);
     ("optimize: already consumed", `Quick, test_optimize_already_consumed);
     ("optimize: warm start interrupted", `Quick, test_optimize_warm_start_interrupted);
     ("optimize: stopped at incumbent", `Quick, test_optimize_stopped_at_incumbent);

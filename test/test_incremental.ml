@@ -9,7 +9,6 @@ open Qca_sat
 module Share = Qca_par.Share
 module Portfolio = Qca_par.Portfolio
 module Drup = Qca_check.Drup
-module Smt = Qca_smt.Smt
 module Model = Qca_adapt.Model
 module Block = Qca_circuit.Block
 module Rules = Qca_adapt.Rules
@@ -281,67 +280,6 @@ let test_pipeline_template_certified () =
         objectives)
     corpus
 
-let test_smt_incremental_differential () =
-  (* the knapsack driver must land on the brute-force optimum whether
-     the seats persist across rounds or are rebuilt from scratch *)
-  let rng = Rng.create 7 in
-  for _ = 1 to 8 do
-    let n = 2 + Rng.int rng 5 in
-    let costs = Array.init n (fun _ -> Rng.int rng 41 - 20) in
-    let exclusions =
-      List.init (Rng.int rng 4) (fun _ -> (Rng.int rng n, Rng.int rng n))
-      |> List.filter (fun (i, j) -> i <> j)
-    in
-    let brute = ref max_int in
-    for mask = 0 to (1 lsl n) - 1 do
-      let feasible =
-        List.for_all
-          (fun (i, j) ->
-            not (mask land (1 lsl i) <> 0 && mask land (1 lsl j) <> 0))
-          exclusions
-      in
-      if feasible then begin
-        let sum = ref 0 in
-        Array.iteri
-          (fun i c -> if mask land (1 lsl i) <> 0 then sum := !sum + c)
-          costs;
-        brute := min !brute !sum
-      end
-    done;
-    let run ~incremental ~jobs =
-      let t = Smt.create () in
-      let vars = Array.init n (fun _ -> Smt.new_bool t) in
-      List.iter
-        (fun (i, j) ->
-          Smt.add_clause t [ Lit.neg_of_var vars.(i); Lit.neg_of_var vars.(j) ])
-        exclusions;
-      let evaluate () =
-        let sum = ref 0 in
-        Array.iteri
-          (fun i v -> if Smt.bool_value t v then sum := !sum + costs.(i))
-          vars;
-        !sum
-      in
-      let block () =
-        Array.to_list
-          (Array.map
-             (fun v -> if Smt.bool_value t v then Lit.neg_of_var v else Lit.pos v)
-             vars)
-      in
-      let outcome =
-        Smt.minimize t ~evaluate ~prune:(fun ~best:_ -> []) ~block ~incremental
-          ~jobs ()
-      in
-      checkb "complete" true outcome.Smt.complete;
-      match outcome.Smt.best with
-      | Some (v, _) -> v
-      | None -> Alcotest.fail "feasible problem"
-    in
-    checki "incremental session" !brute (run ~incremental:true ~jobs:1);
-    checki "scratch rebuild" !brute (run ~incremental:false ~jobs:1);
-    checki "incremental portfolio" !brute (run ~incremental:true ~jobs:2)
-  done
-
 let suite =
   [
     ("share admission policy", `Quick, test_share_admission);
@@ -358,5 +296,4 @@ let suite =
      test_model_parallel_share_differential);
     ("model reuse identity", `Quick, test_model_reuse_identity);
     ("pipeline template certified", `Quick, test_pipeline_template_certified);
-    ("smt incremental differential", `Quick, test_smt_incremental_differential);
   ]

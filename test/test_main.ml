@@ -18,7 +18,6 @@ let () =
       ("simplify", Test_simplify.suite);
       ("pseudo_bool", Test_pseudo_bool.suite);
       ("diff_logic", Test_diff_logic.suite);
-      ("smt", Test_smt.suite);
       ("adapt", Test_adapt.suite);
       ("greedy", Test_greedy.suite);
       ("sim", Test_sim.suite);

@@ -1,12 +1,11 @@
 (* Parallelism layer: work-stealing pool semantics, portfolio racing
    (bit-identity at jobs = 1, model/proof validity at jobs > 1,
    join-all on every exit path), domain-safety of the metrics
-   registry, theory-round fuel, and the phase-saving ablation. *)
+   registry, and the phase-saving ablation. *)
 
 open Qca_sat
 module Pool = Qca_par.Pool
 module Portfolio = Qca_par.Portfolio
-module Smt = Qca_smt.Smt
 module Drup = Qca_check.Drup
 module Obs = Qca_obs.Metrics
 module Rng = Qca_util.Rng
@@ -241,56 +240,6 @@ let test_portfolio_budget_exhaustion_joins_all () =
   checki "no decisive seat" (-1) o.Portfolio.winner;
   checki "all domains joined after exhaustion" 0 (Portfolio.live_domains ())
 
-(* {1 Theory-round fuel} *)
-
-let divergent_smt () =
-  let t = Smt.create () in
-  let x = Smt.new_int t "x" and y = Smt.new_int t "y" in
-  let o = Smt.origin t in
-  Smt.add_clause t [ Smt.atom_ge t x o 0 ];
-  Smt.add_clause t [ Smt.atom_ge t y x 10 ];
-  Smt.add_clause t [ Smt.atom_le t y o 5 ];
-  t
-
-let test_theory_fuel_exhaustion () =
-  (* the instance needs at least one theory refinement round; with no
-     fuel the loop must stop with the dedicated reason, not loop or
-     mislabel the exit *)
-  let t = divergent_smt () in
-  let budget = Solver.budget ~max_theory_rounds:0 () in
-  Alcotest.check
-    (Alcotest.testable
-       (fun fmt -> function
-         | Smt.Sat -> Format.pp_print_string fmt "SAT"
-         | Smt.Unsat -> Format.pp_print_string fmt "UNSAT"
-         | Smt.Unknown r ->
-           Format.fprintf fmt "UNKNOWN(%s)" (Solver.string_of_stop_reason r))
-       ( = ))
-    "fuel exhausted" (Smt.Unknown Solver.Theory_divergence)
-    (Smt.solve ~budget t);
-  (* with fuel, the same instance closes *)
-  let t = divergent_smt () in
-  checkb "with fuel: unsat" true (Smt.solve t = Smt.Unsat)
-
-let test_theory_fuel_cumulative () =
-  (* fuel is charged across calls sharing a budget: a budget with room
-     for the first solve has none left for a second fresh instance *)
-  let budget = Solver.budget ~max_theory_rounds:2 () in
-  let t1 = divergent_smt () in
-  let r1 = Smt.solve ~budget t1 in
-  checkb "first call spends fuel" true (budget.Solver.theory_rounds_spent > 0);
-  checkb "first call decided or exhausted" true
-    (r1 = Smt.Unsat || r1 = Smt.Unknown Solver.Theory_divergence)
-
-(* {1 Smt/portfolio agreement} *)
-
-let test_smt_jobs_agree () =
-  let t1 = divergent_smt () in
-  let t2 = divergent_smt () in
-  checkb "sequential unsat" true (Smt.solve t1 = Smt.Unsat);
-  checkb "portfolio unsat" true (Smt.solve ~jobs:3 t2 = Smt.Unsat);
-  checki "all domains joined" 0 (Portfolio.live_domains ())
-
 (* {1 Pipeline-level agreement and certification} *)
 
 module Pipeline = Qca_adapt.Pipeline
@@ -413,10 +362,6 @@ let suite =
      test_race_exception_joins_all);
     ("portfolio: budget exhaustion joins all domains", `Quick,
      test_portfolio_budget_exhaustion_joins_all);
-    ("smt: theory fuel exhaustion is Unknown", `Quick,
-     test_theory_fuel_exhaustion);
-    ("smt: theory fuel is cumulative", `Quick, test_theory_fuel_cumulative);
-    ("smt: sequential and portfolio agree", `Quick, test_smt_jobs_agree);
     ("pipeline: portfolio objective equals sequential", `Quick,
      test_pipeline_jobs_objective_equal);
     ("pipeline: concurrent governed ladder shape", `Quick,

@@ -1,5 +1,5 @@
 (* Cross-module property tests: invariants that tie the layers
-   together (scheduling vs metrics, SMT vs direct longest-path, KAK
+   together (scheduling vs metrics, difference logic vs direct longest-path, KAK
    bounds, merge idempotence, pipeline determinism). *)
 
 module Circuit = Qca_circuit.Circuit
@@ -8,7 +8,7 @@ module Block = Qca_circuit.Block
 module Schedule = Qca_circuit.Schedule
 module Synth = Qca_circuit.Synth
 module Rng = Qca_util.Rng
-module Smt = Qca_smt.Smt
+module Dl = Qca_diff_logic.Dl
 open Qca_adapt
 open Qca_linalg
 open Qca_quantum
@@ -113,9 +113,10 @@ let prop_pipeline_deterministic =
            (Array.to_list (Circuit.gates a1))
            (Array.to_list (Circuit.gates a2)))
 
-(* The SMT layer's minimal makespan (binary search over D ≤ K atoms)
-   must agree with the direct longest-path computation. *)
-let test_smt_makespan_agrees_with_longest_path () =
+(* The minimal makespan the difference-logic solver admits (binary
+   search over D ≤ K) must agree with the direct longest-path
+   computation. *)
+let test_dl_makespan_agrees_with_longest_path () =
   let rng = Rng.create 91 in
   for _ = 1 to 10 do
     let c = random_ibm_circuit rng 3 15 in
@@ -135,23 +136,28 @@ let test_smt_makespan_agrees_with_longest_path () =
         finish.(b) <- s + durations.(b))
       (Block.topological_order part);
     let expected = Array.fold_left max 0 finish in
-    (* the same via the SMT difference-logic layer *)
-    let smt = Smt.create () in
-    let o = Smt.origin smt in
-    let starts =
-      Array.mapi (fun b _ -> Smt.new_int smt (Printf.sprintf "e%d" b)) durations
+    (* the same via difference logic: 0 = origin, 1..n = starts e_b,
+       n + 1 = D; a constraint x − y ≤ k is [ge y x (-k)] below *)
+    let n = Array.length durations in
+    let o = 0 and start b = b + 1 and d = n + 1 in
+    let ge x y k = { Dl.x = y; y = x; k = -k; tag = () } in
+    let constraints =
+      List.concat
+        [
+          List.init n (fun b -> ge (start b) o 0);
+          List.init n (fun b -> ge d (start b) durations.(b));
+          List.map
+            (fun (b', b) -> ge (start b) (start b') durations.(b'))
+            part.Block.deps;
+        ]
     in
-    let d = Smt.new_int smt "D" in
-    Array.iteri
-      (fun b e ->
-        Smt.add_clause smt [ Smt.atom_ge smt e o 0 ];
-        Smt.add_clause smt [ Smt.atom_ge smt d e durations.(b) ])
-      starts;
-    List.iter
-      (fun (b', b) ->
-        Smt.add_clause smt [ Smt.atom_ge smt starts.(b) starts.(b') durations.(b') ])
-      part.Block.deps;
-    let feasible k = Smt.solve ~assumptions:[ Smt.atom_le smt d o k ] smt = Smt.Sat in
+    let feasible k =
+      match
+        Dl.check ~num_vars:(n + 2) ({ Dl.x = d; y = o; k; tag = () } :: constraints)
+      with
+      | Dl.Consistent _ -> true
+      | Dl.Negative_cycle _ -> false
+    in
     (* binary search the minimal K *)
     let rec search lo hi =
       if lo >= hi then lo
@@ -186,6 +192,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_kak_cost_bound;
     QCheck_alcotest.to_alcotest prop_canonicalize_idempotent;
     QCheck_alcotest.to_alcotest prop_pipeline_deterministic;
-    ("smt makespan = longest path", `Quick, test_smt_makespan_agrees_with_longest_path);
+    ("dl makespan = longest path", `Quick, test_dl_makespan_agrees_with_longest_path);
     ("verified schedules", `Quick, test_verified_schedules);
   ]

@@ -98,7 +98,8 @@ let test_fault_of_spec () =
       match Fault.of_spec bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("accepted bad spec " ^ bad))
-    [ "nope:1:cancel"; "sat-step:0:cancel"; "sat-step:1:frob"; "sat-step:1" ]
+    [ "nope:1:cancel"; "sat-step:0:cancel"; "sat-step:1:frob"; "sat-step:1";
+      "theory-check:1:exhaust" ]
 
 let test_fault_site_names_roundtrip () =
   List.iter
@@ -108,7 +109,7 @@ let test_fault_site_names_roundtrip () =
         checkb "fires at its own site" true (Fault.check f site = Some Fault.Exhaust)
       | Error e -> Alcotest.fail e)
     [
-      Fault.Sat_step; Fault.Theory_check; Fault.Omt_round; Fault.Warm_start;
+      Fault.Sat_step; Fault.Omt_round; Fault.Warm_start;
       Fault.Greedy_step; Fault.Serve_accept; Fault.Serve_request;
     ]
 
