@@ -432,7 +432,7 @@ let par_rows () =
         } );
     ] )
 
-(* {1 Incremental OMT reuse and learnt-clause sharing}
+(* {1 Incremental OMT reuse}
 
    The PR-10 A/B rows. Incremental-on is the serving steady state the
    tentpole ships: the SAT-R / SAT-P adaptation of the fig6 workload
@@ -442,12 +442,8 @@ let par_rows () =
    Incremental-off is the pre-reuse behavior: re-partition, re-match,
    re-encode, and rebuild the solver from scratch on every OMT round.
    Objectives are identical either way (test/test_incremental.ml);
-   only wall-clock differs. Sharing: the PHP(6,5) portfolio race with
-   the lock-free learnt-clause exchange on versus off. Reps are
-   interleaved A/B/A/B so machine drift charges both sides equally;
-   best-of-reps is reported. On a single-core host the share rows
-   simply record what the host delivered (the seats time-slice, so
-   the exchange cannot win). *)
+   only wall-clock differs. Reps are interleaved A/B/A/B so machine
+   drift charges both sides equally; best-of-reps is reported. *)
 
 let reuse_rows () =
   let tm = Pipeline.prepare hw bench_circuit in
@@ -474,37 +470,6 @@ let reuse_rows () =
       ("qca/omt/incremental-off", plain_row (r_off *. 1e6));
       ("qca/omt/incremental-p-on", plain_row (p_on *. 1e6));
       ("qca/omt/incremental-p-off", plain_row (p_off *. 1e6));
-    ] )
-
-let share_rows () =
-  let race ~share =
-    let num_vars, clauses = php_problem () in
-    let s = Sat.create () in
-    for _ = 1 to num_vars do
-      ignore (Sat.new_var s)
-    done;
-    List.iter (Sat.add_clause s) clauses;
-    let t0 = Clock.now () in
-    let o = Portfolio.solve_portfolio ~share ~jobs s in
-    let ms = Clock.ms_between t0 (Clock.now ()) in
-    assert (o.Portfolio.verdict = Sat.Unsat);
-    ms
-  in
-  let reps = if fast then 1 else 3 in
-  let best_on = ref infinity and best_off = ref infinity in
-  for _ = 1 to reps do
-    best_on := Float.min !best_on (race ~share:true);
-    best_off := Float.min !best_off (race ~share:false)
-  done;
-  let cores = Domain.recommended_domain_count () in
-  ( !best_on, !best_off,
-    [
-      ( "qca/par/share-on",
-        { (plain_row (!best_on *. 1e6)) with
-          row_jobs = Some jobs; cores = Some cores } );
-      ( "qca/par/share-off",
-        { (plain_row (!best_off *. 1e6)) with
-          row_jobs = Some jobs; cores = Some cores } );
     ] )
 
 (* {1 Flight-recorder overhead}
@@ -614,13 +579,6 @@ let run_benchmarks () =
     "sat-p adapt: %.2f ms incremental, %.2f ms scratch (speedup %.2fx)@." p_on
     p_off
     (if p_on > 0.0 then p_off /. p_on else Float.nan);
-  let sh_on, sh_off, share = share_rows () in
-  Format.fprintf fmt "== Learnt-clause sharing (portfolio, A/B) ==@.";
-  Format.fprintf fmt
-    "portfolio PHP(6,5) at jobs=%d: %.2f ms sharing, %.2f ms isolated \
-     (speedup %.2fx)@."
-    jobs sh_on sh_off
-    (if sh_on > 0.0 then sh_off /. sh_on else Float.nan);
   let ring_off, ring_on, ring_events, ring = ring_rows () in
   Format.fprintf fmt "== Flight recorder overhead (PHP 6,5) ==@.";
   Format.fprintf fmt
@@ -651,7 +609,7 @@ let run_benchmarks () =
           } )
     in
     let all =
-      List.map micro rows @ governed @ proof @ par @ reuse @ share @ ring
+      List.map micro rows @ governed @ proof @ par @ reuse @ ring
     in
     let int_opt = function None -> "null" | Some n -> string_of_int n in
     let oc = open_out file in

@@ -11,45 +11,18 @@ open Cmdliner
 module Circuit = Qca_circuit.Circuit
 module Parse = Qca_circuit.Parse
 module Solver = Qca_sat.Solver
-module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
+module Cli = Qca_obs.Cli
 open Qca_adapt
 
-(* Shared by all four CLIs: --jobs defaults to $QCA_JOBS, else 1. *)
-let default_jobs =
-  match Option.bind (Sys.getenv_opt "QCA_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 1
-
-(* Shared by all four CLIs: --trace-out implies --metrics (the Chrome
-   export embeds the metrics snapshot). *)
-let obs_stop ~metrics ~trace_out =
-  (match trace_out with Some file -> Trace.write_chrome file | None -> ());
-  if metrics then Format.eprintf "%a@." Obs.pp_summary ()
-
-(* An interrupted run must not lose its trace: flush the observability
-   output on SIGINT/SIGTERM as well as on the normal exit path. *)
-let obs_start ~metrics ~trace_out =
-  if metrics || trace_out <> None then begin
-    Obs.set_enabled true;
-    Qca_obs.Sigexit.install ~flush:(fun () -> obs_stop ~metrics ~trace_out)
-  end;
-  if trace_out <> None then Trace.set_enabled true
-
-let read_input = function
-  | "-" -> Ok (In_channel.input_all stdin)
-  | path -> (
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error msg -> Error msg)
-
 let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
-    no_simplify no_incremental no_share certify metrics trace_out =
-  obs_start ~metrics ~trace_out;
+    no_simplify no_incremental certify metrics trace_out =
+  Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
     let* method_ = Pipeline.method_of_string method_name in
     let* hw = Hardware.of_string hw_name in
-    let* text = read_input input in
+    let* text = Cli.read_input input in
     let* circuit =
       match Trace.span "parse" (fun () -> Parse.parse text) with
       | Ok c -> Ok c
@@ -65,8 +38,7 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
     in
     let o =
       Pipeline.adapt_governed ~options ~budget ~jobs
-        ~incremental:(not no_incremental) ~share:(not no_share) hw method_
-        circuit
+        ~incremental:(not no_incremental) hw method_ circuit
     in
     let baseline =
       Metrics.summarize hw (Pipeline.adapt hw Pipeline.Direct circuit)
@@ -90,9 +62,10 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
       (-.Metrics.idle_decrease_pct ~baseline s);
     let info = o.Pipeline.info in
     if info.Pipeline.substitutions_considered > 0 then
-      Format.printf "substitutions: %d considered, %d chosen (%d OMT rounds)@."
+      Format.printf "substitutions: %d considered, %d chosen (%d OMT rounds, %s)@."
         info.Pipeline.substitutions_considered
-        info.Pipeline.substitutions_chosen info.Pipeline.omt_rounds;
+        info.Pipeline.substitutions_chosen info.Pipeline.omt_rounds
+        (if info.Pipeline.proven_optimal then "proven optimal" else "anytime");
     let cert_bad =
       certify
       &&
@@ -109,7 +82,7 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
     in
     Ok (if cert_bad then 1 else if Pipeline.degraded o then 2 else 0)
   in
-  obs_stop ~metrics ~trace_out;
+  Cli.obs_stop ~metrics ~trace_out;
   match result with
   | Ok code -> code
   | Error msg ->
@@ -151,7 +124,7 @@ let jobs_arg =
      (first decisive seat wins, the rest are cancelled). 1 = sequential. \
      Defaults to $(b,QCA_JOBS) when set."
   in
-  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_simplify_arg =
   let doc =
@@ -167,13 +140,6 @@ let no_incremental_arg =
      objective value is identical either way)."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let no_share_arg =
-  let doc =
-    "Disable the lock-free learnt-clause exchange between portfolio seats \
-     (only meaningful with --jobs > 1)."
-  in
-  Arg.(value & flag & info [ "no-share" ] ~doc)
 
 let certify_arg =
   let doc =
@@ -202,6 +168,6 @@ let cmd =
     Term.(
       const run $ method_arg $ hw_arg $ input_arg $ show_arg $ timeout_arg
       $ conflicts_arg $ jobs_arg $ no_simplify_arg $ no_incremental_arg
-      $ no_share_arg $ certify_arg $ metrics_arg $ trace_out_arg)
+      $ certify_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -9,29 +9,10 @@ module Workloads = Qca_workloads.Workloads
 module Hardware = Qca_adapt.Hardware
 module Solver = Qca_sat.Solver
 module Clock = Qca_util.Clock
-module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
+module Cli = Qca_obs.Cli
 
 let fmt = Format.std_formatter
-
-(* Shared by all four CLIs: --jobs defaults to $QCA_JOBS, else 1. *)
-let default_jobs =
-  match Option.bind (Sys.getenv_opt "QCA_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 1
-
-let obs_stop ~metrics ~trace_out =
-  (match trace_out with Some file -> Trace.write_chrome file | None -> ());
-  if metrics then Format.eprintf "%a@." Obs.pp_summary ()
-
-(* An interrupted run must not lose its trace: flush the observability
-   output on SIGINT/SIGTERM as well as on the normal exit path. *)
-let obs_start ~metrics ~trace_out =
-  if metrics || trace_out <> None then begin
-    Obs.set_enabled true;
-    Qca_obs.Sigexit.install ~flush:(fun () -> obs_stop ~metrics ~trace_out)
-  end;
-  if trace_out <> None then Trace.set_enabled true
 
 (* One line per completed adaptation so long matrix runs show motion;
    stderr keeps the artifact tables on stdout clean. Under --jobs the
@@ -47,9 +28,9 @@ let artifacts = [ "table1"; "eq11"; "fig5"; "fig6"; "fig7"; "all" ]
 let suite fast =
   if fast then Workloads.simulation_suite () else Workloads.evaluation_suite ()
 
-let run what hw_name fast timeout_ms jobs no_simplify no_incremental no_share
+let run what hw_name fast timeout_ms jobs no_simplify no_incremental
     csv_out metrics trace_out =
-  obs_start ~metrics ~trace_out;
+  Cli.obs_start ~metrics ~trace_out;
   let checked =
     if List.mem what artifacts then Hardware.of_string hw_name
     else
@@ -84,8 +65,8 @@ let run what hw_name fast timeout_ms jobs no_simplify no_incremental no_share
       note
         (Trace.span "fig5_fig6" (fun () ->
              E.fig5_fig6 ~options ?timeout_ms ~jobs
-               ~incremental:(not no_incremental) ~share:(not no_share)
-               ~on_progress hw (suite fast)))
+               ~incremental:(not no_incremental) ~on_progress hw
+               (suite fast)))
     in
     let sim () =
       note_sim
@@ -108,7 +89,7 @@ let run what hw_name fast timeout_ms jobs no_simplify no_incremental no_share
       let sim_rows = sim () in
       E.print_fig7 fmt sim_rows;
       E.print_headline fmt (E.headline_of rows sim_rows));
-    obs_stop ~metrics ~trace_out;
+    Cli.obs_stop ~metrics ~trace_out;
     if !some_degraded then begin
       prerr_endline "warning: some rows were served degraded under the budget";
       2
@@ -141,7 +122,7 @@ let jobs_arg =
      lines may interleave. 1 = sequential. Defaults to $(b,QCA_JOBS) \
      when set."
   in
-  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_simplify_arg =
   let doc =
@@ -157,13 +138,6 @@ let no_incremental_arg =
      baseline; row values are identical either way)."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let no_share_arg =
-  let doc =
-    "Disable the learnt-clause exchange between portfolio seats (only \
-     meaningful with --jobs > 1)."
-  in
-  Arg.(value & flag & info [ "no-share" ] ~doc)
 
 let csv_arg =
   let doc =
@@ -189,7 +163,7 @@ let cmd =
     (Cmd.info "qca-experiments" ~doc)
     Term.(
       const run $ what_arg $ hw_arg $ fast_arg $ timeout_arg $ jobs_arg
-      $ no_simplify_arg $ no_incremental_arg $ no_share_arg $ csv_arg
+      $ no_simplify_arg $ no_incremental_arg $ csv_arg
       $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

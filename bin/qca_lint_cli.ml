@@ -15,34 +15,9 @@ open Cmdliner
 module Block = Qca_circuit.Block
 module Parse = Qca_circuit.Parse
 module Solver = Qca_sat.Solver
-module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
+module Cli = Qca_obs.Cli
 open Qca_adapt
-
-(* Shared by all four CLIs: --jobs defaults to $QCA_JOBS, else 1. *)
-let default_jobs =
-  match Option.bind (Sys.getenv_opt "QCA_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 1
-
-let obs_stop ~metrics ~trace_out =
-  (match trace_out with Some file -> Trace.write_chrome file | None -> ());
-  if metrics then Format.eprintf "%a@." Obs.pp_summary ()
-
-(* An interrupted run must not lose its trace: flush the observability
-   output on SIGINT/SIGTERM as well as on the normal exit path. *)
-let obs_start ~metrics ~trace_out =
-  if metrics || trace_out <> None then begin
-    Obs.set_enabled true;
-    Qca_obs.Sigexit.install ~flush:(fun () -> obs_stop ~metrics ~trace_out)
-  end;
-  if trace_out <> None then Trace.set_enabled true
-
-let read_input = function
-  | "-" -> Ok (In_channel.input_all stdin)
-  | path -> (
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error msg -> Error msg)
 
 let report name issues =
   List.iter (fun i -> Format.printf "%s: %a@." name Lint.pp_issue i) issues;
@@ -50,12 +25,12 @@ let report name issues =
 
 let run input hw_name certify method_name timeout_ms jobs no_simplify metrics
     trace_out =
-  obs_start ~metrics ~trace_out;
+  Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
     let* hw = Hardware.of_string hw_name in
     let* method_ = Pipeline.method_of_string method_name in
-    let* text = read_input input in
+    let* text = Cli.read_input input in
     let* circuit =
       match Trace.span "parse" (fun () -> Parse.parse text) with
       | Ok c -> Ok c
@@ -97,7 +72,7 @@ let run input hw_name certify method_name timeout_ms jobs no_simplify metrics
     in
     Ok (if model_bad || certify_bad then 1 else 0)
   in
-  obs_stop ~metrics ~trace_out;
+  Cli.obs_stop ~metrics ~trace_out;
   match result with
   | Ok code -> code
   | Error msg ->
@@ -137,7 +112,7 @@ let jobs_arg =
      raced per OMT round). 1 = sequential. Defaults to $(b,QCA_JOBS) \
      when set."
   in
-  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_simplify_arg =
   let doc =

@@ -9,39 +9,14 @@ module Dimacs = Qca_sat.Dimacs
 module Solver = Qca_sat.Solver
 module Drup = Qca_check.Drup
 module Portfolio = Qca_par.Portfolio
-module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
+module Cli = Qca_obs.Cli
 
-(* Shared by all four CLIs: --jobs defaults to $QCA_JOBS, else 1. *)
-let default_jobs =
-  match Option.bind (Sys.getenv_opt "QCA_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 1
-
-let obs_stop ~metrics ~trace_out =
-  (match trace_out with Some file -> Trace.write_chrome file | None -> ());
-  if metrics then Format.eprintf "%a@." Obs.pp_summary ()
-
-(* An interrupted run must not lose its trace: flush the observability
-   output on SIGINT/SIGTERM as well as on the normal exit path. *)
-let obs_start ~metrics ~trace_out =
-  if metrics || trace_out <> None then begin
-    Obs.set_enabled true;
-    Qca_obs.Sigexit.install ~flush:(fun () -> obs_stop ~metrics ~trace_out)
-  end;
-  if trace_out <> None then Trace.set_enabled true
-
-let read_input = function
-  | "-" -> Ok (In_channel.input_all stdin)
-  | path -> (
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error msg -> Error msg)
-
-let run input no_vsids no_restarts no_phase_saving no_simplify no_share jobs
+let run input no_vsids no_restarts no_phase_saving no_simplify jobs
     stats timeout_ms max_conflicts certify metrics trace_out =
-  obs_start ~metrics ~trace_out;
+  Cli.obs_start ~metrics ~trace_out;
   match
-    Result.bind (read_input input) (fun text ->
+    Result.bind (Cli.read_input input) (fun text ->
         Trace.span "parse" (fun () -> Dimacs.parse text))
   with
   | Error msg ->
@@ -72,8 +47,7 @@ let run input no_vsids no_restarts no_phase_saving no_simplify no_share jobs
       Trace.span "simplify" (fun () -> Solver.simplify ~force:true solver);
     let outcome =
       Trace.span "solve" (fun () ->
-          Portfolio.solve_portfolio ~budget ~proof:certify ~share:(not no_share)
-            ~jobs solver)
+          Portfolio.solve_portfolio ~budget ~proof:certify ~jobs solver)
     in
     let result = outcome.Portfolio.verdict in
     if jobs > 1 then
@@ -125,11 +99,7 @@ let run input no_vsids no_restarts no_phase_saving no_simplify no_share jobs
                      %d vars eliminated, %d vivified, %d failed literals\n"
         st.Solver.simplify_rounds st.Solver.subsumed_clauses
         st.Solver.strengthened_clauses st.Solver.eliminated_vars
-        st.Solver.vivified_clauses st.Solver.failed_literals;
-      let so, si, sr = Solver.share_counts solver in
-      if so + si + sr > 0 then
-        Printf.printf "c shared       %d exported, %d imported, %d rejected\n"
-          so si sr
+        st.Solver.vivified_clauses st.Solver.failed_literals
     end;
     let verdict_exit =
       match result with
@@ -153,7 +123,7 @@ let run input no_vsids no_restarts no_phase_saving no_simplify no_share jobs
         print_endline "s UNKNOWN";
         2
     in
-    obs_stop ~metrics ~trace_out;
+    Cli.obs_stop ~metrics ~trace_out;
     match cert_exit with Some code -> code | None -> verdict_exit)
 
 let input_arg =
@@ -177,21 +147,13 @@ let no_simplify =
           "Disable inprocessing (subsumption, bounded variable elimination, \
            probing, vivification); solve the raw clause set.")
 
-let no_share =
-  Arg.(
-    value & flag
-    & info [ "no-share" ]
-        ~doc:
-          "Disable the lock-free learnt-clause exchange between portfolio \
-           seats (only meaningful with --jobs > 1).")
-
 let jobs_arg =
   let doc =
     "Race $(docv) diversified solver configurations on OCaml domains; the \
      first decisive seat wins and cancels the rest. 1 = sequential \
      (bit-identical to earlier releases). Defaults to $(b,QCA_JOBS) when set."
   in
-  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 let stats = Arg.(value & flag & info [ "s"; "stats" ] ~doc:"Print solver statistics.")
 
 let timeout_arg =
@@ -226,7 +188,7 @@ let cmd =
   Cmd.v (Cmd.info "qca-sat" ~doc)
     Term.(
       const run $ input_arg $ no_vsids $ no_restarts $ no_phase_saving
-      $ no_simplify $ no_share $ jobs_arg $ stats $ timeout_arg
+      $ no_simplify $ jobs_arg $ stats $ timeout_arg
       $ conflicts_arg $ certify_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

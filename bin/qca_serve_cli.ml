@@ -26,7 +26,7 @@ let port_arg =
 let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
     cache_capacity template_capacity default_timeout_ms max_timeout_ms
     max_request_bytes retries certify revalidate_period no_simplify
-    no_incremental no_share fault_spec dump_dir slow_ms watchdog_ms =
+    no_incremental fault_spec dump_dir slow_ms watchdog_ms =
   match
     match fault_spec with
     | None -> Ok Fault.none
@@ -49,7 +49,6 @@ let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
         cache_capacity;
         template_capacity;
         incremental = not no_incremental;
-        share = not no_share;
         default_timeout_ms;
         max_timeout_ms;
         max_request_bytes;
@@ -167,13 +166,6 @@ let daemon_cmd =
     in
     Arg.(value & flag & info [ "no-incremental" ] ~doc)
   in
-  let no_share =
-    let doc =
-      "Disable the learnt-clause exchange between portfolio seats (only \
-       meaningful with --jobs > 1)."
-    in
-    Arg.(value & flag & info [ "no-share" ] ~doc)
-  in
   let fault =
     let doc =
       "Deterministic fault-injection plan (SITE:N:ACTION, see qca-sat \
@@ -211,15 +203,9 @@ let daemon_cmd =
       const daemon $ host_arg $ port_arg $ workers $ jobs $ queue $ shed_at
       $ direct_at $ cache $ templates $ default_timeout $ max_timeout
       $ max_bytes $ retries $ certify $ revalidate $ no_simplify
-      $ no_incremental $ no_share $ fault $ dump_dir $ slow_ms $ watchdog_ms)
+      $ no_incremental $ fault $ dump_dir $ slow_ms $ watchdog_ms)
 
 (* {1 client subcommands} *)
-
-let read_input = function
-  | "-" -> Ok (In_channel.input_all stdin)
-  | path -> (
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error msg -> Error msg)
 
 let adapt host port method_name hw_name format_name input show_circuit
     timeout_ms max_conflicts no_cache traceparent =
@@ -233,7 +219,7 @@ let adapt host port method_name hw_name format_name input show_circuit
       | "qasm" -> Ok Protocol.Qasm
       | other -> Error (Printf.sprintf "unknown format %S" other)
     in
-    let* circuit_text = read_input input in
+    let* circuit_text = Qca_obs.Cli.read_input input in
     Client.adapt ~host ~port
       {
         Protocol.method_;

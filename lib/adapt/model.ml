@@ -42,8 +42,8 @@ type t = {
      seats alive across OMT rounds (and across reusable runs);
      [selectors] memoizes the pruning totalizer per objective, so a
      reused template never re-encodes a bound it has seen. *)
-  mutable session : (int * bool * Portfolio.session) option;
-      (* (jobs, share, seats) — recreated when either knob changes *)
+  mutable session : (int * Portfolio.session) option;
+      (* (jobs, seats) — recreated when [jobs] changes *)
   selectors : (objective, Totalizer.selector) Hashtbl.t;
 }
 
@@ -332,7 +332,7 @@ let default_round_budget = 120
 let m_reuse_runs = Obs.counter "omt.reuse.runs"
 
 let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
-    ?(incremental = true) ?(share = true) ?(reuse = false) t obj =
+    ?(incremental = true) ?(reuse = false) t obj =
   if t.consumed then Error `Already_consumed
   else begin
   if reuse then Obs.incr m_reuse_runs else t.consumed <- true;
@@ -442,10 +442,10 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     else
       Some
         (match t.session with
-        | Some (j, sh, ss) when j = jobs && sh = share -> ss
+        | Some (j, ss) when j = jobs -> ss
         | _ ->
-          let ss = Portfolio.create_session ~share ~jobs sat in
-          t.session <- Some (jobs, share, ss);
+          let ss = Portfolio.create_session ~jobs sat in
+          t.session <- Some (jobs, ss);
           ss)
   in
   let round_solve best =
@@ -483,8 +483,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
           end
       in
       let v =
-        (Portfolio.solve_portfolio ~assumptions ~budget ~share ~jobs clone)
-          .verdict
+        (Portfolio.solve_portfolio ~assumptions ~budget ~jobs clone).verdict
       in
       (v, fun i -> Solver.lit_value clone t.choice.(i))
   in

@@ -90,7 +90,6 @@ val optimize :
   ?budget:Solver.budget ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?share:bool ->
   ?reuse:bool ->
   t ->
   objective ->
@@ -123,9 +122,6 @@ val optimize :
     round. [incremental:false] is the measured scratch baseline: every
     round re-exports the problem, re-encodes the bound on a fresh clone
     and discards it. The objective value is identical either way.
-
-    [share] (default [true]) arms the lock-free learnt-clause exchange
-    between portfolio seats (no effect at [jobs = 1]).
 
     [reuse] (default [false]) makes the call non-consuming: the run's
     incumbent-exclusion clauses and path cuts are scoped under a fresh

@@ -78,9 +78,17 @@ type info = {
   substitutions_chosen : int;
   omt_rounds : int;
   path_cuts : int;
+  proven_optimal : bool;
 }
 
-let no_info = { substitutions_considered = 0; substitutions_chosen = 0; omt_rounds = 0; path_cuts = 0 }
+let no_info =
+  {
+    substitutions_considered = 0;
+    substitutions_chosen = 0;
+    omt_rounds = 0;
+    path_cuts = 0;
+    proven_optimal = false;
+  }
 
 (* Splice a conflict-free choice of substitutions into the circuit:
    blocks are emitted in dependency order; within a block, a gate opens
@@ -240,7 +248,7 @@ let degraded o = o.tier <> Full || o.reason <> None
    governed request never hangs and never raises: the worst case is the
    direct basis translation, which is always a valid adapted circuit. *)
 let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
-    ?(share = true) ?template hw method_ circuit =
+    ?template hw method_ circuit =
   let budget = match budget with Some b -> b | None -> Solver.budget () in
   (* With a prebuilt template the partition/match/encode phases are
      skipped and the optimization runs non-consuming ([~reuse]), leaving
@@ -351,7 +359,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
       in
       match
         Trace.span "solve" (fun () ->
-            Model.optimize ~budget ~jobs ~incremental ~share ~reuse model obj)
+            Model.optimize ~budget ~jobs ~incremental ~reuse model obj)
       with
       | Ok sol ->
         let info =
@@ -360,6 +368,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
             substitutions_chosen = List.length sol.Model.chosen;
             omt_rounds = sol.Model.rounds;
             path_cuts = sol.Model.path_cuts;
+            proven_optimal = sol.Model.proven_optimal;
           }
         in
         let tier, reason =
@@ -385,22 +394,22 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
     let c, info = adapt_polynomial hw method_ circuit in
     finish ~tier:Full ~reason:None ~info c
 
-let adapt_with_info ?options ?jobs ?incremental ?share hw method_ circuit =
+let adapt_with_info ?options ?jobs ?incremental hw method_ circuit =
   match method_ with
   | Sat _ | Greedy _ ->
     (* [no_budget] never trips and skips the solver's governance layer:
        the ungoverned path, bit for bit *)
     let o =
-      adapt_governed ?options ~budget:Solver.no_budget ?jobs ?incremental
-        ?share hw method_ circuit
+      adapt_governed ?options ~budget:Solver.no_budget ?jobs ?incremental hw
+        method_ circuit
     in
     (o.circuit, o.info)
   | Direct | Kak_only_cz | Kak_only_cz_db | Template_f | Template_r ->
     adapt_polynomial hw method_ circuit
 
-let adapt ?options ?jobs ?incremental ?share hw method_ circuit =
-  fst (adapt_with_info ?options ?jobs ?incremental ?share hw method_ circuit)
+let adapt ?options ?jobs ?incremental hw method_ circuit =
+  fst (adapt_with_info ?options ?jobs ?incremental hw method_ circuit)
 
-let adapt_template ?budget ?jobs ?incremental ?share tm method_ =
-  adapt_governed ?budget ?jobs ?incremental ?share ~template:tm tm.t_hw method_
+let adapt_template ?budget ?jobs ?incremental tm method_ =
+  adapt_governed ?budget ?jobs ?incremental ~template:tm tm.t_hw method_
     (template_circuit tm)

@@ -51,13 +51,20 @@ type info = {
   substitutions_chosen : int;
   omt_rounds : int;  (** 0 for non-SAT methods *)
   path_cuts : int;  (** critical-path cuts added by the OMT search *)
+  proven_optimal : bool;
+      (** the SMT optimum was proven ({!Model.solution}'s flag); [false]
+          when the anytime round cap ended the search and for every
+          tier that did not run the OMT search to completion *)
 }
+
+val no_info : info
+(** All counts 0, [proven_optimal = false]: the info of a circuit that
+    no substitution search produced. *)
 
 val adapt :
   ?options:Solver.options ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?share:bool ->
   Hardware.t ->
   method_ ->
   Circuit.t ->
@@ -67,16 +74,13 @@ val adapt :
     enables portfolio solving on the SAT method's OMT rounds (see
     {!Qca_adapt.Model.optimize}); default 1 = sequential.
     [incremental] (default [true]) keeps one solver alive across the
-    OMT rounds; [false] is the scratch-rebuild baseline. [share]
-    (default [true]) arms learnt-clause exchange between portfolio
-    seats at [jobs > 1]. The adapted circuit's objective value is
-    identical under every combination. *)
+    OMT rounds; [false] is the scratch-rebuild baseline. The adapted
+    circuit's objective value is identical either way. *)
 
 val adapt_with_info :
   ?options:Solver.options ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?share:bool ->
   Hardware.t ->
   method_ ->
   Circuit.t ->
@@ -162,7 +166,6 @@ val adapt_governed :
   ?budget:Solver.budget ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?share:bool ->
   ?template:template ->
   Hardware.t ->
   method_ ->
@@ -173,7 +176,7 @@ val adapt_governed :
     circuit is identical to {!adapt}'s. Total: never raises, never
     hangs — see the ladder above. [jobs] as in {!adapt}: a portfolio of
     diversified CDCL seats per OMT round, cancelled cooperatively
-    through this same budget. [incremental]/[share] as in {!adapt}.
+    through this same budget. [incremental] as in {!adapt}.
     With [template] (which must have been {!prepare}d for the same
     hardware and circuit) the partition/match/encode phases are skipped
     and the optimization runs non-consuming, leaving the template ready
@@ -183,7 +186,6 @@ val adapt_template :
   ?budget:Solver.budget ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?share:bool ->
   template ->
   method_ ->
   outcome

@@ -39,10 +39,9 @@ let methods = Pipeline.all_methods
 
 (* Each adaptation gets its own budget so one slow workload cannot
    starve the rest of the matrix. *)
-let governed ?options ?timeout_ms ?incremental ?share ?template hw m circuit =
+let governed ?options ?timeout_ms ?incremental ?template hw m circuit =
   let budget = Solver.budget ?timeout_ms () in
-  Pipeline.adapt_governed ?options ~budget ?incremental ?share ?template hw m
-    circuit
+  Pipeline.adapt_governed ?options ~budget ?incremental ?template hw m circuit
 
 let notify on_progress ~case ~meth o =
   match on_progress with
@@ -56,10 +55,10 @@ let notify on_progress ~case ~meth o =
         p_elapsed_ms = o.Pipeline.spent.Pipeline.elapsed_ms;
       }
 
-let row_of ?options ?timeout_ms ?incremental ?share ?template ?on_progress hw
-    kase ~baseline m =
+let row_of ?options ?timeout_ms ?incremental ?template ?on_progress hw kase
+    ~baseline m =
   let o =
-    governed ?options ?timeout_ms ?incremental ?share ?template hw m
+    governed ?options ?timeout_ms ?incremental ?template hw m
       kase.Workloads.circuit
   in
   let s = Metrics.summarize hw o.Pipeline.circuit in
@@ -94,10 +93,11 @@ let is_smt_method = function
   | Pipeline.Template_f | Pipeline.Template_r -> false
 
 let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
-    ?(incremental = true) ?(share = true) ?on_progress hw kase =
+    ?(incremental = true) ?on_progress hw kase =
   let baseline = baseline_of hw kase in
-  let row = row_of ?options ?timeout_ms ~incremental ~share ?on_progress hw
-      kase ~baseline in
+  let row =
+    row_of ?options ?timeout_ms ~incremental ?on_progress hw kase ~baseline
+  in
   if jobs <= 1 then begin
     (* Sequential case evaluation: the SMT methods of a case share one
        encoded template (same hardware × circuit key), so SAT F/R/P pay
@@ -113,8 +113,8 @@ let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
       (fun m ->
         match template with
         | Some _ when is_smt_method m ->
-          row_of ?options ?timeout_ms ~incremental ~share ?template
-            ?on_progress hw kase ~baseline m
+          row_of ?options ?timeout_ms ~incremental ?template ?on_progress hw
+            kase ~baseline m
         | _ -> row m)
       methods
   end
@@ -132,12 +132,12 @@ let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
    recomputes its case's (cheap, deterministic) direct baseline rather
    than sharing one, so tasks share nothing mutable. *)
 let fig5_fig6 ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
-    ?(incremental = true) ?(share = true) ?on_progress hw cases =
+    ?(incremental = true) ?on_progress hw cases =
   if jobs <= 1 then
     List.concat_map
       (fun kase ->
-        evaluate_case ~methods ?options ?timeout_ms ~incremental ~share
-          ?on_progress hw kase)
+        evaluate_case ~methods ?options ?timeout_ms ~incremental ?on_progress
+          hw kase)
       cases
   else
     let tasks =
@@ -150,8 +150,7 @@ let fig5_fig6 ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
         Array.to_list
           (Pool.parallel_map pool
              ~f:(fun (kase, m) ->
-               row_of ?options ?timeout_ms ~incremental ~share ?on_progress hw
-                 kase
+               row_of ?options ?timeout_ms ~incremental ?on_progress hw kase
                  ~baseline:(baseline_of hw kase) m)
              tasks))
 

@@ -44,7 +44,6 @@ val evaluate_case :
   ?timeout_ms:float ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?share:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->
   Workloads.case ->
@@ -58,8 +57,7 @@ val evaluate_case :
     their order. [incremental] (default [true]) lets the case's SMT
     methods share one encoded {!Pipeline.prepare} template (sequential
     path) and keeps each optimization's solver alive across its OMT
-    rounds; [incremental:false] is the scratch baseline. [share] arms
-    seat-to-seat clause exchange for portfolio rounds. *)
+    rounds; [incremental:false] is the scratch baseline. *)
 
 val fig5_fig6 :
   ?methods:Pipeline.method_ list ->
@@ -67,7 +65,6 @@ val fig5_fig6 :
   ?timeout_ms:float ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?share:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->
   Workloads.case list ->

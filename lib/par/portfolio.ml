@@ -150,14 +150,13 @@ let seat_budget parent ~should_stop =
    between solves are replayed into every seat from the base's
    append-only original-clause journal (a watermark per session), along
    with any new variables — seat and base variable numbering stay
-   identical, which is also what makes the learnt-clause exchange and
-   the model-adoption re-solve sound. *)
+   identical, which is also what makes the model-adoption re-solve
+   sound. *)
 
 type session = {
   ss_base : Solver.t;
   ss_jobs : int;
   ss_seats : Solver.t array;  (* empty when [ss_jobs <= 1] *)
-  ss_ring : Share.t option;
   mutable ss_watermark : int;  (* originals journal index synced so far *)
   mutable ss_rounds : int;
 }
@@ -165,7 +164,7 @@ type session = {
 let m_sessions = Obs.counter "omt.reuse.sessions"
 let m_reuse_rounds = Obs.counter "omt.reuse.rounds"
 
-let create_session ?(proof = false) ?(share = true) ~jobs base =
+let create_session ?(proof = false) ~jobs base =
   let jobs = max 1 jobs in
   (* An already-inconsistent base has nothing meaningful to export:
      [Solver.export_problem] would collapse the whole database to a bare
@@ -179,32 +178,20 @@ let create_session ?(proof = false) ?(share = true) ~jobs base =
       ss_base = base;
       ss_jobs = 1;
       ss_seats = [||];
-      ss_ring = None;
       ss_watermark = 0;
       ss_rounds = 0;
     }
   else begin
     let problem = Solver.export_problem base in
     let cfg = Array.of_list (seats ~base:(Solver.options base) jobs) in
-    let ring = if share then Some (Share.create ~seats:jobs ()) else None in
     let mk i =
-      let s =
-        Solver.import_problem ~options:cfg.(i).seat_options ~proof problem
-      in
-      (match ring with
-      | Some ring ->
-        Solver.set_share s
-          ~export:(Some (fun ~lbd lits -> Share.publish ring ~seat:i ~lbd lits))
-          ~import:(Some (fun () -> Share.drain ring ~seat:i))
-      | None -> ());
-      s
+      Solver.import_problem ~options:cfg.(i).seat_options ~proof problem
     in
     Obs.incr m_sessions;
     {
       ss_base = base;
       ss_jobs = jobs;
       ss_seats = Array.init jobs mk;
-      ss_ring = ring;
       ss_watermark = Solver.num_originals base;
       ss_rounds = 0;
     }
@@ -227,13 +214,6 @@ let sync_session ss =
           List.iter (fun c -> Solver.add_clause s c) delta)
         ss.ss_seats
   end
-
-let session_share_counts ss =
-  Array.fold_left
-    (fun (o, i, r) s ->
-      let o', i', r' = Solver.share_counts s in
-      (o + o', i + i', r + r'))
-    (0, 0, 0) ss.ss_seats
 
 let session_solve ?(assumptions = []) ?(budget = Solver.no_budget) ss =
   ss.ss_rounds <- ss.ss_rounds + 1;
@@ -315,12 +295,9 @@ let session_solve ?(assumptions = []) ?(budget = Solver.no_budget) ss =
     }
   end
 
-(* One-shot portfolio: a session created and solved once. [share]
-   arms the learnt-clause exchange between the seats (on by default;
-   imports are RUP-gated and DRUP-logged, so --certify replays the
-   winner unchanged). *)
+(* One-shot portfolio: a session created and solved once. *)
 let solve_portfolio ?(assumptions = []) ?(budget = Solver.no_budget)
-    ?(proof = false) ?(share = true) ~jobs base =
+    ?(proof = false) ~jobs base =
   if jobs <= 1 then
     {
       verdict = Solver.solve ~assumptions ~budget base;
@@ -329,5 +306,4 @@ let solve_portfolio ?(assumptions = []) ?(budget = Solver.no_budget)
       seats_run = 1;
     }
   else
-    session_solve ~assumptions ~budget
-      (create_session ~proof ~share ~jobs base)
+    session_solve ~assumptions ~budget (create_session ~proof ~jobs base)

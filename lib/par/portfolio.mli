@@ -3,15 +3,12 @@
     through the cooperative budget hook.
 
     Each seat solves its own {!Qca_sat.Solver.import_problem} clone
-    under its own options and its own budget record. Cross-domain state
-    is limited to the win/abort flags (atomics) polled by every seat's
-    [cancelled] hook — so a loser stops at its next budget check, no
-    unsafe interruption — and, when sharing is on, the lock-free
-    learnt-clause exchange ({!Share}): seats publish short/low-LBD
-    learnt clauses to single-writer rings and drain the other seats'
-    rings at restart boundaries, where every import is RUP-gated and
-    DRUP-logged by the solver (certification replays the winner's proof
-    unchanged). All seat domains are joined on every exit path,
+    under its own options and its own budget record, and seats exchange
+    no clauses: each solves alone. Cross-domain state is limited to the
+    win/abort flags (atomics) polled by every seat's [cancelled] hook —
+    so a loser stops at its next budget check, no unsafe interruption.
+    The winner's DRUP log covers its whole derivation, so certification
+    replays it unchanged. All seat domains are joined on every exit path,
     including seat exceptions and budget exhaustion; a seat exception
     aborts the race and is re-raised after the joins.
 
@@ -61,7 +58,6 @@ val solve_portfolio :
   ?assumptions:Qca_sat.Lit.t list ->
   ?budget:Solver.budget ->
   ?proof:bool ->
-  ?share:bool ->
   jobs:int ->
   Solver.t ->
   outcome
@@ -73,22 +69,18 @@ val solve_portfolio :
     adopted into [base] (a propagation-only re-solve under the model as
     assumptions), so existing readers of [base] keep working; on
     [Unsat] consult [winner_solver] for the core or DRUP proof.
-    [proof] arms DRUP logging on every clone. [share] (default [true])
-    arms the learnt-clause exchange between the seats. Only the
-    decisive seat's conflict/propagation spend is charged to the parent
-    budget. *)
+    [proof] arms DRUP logging on every clone. Only the decisive seat's
+    conflict/propagation spend is charged to the parent budget. *)
 
 (** {1 Sessions: persistent seats across incremental rounds} *)
 
 type session
 
-val create_session :
-  ?proof:bool -> ?share:bool -> jobs:int -> Solver.t -> session
-(** Clones [jobs] diversified seats of [base] once (and, with [share],
-    wires them to a fresh exchange). With [jobs <= 1] no clone is made
-    and {!session_solve} is the sequential passthrough. [proof] arms
-    DRUP logging on every seat from creation, covering its whole
-    derivation. *)
+val create_session : ?proof:bool -> jobs:int -> Solver.t -> session
+(** Clones [jobs] diversified seats of [base] once. With [jobs <= 1] no
+    clone is made and {!session_solve} is the sequential passthrough.
+    [proof] arms DRUP logging on every seat from creation, covering its
+    whole derivation. *)
 
 val session_solve :
   ?assumptions:Qca_sat.Lit.t list ->
@@ -101,7 +93,3 @@ val session_solve :
     original-clause journal), then the seats race — keeping their
     learnt clauses, phases, activities and simplification results from
     earlier rounds. Must not be called concurrently on one session. *)
-
-val session_share_counts : session -> int * int * int
-(** Summed [(exported, imported, rejected)] exchange totals over the
-    session's seats. *)

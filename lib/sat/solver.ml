@@ -27,9 +27,6 @@ let m_simp_strengthened = Obs.counter "sat.simplify.strengthened"
 let m_simp_eliminated = Obs.counter "sat.simplify.eliminated"
 let m_simp_vivified = Obs.counter "sat.simplify.vivified"
 let m_simp_failed_lits = Obs.counter "sat.simplify.failed_literals"
-let m_shared_out = Obs.counter "sat.shared.exported"
-let m_shared_in = Obs.counter "sat.shared.imported"
-let m_shared_rejected = Obs.counter "sat.shared.rejected"
 
 module Trace = Qca_obs.Trace
 module Ring = Qca_obs.Ring
@@ -257,17 +254,6 @@ type t = {
       (* a deferred {!simplify} request: honored at the next restart
          boundary (the first proof that search is conflict-bound), so
          propagation-only instances never pay for a full pass *)
-  (* Learnt-clause exchange between portfolio seats. [share_export] is
-     invoked from [record_learnt] for short learnt clauses (internal
-     literal encoding; the callee must copy, never mutate).
-     [share_import] is drained at restart boundaries; every candidate
-     is RUP-gated against the live database before it is attached, so
-     the DRUP log stays replayable (see DESIGN.md section 7.10). *)
-  mutable share_export : (lbd:int -> int array -> unit) option;
-  mutable share_import : (unit -> (int * int array) list) option;
-  mutable n_shared_out : int;
-  mutable n_shared_in : int;
-  mutable n_shared_rejected : int;
   mutable n_conflicts : int;
   mutable n_decisions : int;
   mutable n_propagations : int;
@@ -338,11 +324,6 @@ let create ?(options = default_options) () =
     clauses_since_simp = 0;
     simplified_once = false;
     simplify_requested = false;
-    share_export = None;
-    share_import = None;
-    n_shared_out = 0;
-    n_shared_in = 0;
-    n_shared_rejected = 0;
     n_conflicts = 0;
     n_decisions = 0;
     n_propagations = 0;
@@ -939,21 +920,6 @@ let learnt_lbd t =
   done;
   !n
 
-(* Clauses longer than this are never offered to the exchange: the
-   packing cost and the importer's RUP test both scale with length, and
-   long clauses rarely prune another seat's search. *)
-let share_max_len = 8
-
-(* Offer a freshly learnt clause to the exchange. [lits] is retained by
-   the callee (it is never the shared scratch buffer). *)
-let[@inline] share_out t ~lbd lits =
-  match t.share_export with
-  | None -> ()
-  | Some export ->
-    t.n_shared_out <- t.n_shared_out + 1;
-    if Atomic.get Obs.live then Obs.incr m_shared_out;
-    export ~lbd lits
-
 (* Record [t.learnt_buf] as a learnt clause (backtracking already done;
    the asserting literal is at index 0, the second watch at index 1). *)
 let record_learnt t =
@@ -969,10 +935,7 @@ let record_learnt t =
       t.ok <- false;
       proof_emit_empty t
     end
-    else begin
-      if lit_value_raw t l = -1 then enqueue t l no_reason;
-      if t.share_export <> None then share_out t ~lbd:1 [| l |]
-    end
+    else if lit_value_raw t l = -1 then enqueue t l no_reason
   | len ->
     let lits = Array.sub t.learnt_buf 0 len in
     let cr = Arena.alloc t.arena ~learnt:true lits in
@@ -984,8 +947,7 @@ let record_learnt t =
     t.n_learnt <- t.n_learnt + 1;
     attach_clause t cr;
     clause_bump t cr;
-    enqueue t lits.(0) cr;
-    if len <= share_max_len then share_out t ~lbd:glue lits
+    enqueue t lits.(0) cr
 
 let locked t cr =
   let v = Lit.var (Arena.lit t.arena cr 0) in
@@ -1179,65 +1141,6 @@ let flush_pending t pending =
     end
   done;
   Vec.clear pending
-
-(* Drain the exchange and attach every candidate that passes the RUP
-   gate: assert the negations of the clause's unassigned literals on a
-   throwaway decision level — a conflict proves the clause follows from
-   the live database by unit propagation alone, which is exactly the
-   check the DRUP replayer performs when it meets the addition (and the
-   checker's database is a superset of ours, so RUP here implies RUP
-   there). Candidates that mention eliminated or unknown variables, or
-   that do not propagate to a conflict yet (another seat's inprocessing
-   may have derived them differently), are rejected — the exchange is
-   best-effort, never a soundness obligation. Runs at decision level 0
-   (restart boundaries). *)
-let import_shared t drain =
-  List.iter
-    (fun ((lbd : int), (lits : int array)) ->
-      if t.ok then begin
-        let n = Array.length lits in
-        let usable =
-          n > 0
-          && Array.for_all
-               (fun l ->
-                 let v = l lsr 1 in
-                 v < t.nvars && not t.eliminated.(v))
-               lits
-        in
-        if not usable then begin
-          t.n_shared_rejected <- t.n_shared_rejected + 1;
-          if Atomic.get Obs.live then Obs.incr m_shared_rejected
-        end
-        else if Array.exists (fun l -> lit_value_raw t l = 1) lits then
-          (* already satisfied at the root: nothing to learn *)
-          ()
-        else begin
-          new_level t;
-          Array.iter
-            (fun l -> if lit_value_raw t l = -1 then enqueue t (l lxor 1) no_reason)
-            lits;
-          let confl = propagate t in
-          backtrack_to t 0;
-          if confl >= 0 then begin
-            (* RUP: attach (add_derived emits the DRUP addition with
-               exactly the stored literals, so later deletions stay
-               consistent) *)
-            let cr = add_derived t ~learnt:true lits in
-            if cr >= 0 then begin
-              Vec.push t.learnts cr;
-              Arena.set_lbd t.arena cr
-                (max 1 (min lbd (Arena.size t.arena cr)))
-            end;
-            t.n_shared_in <- t.n_shared_in + 1;
-            if Atomic.get Obs.live then Obs.incr m_shared_in
-          end
-          else begin
-            t.n_shared_rejected <- t.n_shared_rejected + 1;
-            if Atomic.get Obs.live then Obs.incr m_shared_rejected
-          end
-        end
-      end)
-    (drain ())
 
 (* Re-attach a clause saved by variable elimination, proof-free: the
    checker never saw it leave, so it must come back with exactly its
@@ -2040,14 +1943,6 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
             (Vec.length t.learnts);
           conflicts_until_restart := t.opts.restart_base * next_luby ();
           backtrack_to t 0;
-          (* learnt-clause exchange: drain the other seats' rings while
-             the trail is at the root (the RUP gate opens throwaway
-             decision levels) *)
-          (match t.share_import with
-          | Some drain ->
-            import_shared t drain;
-            if not t.ok then raise (Answered Unsat)
-          | None -> ());
           if
             t.opts.use_simplify
             && (t.simplify_requested
@@ -2156,12 +2051,6 @@ let originals_since t start =
     cls := Vec.get t.originals i :: !cls
   done;
   !cls
-
-let set_share t ~export ~import =
-  t.share_export <- export;
-  t.share_import <- import
-
-let share_counts t = (t.n_shared_out, t.n_shared_in, t.n_shared_rejected)
 
 (* Read-only snapshot of the internal state for the invariant auditor
    (lib/check). Scalar fields are copies; the arrays are shared with the

@@ -198,31 +198,6 @@ val originals_since : t -> int -> Lit.t list list
 (** The original clauses added at journal index [start] and later, in
     addition order (pristine, as handed to {!add_clause}). *)
 
-(** {1 Learnt-clause exchange (portfolio seats)}
-
-    A pair of hooks connects a solver to an external exchange such as
-    {!Qca_par.Share}: [export] is invoked from the CDCL loop for every
-    short learnt clause (length ≤ 8, plus all derived units) with its
-    literal-block distance and its literals in the internal {!Lit.t}
-    encoding — the callee must copy what it keeps and never mutate the
-    array. [import] is drained at restart boundaries; each candidate is
-    RUP-gated against the live clause database before it is attached
-    (and DRUP-logged like any learnt clause), so certification replays
-    the winner's proof unchanged. Candidates mentioning eliminated or
-    unknown variables, and candidates whose unit propagation does not
-    yet close, are rejected — the exchange is lossy by design and never
-    a soundness obligation. Variable numbering must agree between the
-    exchanging solvers ({!import_problem} clones qualify). *)
-
-val set_share :
-  t ->
-  export:(lbd:int -> int array -> unit) option ->
-  import:(unit -> (int * int array) list) option ->
-  unit
-
-val share_counts : t -> int * int * int
-(** [(exported, imported, rejected)] exchange totals for this solver. *)
-
 (** {1 DRUP proof logging}
 
     With {!enable_proof} the CDCL loop records every learnt-clause

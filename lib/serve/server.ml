@@ -45,7 +45,6 @@ type config = {
   cache_capacity : int;
   template_capacity : int;
   incremental : bool;
-  share : bool;
   default_timeout_ms : float;
   max_timeout_ms : float;
   max_request_bytes : int;
@@ -76,7 +75,6 @@ let default_config =
     cache_capacity = 256;
     template_capacity = 32;
     incremental = true;
-    share = true;
     default_timeout_ms = 2_000.0;
     max_timeout_ms = 30_000.0;
     max_request_bytes = Wire.default_max_bytes;
@@ -134,14 +132,6 @@ let demote shed method_ =
     Pipeline.Direct
   | Protocol.Shed_direct, m -> m
 
-let no_info =
-  {
-    Pipeline.substitutions_considered = 0;
-    substitutions_chosen = 0;
-    omt_rounds = 0;
-    path_cuts = 0;
-  }
-
 (* Solve with bounded retry: a request degraded by *transient* budget
    exhaustion (conflict/propagation caps — not the deadline, which a
    retry cannot outrun) is retried with exponential backoff while the
@@ -177,7 +167,7 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
           tier = Pipeline.Direct_fallback;
           reason = Some Solver.Out_of_conflicts;
           spent = { Pipeline.conflicts = 0; propagations = 0; elapsed_ms = 0.0 };
-          info = no_info;
+          info = Pipeline.no_info;
           claimed_makespan = None;
         }
       | `Real ->
@@ -197,12 +187,12 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
               Pipeline.prepare ~options:cfg.options r.Protocol.hardware
                 circuit)
             (fun tmpl ->
-              Pipeline.adapt_template ~budget ~jobs:cfg.solver_jobs
-                ~share:cfg.share tmpl eff_method)
+              Pipeline.adapt_template ~budget ~jobs:cfg.solver_jobs tmpl
+                eff_method)
         else
           Pipeline.adapt_governed ~options:cfg.options ~budget
-            ~incremental:cfg.incremental ~share:cfg.share
-            ~jobs:cfg.solver_jobs r.Protocol.hardware eff_method circuit
+            ~incremental:cfg.incremental ~jobs:cfg.solver_jobs
+            r.Protocol.hardware eff_method circuit
     in
     let transient =
       match outcome.Pipeline.reason with

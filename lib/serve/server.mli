@@ -39,9 +39,6 @@ type config = {
           hardware × circuit key, and keep each optimization's solver
           alive across its OMT rounds (default true; [false] is the
           scratch baseline behind [--no-incremental]) *)
-  share : bool;
-      (** learnt-clause exchange between portfolio seats when
-          [solver_jobs > 1] (default true; [--no-share]) *)
   default_timeout_ms : float;  (** deadline when the request names none *)
   max_timeout_ms : float;  (** hard per-request deadline cap *)
   max_request_bytes : int;  (** request body byte cap *)

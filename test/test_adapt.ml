@@ -364,6 +364,42 @@ let test_method_and_hardware_names () =
     [ ("d0", Hardware.d0); ("D0", Hardware.d0); ("d1", Hardware.d1); ("D1", Hardware.d1) ];
   checkb "rejects d2" true (Result.is_error (Hardware.of_string "d2"))
 
+(* Anytime vs proven: the paper's worked example closes its SAT-P
+   optimum, while a depth-100 SAT-R template stops at the anytime round
+   cap with an unproven incumbent. Methods without an OMT search never
+   claim a proof. *)
+let test_proven_optimal_flag () =
+  (* the dune-copied file under [dune runtest]; the source tree under a
+     bare [dune exec] from the repository root *)
+  let example =
+    List.find Sys.file_exists
+      [
+        Filename.concat
+          (Filename.dirname Sys.executable_name)
+          "../examples/circuits/paper_example.txt";
+        "examples/circuits/paper_example.txt";
+      ]
+  in
+  let circuit =
+    match
+      Qca_circuit.Parse.parse
+        (In_channel.with_open_text example In_channel.input_all)
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let proven m c =
+    (snd (Pipeline.adapt_with_info hw m c)).Pipeline.proven_optimal
+  in
+  checkb "paper example SAT P proven optimal" true
+    (proven (Pipeline.Sat Model.Sat_p) circuit);
+  checkb "direct never claims a proof" false (proven Pipeline.Direct circuit);
+  let deep =
+    Qca_workloads.Workloads.random_template ~seed:1 ~num_qubits:4 ~depth:100
+  in
+  checkb "depth-100 SAT R is anytime" false
+    (proven (Pipeline.Sat Model.Sat_r) deep)
+
 let suite =
   [
     ("table I values", `Quick, test_table1_values);
@@ -388,4 +424,5 @@ let suite =
     ("percent helpers", `Quick, test_percent_helpers);
     ("solver option ablation", `Quick, test_solver_options_threaded);
     ("method and hardware names", `Quick, test_method_and_hardware_names);
+    ("proven optimal flag", `Quick, test_proven_optimal_flag);
   ]
