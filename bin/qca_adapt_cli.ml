@@ -65,7 +65,10 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
       Format.printf "substitutions: %d considered, %d chosen (%d OMT rounds, %s)@."
         info.Pipeline.substitutions_considered
         info.Pipeline.substitutions_chosen info.Pipeline.omt_rounds
-        (if info.Pipeline.proven_optimal then "proven optimal" else "anytime");
+        (match info.Pipeline.gap_pct with
+        | _ when info.Pipeline.proven_optimal -> "proven optimal"
+        | Some g -> Printf.sprintf "anytime, gap %.1f%%" g
+        | None -> "anytime");
     let cert_bad =
       certify
       &&

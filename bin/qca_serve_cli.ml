@@ -266,6 +266,7 @@ let adapt host port method_name hw_name format_name input show_circuit
     (match p.Protocol.makespan with
     | Some m -> Format.printf "makespan : %d@." m
     | None -> ());
+    Format.printf "proven   : %s@." (if p.Protocol.proven then "yes" else "no");
     (match p.Protocol.certified with
     | Some b -> Format.printf "certified: %s@." (if b then "yes" else "NO")
     | None -> ());

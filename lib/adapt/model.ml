@@ -36,6 +36,7 @@ type t = {
   d_lb : int;  (* admissible lower bound on the makespan *)
   excludes : int list array;  (* Eq. 1 partners, by substitution id *)
   by_block : Rules.t list array;  (* substitutions of each block *)
+  span : (int * int) array;  (* first/last gate position in its block, by id *)
   false_lit : Lit.t;  (* a literal asserted false, for infeasible prunes *)
   mutable consumed : bool;
   (* Incremental-reuse state. [session] keeps one set of portfolio
@@ -45,6 +46,7 @@ type t = {
   mutable session : (int * Portfolio.session) option;
       (* (jobs, seats) — recreated when [jobs] changes *)
   selectors : (objective, Totalizer.selector) Hashtbl.t;
+  bounds : (objective, int) Hashtbl.t;  (* memoized [lower_bound] *)
 }
 
 (* Longest path over the block dependency graph for given durations,
@@ -104,6 +106,21 @@ let build ?options hw part subs_list =
       excludes.(i) <- j :: excludes.(i);
       excludes.(j) <- i :: excludes.(j))
     (Rules.conflicts subs_list);
+  (* Every substitution covers a contiguous run of its block's gates
+     (cond-rot one gate, a swap window three adjacent ones, KAK the
+     whole block), so Eq. 1 overlap is interval overlap. *)
+  let rows = Array.map (fun blk -> Array.of_list blk.Block.gate_ids) part.Block.blocks in
+  let pos = Array.make (Array.length (Circuit.gates part.Block.circuit)) 0 in
+  Array.iter (Array.iteri (fun i g -> pos.(g) <- i)) rows;
+  let span = Array.make n_subs (0, 0) in
+  Array.iter
+    (fun (s : Rules.t) ->
+      let row = rows.(s.Rules.block_id) and lo = pos.(List.hd s.Rules.substituted) in
+      List.iteri
+        (fun j g -> assert (lo + j < Array.length row && row.(lo + j) = g))
+        s.Rules.substituted;
+      span.(s.Rules.id) <- (lo, lo + List.length s.Rules.substituted - 1))
+    subs;
   let n_blocks = Array.length part.Block.blocks in
   let by_block = Array.make n_blocks [] in
   List.iter
@@ -138,10 +155,12 @@ let build ?options hw part subs_list =
     d_lb;
     excludes;
     by_block;
+    span;
     false_lit = Lit.pos false_var;
     consumed = false;
     session = None;
     selectors = Hashtbl.create 4;
+    bounds = Hashtbl.create 4;
   }
 
 let duration_terms t b =
@@ -205,6 +224,50 @@ let exact_objective t terms chosen_mask =
   Array.iteri (fun i w -> if chosen_mask.(i) then pb := !pb + w) terms.weights;
   ((terms.d_weight * d) + !pb + terms.constant, d, path)
 
+(* Weighted interval scheduling over block [b]'s gate positions:
+   best.(p) is the least Σ w over conflict-free choices inside the first
+   p positions, so the whole minimum costs O(k+S) for k gates. *)
+let block_min t w b =
+  let k = List.length t.part.Block.blocks.(b).Block.gate_ids in
+  let ending = Array.make k [] in
+  List.iter
+    (fun (s : Rules.t) ->
+      let lo, hi = t.span.(s.Rules.id) in
+      ending.(hi) <- (lo, w s) :: ending.(hi))
+    t.by_block.(b);
+  let best = Array.make (k + 1) 0 in
+  for p = 0 to k - 1 do
+    best.(p + 1) <-
+      List.fold_left (fun m (lo, ws) -> min m (best.(lo) + ws)) best.(p) ending.(p)
+  done;
+  best.(k)
+
+(* Admissible bound: each block at its least Σ w, plus the longest path
+   whose block weights are what the makespan term can add on top of
+   that, min(d_weight·dur_b + Σ w) − min(Σ w). Eq. 1 only pairs
+   substitutions of one block, so with d_weight = 0 (SAT F) it is the
+   exact optimum. *)
+let lower_bound t obj =
+  match Hashtbl.find_opt t.bounds obj with
+  | Some lb -> lb
+  | None ->
+    let terms = objective_terms t obj in
+    let w (s : Rules.t) = terms.weights.(s.Rules.id) in
+    let dw (s : Rules.t) = w s + (terms.d_weight * s.Rules.delta_duration) in
+    let n = Array.length t.base_dur in
+    let min_w = Array.init n (block_min t w) in
+    let extra =
+      Array.init n (fun b ->
+          (terms.d_weight * t.base_dur.(b)) + block_min t dw b - min_w.(b))
+    in
+    let lb =
+      terms.constant
+      + Array.fold_left ( + ) 0 min_w
+      + longest_path t.part extra (Array.make n 0)
+    in
+    Hashtbl.replace t.bounds obj lb;
+    lb
+
 type solution = {
   chosen : Rules.t list;
   objective_value : int;
@@ -212,6 +275,7 @@ type solution = {
   rounds : int;
   path_cuts : int;
   proven_optimal : bool;
+  lower_bound : int;
   stopped : Solver.stop_reason option;
 }
 
@@ -359,6 +423,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
       max 16 (min default_round_budget (4000 / max 1 (Array.length t.subs)))
   in
   let terms = objective_terms t obj in
+  let lb = lower_bound t obj in
   let n = Array.length t.subs in
   let pb_terms =
     Array.to_list (Array.mapi (fun i w -> (t.choice.(i), w)) terms.weights)
@@ -441,12 +506,13 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     if not incremental then None
     else
       Some
-        (match t.session with
-        | Some (j, ss) when j = jobs -> ss
-        | _ ->
-          let ss = Portfolio.create_session ~jobs sat in
-          t.session <- Some (jobs, ss);
-          ss)
+        (lazy
+          (match t.session with
+          | Some (j, ss) when j = jobs -> ss
+          | _ ->
+            let ss = Portfolio.create_session ~jobs sat in
+            t.session <- Some (jobs, ss);
+            ss))
   in
   let round_solve best =
     match session with
@@ -455,7 +521,9 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
         run_assumptions
         @ (match best with None -> [] | Some (b, _, _) -> prune b)
       in
-      let v = (Portfolio.session_solve ~assumptions ~budget ss).verdict in
+      let v =
+        (Portfolio.session_solve ~assumptions ~budget (Lazy.force ss)).verdict
+      in
       (v, fun i -> Solver.lit_value sat t.choice.(i))
     | None ->
       let clone =
@@ -496,9 +564,11 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     Ring.record k_omt_round !rounds
       (match best with None -> -1 | Some (b, _, _) -> b)
       !cuts;
+    (* An incumbent at the admissible bound is optimal. *)
+    let at_bound = match best with Some (b, _, _) -> b <= lb | None -> false in
     if !rounds > round_budget then begin
-      (* anytime behaviour: keep the incumbent, flag non-proven *)
-      proven := false;
+      (* anytime behaviour: keep the incumbent, proven only at the bound *)
+      proven := at_bound;
       best
     end
     else begin
@@ -507,6 +577,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
       proven := false;
       stopped := Some r;
       best
+    | None when at_bound -> best (* no selector build, no CDCL call *)
     | None ->
     match
       Trace.span "omt.round"
@@ -588,6 +659,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
             rounds = !rounds;
             path_cuts = !cuts;
             proven_optimal = !proven;
+            lower_bound = lb;
             stopped = !stopped;
           })
   end

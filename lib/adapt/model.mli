@@ -27,6 +27,9 @@ type t
 
 val build :
   ?options:Solver.options -> Hardware.t -> Block.t -> Rules.t list -> t
+(** Encodes the substitutions of {!Rules.find_all}. Each must cover a
+    contiguous run of its block's gates (asserted; {!block_min} relies
+    on it). *)
 
 val duration_terms : t -> int -> int * (int * int) list
 (** [duration_terms t b] is [(D(b), [(sub id, 𝔻(s)); ...])] — the Eq. 3
@@ -40,8 +43,12 @@ type solution = {
   rounds : int;  (** OMT improvement rounds *)
   path_cuts : int;  (** critical-path cuts added during the search *)
   proven_optimal : bool;
-      (** true when the search closed with an UNSAT certificate; false
-          when the anytime round budget stopped it at the incumbent *)
+      (** true when the incumbent reached [lower_bound] or the search
+          closed with an UNSAT certificate; false when the anytime round
+          budget stopped it at the incumbent *)
+  lower_bound : int;
+      (** {!lower_bound} of the model and objective: the optimum lies in
+          [lower_bound, objective_value] *)
   stopped : Solver.stop_reason option;
       (** set when the resource budget (or an injected fault) stopped
           the search at the incumbent; [None] for a normal anytime stop
@@ -96,7 +103,16 @@ val optimize :
   (solution, error) result
 (** Optimizes the objective: {!greedy} warm start, then branch-and-bound
     over the CDCL solver with admissible pseudo-Boolean pruning and
-    lazily generated critical-path lemmas. Solves to proven optimality
+    lazily generated critical-path lemmas. Before each CDCL call the
+    incumbent is compared with {!lower_bound}: once it reaches the bound
+    it is optimal, and the search stops there with
+    [proven_optimal = true], without building a pruning selector or
+    calling the solver (the round cap and the budget poll still come
+    first, as without the bound). For
+    SAT F the bound is the exact optimum, so SAT F closes as soon as an
+    incumbent attains it (at round 1 when the warm start does). Rounds
+    before the stop, and so every returned choice, are the same as
+    without the bound. Otherwise the search runs to an UNSAT proof
     unless the anytime round cap runs out first, in which case the
     incumbent is returned with [proven_optimal = false]. The cap is
     [round_budget], by default [max 16 (min 120 (4000 / S))] for S
@@ -111,8 +127,9 @@ val optimize :
     [jobs > 1] races a {!Qca_par.Portfolio} of diversified CDCL seats
     on every OMT round (the final UNSAT-proving round included); the
     objective value is unchanged — optimality is closed by an UNSAT
-    answer whatever seat produces it. [jobs = 1] (default) is the
-    bit-identical sequential path.
+    answer whatever seat produces it. The seats are created on the first
+    CDCL round, so a run that closes at the bound spawns none.
+    [jobs = 1] (default) is the bit-identical sequential path.
 
     [incremental] (default [true]) keeps one solver — and at
     [jobs > 1] one persistent seat session — alive across the OMT
@@ -129,6 +146,22 @@ val optimize :
     be optimized again — for any objective — reusing the encoded
     template, the memoized pruning totalizers and everything the solver
     learnt. The template-cache paths (batch, qca-serve) rely on this. *)
+
+val lower_bound : t -> objective -> int
+(** An admissible lower bound on the integer objective: every block at
+    the least Σ w_s over its conflict-free substitution sets, plus
+    [d_weight] times the longest path over the block DAG where a block
+    weighs what its duration can add on top of that least sum. Eq. 1
+    only pairs substitutions of one block, so for SAT F ([d_weight = 0])
+    it is the exact optimum. Memoized per objective on the model; it
+    touches no solver state, so it also works on a consumed model. *)
+
+val block_min : t -> (Rules.t -> int) -> int -> int
+(** [block_min t w b]: the least Σ [w s] over the conflict-free subsets
+    of block [b]'s substitutions (the empty set included, so never
+    positive). Every substitution covers a contiguous run of its block's
+    gates ({!build} asserts it), so this is weighted interval scheduling
+    over gate positions, O(k+S) for k gates and S substitutions. *)
 
 val evaluate_choice : t -> objective -> Rules.t list -> int
 (** Exact integer objective of an arbitrary conflict-free choice of

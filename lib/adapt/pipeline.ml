@@ -79,6 +79,7 @@ type info = {
   omt_rounds : int;
   path_cuts : int;
   proven_optimal : bool;
+  gap_pct : float option;
 }
 
 let no_info =
@@ -88,6 +89,7 @@ let no_info =
     omt_rounds = 0;
     path_cuts = 0;
     proven_optimal = false;
+    gap_pct = None;
   }
 
 (* Splice a conflict-free choice of substitutions into the circuit:
@@ -369,6 +371,13 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
             omt_rounds = sol.Model.rounds;
             path_cuts = sol.Model.path_cuts;
             proven_optimal = sol.Model.proven_optimal;
+            gap_pct =
+              Some
+                (if sol.Model.proven_optimal then 0.0
+                 else
+                   let v = sol.Model.objective_value in
+                   100.0 *. float_of_int (v - sol.Model.lower_bound)
+                   /. float_of_int (max 1 (abs v)));
           }
         in
         let tier, reason =

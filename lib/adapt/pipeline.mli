@@ -55,11 +55,16 @@ type info = {
       (** the SMT optimum was proven ({!Model.solution}'s flag); [false]
           when the anytime round cap ended the search and for every
           tier that did not run the OMT search to completion *)
+  gap_pct : float option;
+      (** how far the served objective value may be from the optimum:
+          its distance to {!Model.solution}'s [lower_bound], in percent
+          of its magnitude; [Some 0.] when proven optimal, [None] when no
+          OMT search produced the circuit *)
 }
 
 val no_info : info
-(** All counts 0, [proven_optimal = false]: the info of a circuit that
-    no substitution search produced. *)
+(** All counts 0, [proven_optimal = false], no gap: the info of a
+    circuit that no substitution search produced. *)
 
 val adapt :
   ?options:Solver.options ->

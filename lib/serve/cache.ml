@@ -8,7 +8,12 @@ let m_evictions = Obs.counter "serve.cache.evictions"
 let m_invalidations = Obs.counter "serve.cache.invalidations"
 let m_size = Obs.gauge "serve.cache.size"
 
-type entry = { adapted : Circuit.t; makespan : int option; digest : string }
+type entry = {
+  adapted : Circuit.t;
+  makespan : int option;
+  proven : bool;
+  digest : string;
+}
 
 type slot = { e : entry; mutable stamp : int }
 
@@ -75,12 +80,12 @@ let evict_lru t =
     Obs.incr m_evictions
   | None -> ()
 
-let add t ~key:k ~adapted ~makespan =
+let add t ~key:k ~adapted ~makespan ~proven =
   locked t (fun () ->
       if not (Hashtbl.mem t.tbl k) && Hashtbl.length t.tbl >= t.cap then
         evict_lru t;
       Hashtbl.replace t.tbl k
-        { e = { adapted; makespan; digest = digest_hex k }; stamp = tick t };
+        { e = { adapted; makespan; proven; digest = digest_hex k }; stamp = tick t };
       Obs.set m_size (float_of_int (Hashtbl.length t.tbl)))
 
 let invalidate t k =

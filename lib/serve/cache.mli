@@ -26,6 +26,7 @@ type t
 type entry = {
   adapted : Circuit.t;
   makespan : int option;
+  proven : bool;  (** the solver proved the result optimal *)
   digest : string;  (** hex FNV-1a 64 of the key *)
 }
 
@@ -46,7 +47,8 @@ val digest_hex : string -> string
 val find : t -> string -> entry option
 (** Bumps recency on hit. *)
 
-val add : t -> key:string -> adapted:Circuit.t -> makespan:int option -> unit
+val add :
+  t -> key:string -> adapted:Circuit.t -> makespan:int option -> proven:bool -> unit
 (** Inserts (or refreshes) an entry, evicting the LRU entry at
     capacity. *)
 

@@ -37,6 +37,7 @@ type result_payload = {
   queue_ms : float;
   trace_id : string;
   makespan : int option;
+  proven : bool;
   certified : bool option;
   adapted_text : string;
 }
@@ -171,6 +172,8 @@ let trace_headers ~trace_id ~queue_ms =
   (if trace_id = "" then [] else [ ("X-Qca-Trace-Id", trace_id) ])
   @ [ ("X-Qca-Queue-Ms", ms queue_ms) ]
 
+let yes_no b = if b then "yes" else "no"
+
 let http_of_response = function
   | Result r ->
     let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
@@ -184,10 +187,11 @@ let http_of_response = function
           ("X-Qca-Conflicts", string_of_int r.conflicts);
           ("X-Qca-Propagations", string_of_int r.propagations);
           ("X-Qca-Elapsed-Ms", ms r.elapsed_ms);
+          ("X-Qca-Proven", yes_no r.proven);
         ]
       @ opt "X-Qca-Reason" Fun.id r.reason
       @ opt "X-Qca-Makespan" string_of_int r.makespan
-      @ opt "X-Qca-Certified" (fun b -> if b then "yes" else "no") r.certified,
+      @ opt "X-Qca-Certified" yes_no r.certified,
       r.adapted_text )
   | Error_resp { code; message; retry_after_ms } ->
     ( status_of_error code,
@@ -244,6 +248,7 @@ let response_of_http ~status headers body =
                (Option.bind (lookup "x-qca-queue-ms") float_of_string_opt);
            trace_id = Option.value ~default:"" (lookup "x-qca-trace-id");
            makespan = Option.bind (lookup "x-qca-makespan") int_of_string_opt;
+           proven = lookup "x-qca-proven" = Some "yes";
            certified =
              (match lookup "x-qca-certified" with
              | Some "yes" -> Some true

@@ -56,6 +56,9 @@ type result_payload = {
   queue_ms : float;  (** time spent queued before a worker picked it up *)
   trace_id : string;  (** the request's trace id ("" when unknown) *)
   makespan : int option;  (** the solver's claimed duration, if any *)
+  proven : bool;
+      (** the circuit's objective value is a proven optimum
+          ({!Pipeline.info}'s [proven_optimal]); [X-Qca-Proven: yes|no] *)
   certified : bool option;  (** [None] = not checked on this response *)
   adapted_text : string;  (** adapted circuit, textual format *)
 }

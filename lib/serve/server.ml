@@ -274,6 +274,7 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
           queue_ms;
           trace_id;
           makespan = entry.Cache.makespan;
+          proven = entry.Cache.proven;
           certified;
           adapted_text = Parse.to_text entry.Cache.adapted;
         }
@@ -307,7 +308,8 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
           && outcome.Pipeline.reason = None
         then
           Cache.add t.cache ~key:ckey ~adapted:outcome.Pipeline.circuit
-            ~makespan:outcome.Pipeline.claimed_makespan;
+            ~makespan:outcome.Pipeline.claimed_makespan
+            ~proven:outcome.Pipeline.info.Pipeline.proven_optimal;
         Protocol.Result
           {
             Protocol.tier = outcome.Pipeline.tier;
@@ -322,6 +324,7 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
             queue_ms;
             trace_id;
             makespan = outcome.Pipeline.claimed_makespan;
+            proven = outcome.Pipeline.info.Pipeline.proven_optimal;
             certified;
             adapted_text = Parse.to_text outcome.Pipeline.circuit;
           }

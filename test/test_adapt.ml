@@ -400,6 +400,36 @@ let test_proven_optimal_flag () =
   checkb "depth-100 SAT R is anytime" false
     (proven (Pipeline.Sat Model.Sat_r) deep)
 
+(* SAT F at paper scale closes at the separable bound: the warm start
+   already holds the per-block optimum, so the search stops before any
+   CDCL round with the greedy's choice. The 2-qubit circuit is one
+   block of ~300 substitutions, where enumerating its conflict-free
+   subsets instead of the interval DP would never finish. *)
+let test_sat_f_closes_at_bound () =
+  let module W = Qca_workloads.Workloads in
+  List.iter
+    (fun (name, c) ->
+      let part = Block.partition c in
+      let subs = Rules.find_all hw part in
+      let model = Model.build hw part subs in
+      let g = Model.greedy ~site:Qca_util.Fault.Greedy_step model Model.Sat_f in
+      match Model.optimize model Model.Sat_f with
+      | Error _ -> Alcotest.fail (name ^ ": unlimited budget cannot fail")
+      | Ok sol ->
+        checkb (name ^ " proven optimal") true sol.Model.proven_optimal;
+        checki (name ^ " one round") 1 sol.Model.rounds;
+        checki (name ^ " value at the bound") sol.Model.lower_bound
+          sol.Model.objective_value;
+        checkb (name ^ " greedy's choice") true
+          (sol.Model.chosen
+          = List.filter (fun (s : Rules.t) -> g.Model.mask.(s.Rules.id)) subs))
+    [
+      ("random n=2", W.random_template ~seed:1 ~num_qubits:2 ~depth:160);
+      ("random n=3", W.random_template ~seed:2 ~num_qubits:3 ~depth:160);
+      ("random n=4", W.random_template ~seed:3 ~num_qubits:4 ~depth:160);
+      ("qv 3x32", W.quantum_volume ~seed:5 ~num_qubits:3 ~layers:32);
+    ]
+
 let suite =
   [
     ("table I values", `Quick, test_table1_values);
@@ -425,4 +455,5 @@ let suite =
     ("solver option ablation", `Quick, test_solver_options_threaded);
     ("method and hardware names", `Quick, test_method_and_hardware_names);
     ("proven optimal flag", `Quick, test_proven_optimal_flag);
+    ("SAT F closes at the bound", `Quick, test_sat_f_closes_at_bound);
   ]

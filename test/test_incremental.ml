@@ -113,6 +113,25 @@ let test_pipeline_template_certified () =
         objectives)
     corpus
 
+(* Portfolio seats are created on the first CDCL round: a jobs = 2 run
+   that closes at the lower bound spawns none, one that needs rounds
+   spawns one session (kept on the model for later runs). *)
+let test_seats_only_for_cdcl_rounds () =
+  let module Obs = Qca_obs.Metrics in
+  let sessions = Obs.counter "omt.reuse.sessions" in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let part = Block.partition (Workloads.random_template ~seed:1 ~num_qubits:3 ~depth:40) in
+  let model = Model.build hw part (Rules.find_all hw part) in
+  let before = Obs.value sessions in
+  let f = Result.get_ok (Model.optimize ~reuse:true ~jobs:2 model Model.Sat_f) in
+  checkb "SAT F closes at the bound" true (f.Model.rounds = 1 && f.Model.proven_optimal);
+  checki "no seats for a run closed at the bound" before (Obs.value sessions);
+  let r = Result.get_ok (Model.optimize ~reuse:true ~jobs:2 model Model.Sat_r) in
+  checkb "SAT R runs CDCL rounds" true (r.Model.rounds > 1);
+  checki "one session once a round runs" (before + 1) (Obs.value sessions)
+
 let suite =
   [
     ("model incremental differential", `Quick,
@@ -120,4 +139,5 @@ let suite =
     ("model parallel differential", `Quick, test_model_parallel_differential);
     ("model reuse identity", `Quick, test_model_reuse_identity);
     ("pipeline template certified", `Quick, test_pipeline_template_certified);
+    ("seats only for CDCL rounds", `Quick, test_seats_only_for_cdcl_rounds);
   ]

@@ -184,6 +184,123 @@ let test_verified_schedules () =
       [ Model.Sat_f; Model.Sat_r; Model.Sat_p ]
   done
 
+(* {1 The separable lower bound against an independent oracle} *)
+
+(* Every conflict-free subset of [subs] (by Eq. 1 as [Rules.conflicts]
+   reports it), by backtracking over the ids in order. *)
+let conflict_free_subsets subs =
+  let arr = Array.of_list subs in
+  let n = Array.length arr in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i (s : Rules.t) -> Hashtbl.replace index s.Rules.id i) arr;
+  let partners = Array.make n [] in
+  List.iter
+    (fun (a, b) ->
+      let i = Hashtbl.find index a and j = Hashtbl.find index b in
+      partners.(i) <- j :: partners.(i);
+      partners.(j) <- i :: partners.(j))
+    (Rules.conflicts subs);
+  let taken = Array.make n false in
+  let out = ref [] in
+  let rec go i chosen =
+    if i = n then out := chosen :: !out
+    else begin
+      go (i + 1) chosen;
+      if not (List.exists (fun j -> taken.(j)) partners.(i)) then begin
+        taken.(i) <- true;
+        go (i + 1) (arr.(i) :: chosen);
+        taken.(i) <- false
+      end
+    end
+  in
+  go 0 [];
+  !out
+
+(* Seeded small circuits with 1..16 substitutions: the brute-force
+   optimum over every conflict-free subset bounds [lower_bound] from
+   above, equals it for SAT F, and equals the returned value whenever
+   the search claims a proof. *)
+let test_lower_bound_oracle () =
+  let rng = Rng.create 2024 in
+  let cases = ref 0 in
+  while !cases < 40 do
+    let c = random_ibm_circuit rng (2 + Rng.int rng 3) (8 + Rng.int rng 14) in
+    let part = Block.partition c in
+    List.iter
+      (fun hw ->
+        let subs = Rules.find_all hw part in
+        let n = List.length subs in
+        if n >= 1 && n <= 16 then begin
+          incr cases;
+          let oracle = Model.build hw part subs in
+          let subsets = conflict_free_subsets subs in
+          List.iter
+            (fun obj ->
+              let optimum =
+                List.fold_left
+                  (fun m x -> min m (Model.evaluate_choice oracle obj x))
+                  max_int subsets
+              in
+              let sol = Result.get_ok (Model.optimize (Model.build hw part subs) obj) in
+              let name = Model.objective_name obj in
+              checkb (name ^ ": bound is admissible") true (sol.Model.lower_bound <= optimum);
+              Alcotest.(check int) (name ^ ": bound memo") sol.Model.lower_bound
+                (Model.lower_bound oracle obj);
+              if sol.Model.proven_optimal then
+                Alcotest.(check int) (name ^ ": proven value is the optimum") optimum
+                  sol.Model.objective_value;
+              if obj = Model.Sat_f then
+                Alcotest.(check int) "SAT F: bound is the optimum" optimum
+                  sol.Model.lower_bound)
+            [ Model.Sat_f; Model.Sat_r; Model.Sat_p ]
+        end)
+      [ Hardware.d0; Hardware.d1 ]
+  done
+
+(* The interval DP behind [Model.block_min] against exhaustive
+   enumeration of each block's conflict-free subsets, for the
+   objectives' own weights and for seeded weights of either sign. *)
+let test_block_min_oracle () =
+  let rng = Rng.create 77 in
+  let blocks = ref 0 in
+  List.iter
+    (fun c ->
+      let part = Block.partition c in
+      let subs = Rules.find_all hw part in
+      let model = Model.build hw part subs in
+      let random = Hashtbl.create 64 in
+      List.iter
+        (fun (s : Rules.t) -> Hashtbl.replace random s.Rules.id (Rng.int rng 2001 - 1000))
+        subs;
+      Array.iteri
+        (fun b _ ->
+          let mine = List.filter (fun (s : Rules.t) -> s.Rules.block_id = b) subs in
+          if List.length mine <= 14 then begin
+            incr blocks;
+            let subsets = conflict_free_subsets mine in
+            List.iter
+              (fun w ->
+                let brute =
+                  List.fold_left
+                    (fun m x -> min m (List.fold_left (fun a s -> a + w s) 0 x))
+                    max_int subsets
+                in
+                Alcotest.(check int) "block minimum" brute (Model.block_min model w b))
+              [
+                (fun (s : Rules.t) -> -s.Rules.delta_log_fid);
+                (fun (s : Rules.t) -> -s.Rules.delta_duration);
+                (fun (s : Rules.t) -> Hashtbl.find random s.Rules.id);
+              ]
+          end)
+        part.Block.blocks)
+    [
+      Qca_workloads.Workloads.random_template ~seed:7 ~num_qubits:3 ~depth:40;
+      Qca_workloads.Workloads.random_template ~seed:8 ~num_qubits:4 ~depth:40;
+      Qca_workloads.Workloads.quantum_volume ~seed:9 ~num_qubits:4 ~layers:4;
+      random_ibm_circuit rng 3 30;
+    ];
+  checkb "enough blocks checked" true (!blocks >= 20)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_idle_windows_consistent;
@@ -194,4 +311,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pipeline_deterministic;
     ("dl makespan = longest path", `Quick, test_dl_makespan_agrees_with_longest_path);
     ("verified schedules", `Quick, test_verified_schedules);
+    ("lower bound vs brute force", `Quick, test_lower_bound_oracle);
+    ("block minimum vs enumeration", `Quick, test_block_min_oracle);
   ]

@@ -185,10 +185,12 @@ let test_cache_basics () =
   let c = Cache.create ~capacity:2 in
   let k1 = Cache.key ~hardware:"D0" ~method_:"sat-p" ~circuit:sample_text in
   checkb "miss on empty" true (Cache.find c k1 = None);
-  Cache.add c ~key:k1 ~adapted:(circ_of sample_text) ~makespan:(Some 42);
+  Cache.add c ~key:k1 ~adapted:(circ_of sample_text) ~makespan:(Some 42)
+    ~proven:true;
   (match Cache.find c k1 with
   | Some e ->
     checkb "makespan kept" true (e.Cache.makespan = Some 42);
+    checkb "proof flag kept" true e.Cache.proven;
     checks "digest matches" (Cache.digest_hex k1) e.Cache.digest
   | None -> Alcotest.fail "hit expected");
   (* distinct hardware / method / circuit all split the address *)
@@ -206,11 +208,11 @@ let test_cache_lru_eviction () =
   let c = Cache.create ~capacity:2 in
   let key i = Cache.key ~hardware:"D0" ~method_:"sat-p" ~circuit:(string_of_int i) in
   let dummy = circ_of sample_text in
-  Cache.add c ~key:(key 1) ~adapted:dummy ~makespan:None;
-  Cache.add c ~key:(key 2) ~adapted:dummy ~makespan:None;
+  Cache.add c ~key:(key 1) ~adapted:dummy ~makespan:None ~proven:false;
+  Cache.add c ~key:(key 2) ~adapted:dummy ~makespan:None ~proven:false;
   ignore (Cache.find c (key 1));
   (* 2 is now the least recently used *)
-  Cache.add c ~key:(key 3) ~adapted:dummy ~makespan:None;
+  Cache.add c ~key:(key 3) ~adapted:dummy ~makespan:None ~proven:false;
   checki "bounded" 2 (Cache.length c);
   checkb "recently used survives" true (Cache.find c (key 1) <> None);
   checkb "LRU evicted" true (Cache.find c (key 2) = None)
@@ -348,6 +350,7 @@ let test_protocol_response_roundtrip () =
       queue_ms = 3.25;
       trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
       makespan = Some 186;
+      proven = true;
       certified = Some true;
       adapted_text = sample_text;
     }
@@ -356,7 +359,14 @@ let test_protocol_response_roundtrip () =
   | Protocol.Result p' -> checkb "payload survives" true (p' = p)
   | _ -> Alcotest.fail "wrong response kind");
   let bare =
-    { p with reason = None; makespan = None; certified = None; trace_id = "" }
+    {
+      p with
+      reason = None;
+      makespan = None;
+      proven = false;
+      certified = None;
+      trace_id = "";
+    }
   in
   (match roundtrip_response (Protocol.Result bare) with
   | Protocol.Result p' -> checkb "optional fields stay absent" true (p' = bare)
@@ -521,6 +531,7 @@ let test_server_adapt_and_cache () =
   checkb "full tier" true (p1.Protocol.tier = Pipeline.Full);
   checkb "first is a miss" true (p1.Protocol.cache = Protocol.Cache_miss);
   checkb "solver worked" true (p1.Protocol.propagations > 0);
+  checkb "small instance proven optimal" true p1.Protocol.proven;
   (* the adapted text is itself valid and equivalent *)
   let adapted = circ_of p1.Protocol.adapted_text in
   checkb "response parses and is equivalent" true
@@ -533,6 +544,7 @@ let test_server_adapt_and_cache () =
     (p2.Protocol.cache = Protocol.Cache_hit
     || p2.Protocol.cache = Protocol.Cache_revalidated);
   checki "cache hit skips the solver" before (Obs.value sat_conflicts);
+  checkb "cache hit keeps the proof flag" true p2.Protocol.proven;
   checks "same content address" p1.Protocol.cache_key p2.Protocol.cache_key;
   checks "same adapted circuit" p1.Protocol.adapted_text p2.Protocol.adapted_text;
   (* whitespace and comments do not split the content address *)
