@@ -65,7 +65,8 @@ let cmd =
          \"why\"] waiver (QCA-MUT-001); no blocking calls inside a \
          Mutex.lock..unlock span (QCA-LCK-002); raw data-plane Unix \
          syscalls in lib/serve must go through Io (QCA-IO-003); no \
-         Printf/Format inside [@qca.hot] regions (QCA-HOT-004); every \
+         Printf/Format, Trace spans, Array.blit or Array.sort inside \
+         [@qca.hot] regions (QCA-HOT-004); every \
          waiver needs a justification string (QCA-WVR-005).";
       `P "The tree is kept lint-clean: any finding is a regression and the \
           exit code is 1.";

@@ -28,8 +28,8 @@ let rule_catalogue =
       "raw data-plane Unix syscalls in lib/serve must go through Io's \
        EINTR-retrying helpers" );
     ( rule_hot,
-      "no Printf/Format or Trace spans in regions marked [@qca.hot]; \
-       Ring.record and Metrics updates are hot-safe" );
+      "no Printf/Format, Trace spans, Array.blit or Array.sort in regions \
+       marked [@qca.hot]; Ring.record and Metrics updates are hot-safe" );
     ( rule_wvr,
       "waivers must carry a justification: [@@qca.domain_safe \"reason\"] \
        or [@@qca.waive \"QCA-XXX-NNN: reason\"]" );
@@ -133,6 +133,13 @@ let trace_calls =
     "Qca_obs.Trace.instant";
     "Qca_obs.Trace.counter";
   ]
+
+(* Array primitives that cost more than they look in a hot loop:
+   [Array.blit] into a major-heap array pays the write barrier per
+   element even for ints ([Arena.blit_ints] does not), and the sorts
+   are O(n log n) through a comparison closure. *)
+let hot_array_calls =
+  [ "Array.blit"; "Array.sort"; "Array.stable_sort"; "Array.fast_sort" ]
 
 (* The observability calls designed for hot regions: one predictable
    branch when off, lock-free when on. Named so the rule's intent is
@@ -437,6 +444,15 @@ let rec iter_expr ctx e =
            "%s inside a [@qca.hot] region: spans allocate and serialize on \
             the trace mutex; use the flight recorder (Ring.record) or a \
             metric instead"
+           h);
+    if ctx.hot && (not (waived ctx rule_hot)) && List.mem h hot_array_calls
+    then
+      report ctx ~loc:e.pexp_loc rule_hot
+        (Printf.sprintf
+           "%s inside a [@qca.hot] region: blits into int arrays pay the \
+            write barrier per element and sorts pay a comparison closure \
+            per step; use Arena.blit_ints, or merge runs that are already \
+            sorted"
            h);
     if
       ctx.serve_scoped

@@ -33,10 +33,13 @@
       [io.ml], the serve library must reach [Unix.read]/[write]/
       [write_substring]/[single_write]/[recv]/[send] only through
       [Io]'s EINTR-retrying helpers.
-    - [QCA-HOT-004] {e formatting in a hot loop}: inside a function or
-      expression marked [[@qca.hot]], [Printf.*]/[Format.*] and the
-      [print_]/[prerr_] family are forbidden (they allocate and take
-      the runtime lock on channels).
+    - [QCA-HOT-004] {e formatting or hidden cost in a hot loop}:
+      inside a function or expression marked [[@qca.hot]],
+      [Printf.*]/[Format.*] and the [print_]/[prerr_] family are
+      forbidden (they allocate and take the runtime lock on channels),
+      and so are [Trace] spans, [Array.blit] (a write barrier per
+      element into the major heap, even for ints) and the [Array]
+      sorts.
     - [QCA-WVR-005] {e malformed waiver}: every waiver must carry a
       justification — [[@@qca.domain_safe "reason"]] with a non-empty
       string, or [[@@qca.waive "QCA-XXX-NNN: reason"]] naming a known

@@ -28,25 +28,32 @@ let thin ~max_out weights =
   if n <= max_out then weights
   else begin
     (* keep an evenly spaced subset, always including the smallest and
-       the largest (the largest is the clamp target for the marker) *)
-    let kept = Hashtbl.create max_out in
-    Hashtbl.replace kept arr.(0) ();
-    Hashtbl.replace kept arr.(n - 1) ();
+       the largest (the largest is the clamp target for the marker);
+       the weights are distinct, so marking indices marks weights *)
+    let kept = Bytes.make n '\000' in
+    Bytes.set kept 0 '\001';
+    Bytes.set kept (n - 1) '\001';
     for i = 1 to max_out - 2 do
-      Hashtbl.replace kept arr.(i * (n - 1) / (max_out - 1)) ()
+      Bytes.set kept (i * (n - 1) / (max_out - 1)) '\001'
     done;
-    List.filter (fun w -> Hashtbl.mem kept w) weights
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if Bytes.get kept i <> '\000' then acc := arr.(i) :: !acc
+    done;
+    !acc
   end
 
 (* Candidate output weights of a merge: both inputs' weights plus their
    pairwise sums, clamped at [cap]; only candidates reaching at least
    [keep_below] are returned (ascending). Dense merges (candidate count
    on the order of the cap) dedupe-and-sort through a flat seen-bitmap
-   over [1..cap] in one O(|a|·|b| + cap) sweep; sparse merges — huge
+   over [1..cap] in one O(|a|·|b| + cap) sweep. Sparse merges — huge
    cap, few candidates, the norm inside thinned trees where every node
-   carries at most [max_out] outputs — collect into a flat int array
-   and sort, so neither the O(cap) memset/scan nor any boxing is
-   paid. *)
+   carries at most [max_out] outputs — pay neither the O(cap)
+   memset/scan nor a sort: the candidates form |a|+2 rows that are
+   already ascending ([a], [b], and [wa + b] for each [wa]; clamping
+   and the [keep_below] cut keep them so), merged pairwise between two
+   flat buffers with duplicates dropped, O(ncand · log |a|). *)
 let merge_candidates ~cap ~keep_below (a : node) (b : node) =
   let na = List.length a and nb = List.length b in
   let ncand = (na * nb) + na + nb in
@@ -65,28 +72,64 @@ let merge_candidates ~cap ~keep_below (a : node) (b : node) =
     !acc
   end
   else begin
-    let arr = Array.make ncand 0 in
-    let n = ref 0 in
-    let add w =
-      if w > 0 then begin
-        let w = if w < cap then w else cap in
-        if w >= keep_below then begin
-          Array.unsafe_set arr !n w;
-          incr n
-        end
+    (* Lay the rows out as runs of [src], each clamped, cut and
+       deduplicated; run r is [src.(ends.(r-1)) .. src.(ends.(r) - 1)]. *)
+    let src = ref (Array.make ncand 0) and dst = ref (Array.make ncand 0) in
+    let ends = Array.make (na + 2) 0 in
+    let runs = ref 0 and n = ref 0 in
+    let row shift ws =
+      let start = !n and buf = !src in
+      List.iter
+        (fun (w, _) ->
+          let w = shift + w in
+          let w = if w < cap then w else cap in
+          if w > 0 && w >= keep_below && (!n = start || buf.(!n - 1) <> w)
+          then begin
+            buf.(!n) <- w;
+            incr n
+          end)
+        ws;
+      if !n > start then begin
+        ends.(!runs) <- !n;
+        incr runs
       end
     in
-    List.iter (fun (w, _) -> add w) a;
-    List.iter (fun (w, _) -> add w) b;
-    List.iter (fun (wa, _) -> List.iter (fun (wb, _) -> add (wa + wb)) b) a;
-    let filled = Array.sub arr 0 !n in
-    Array.sort (fun (x : int) y -> compare x y) filled;
+    row 0 a;
+    row 0 b;
+    List.iter (fun (wa, _) -> row wa b) a;
+    (* merge adjacent runs pairwise, dropping duplicates, until one is
+       left; [ends] is rewritten in place behind the read position *)
+    while !runs > 1 do
+      let x = !src and y = !dst in
+      let out = ref 0 and r = ref 0 and merged = ref 0 in
+      while !r < !runs do
+        let lo = if !r = 0 then 0 else ends.(!r - 1) in
+        let mid = ends.(!r) in
+        let hi = if !r + 1 < !runs then ends.(!r + 1) else mid in
+        let i = ref lo and j = ref mid in
+        while !i < mid || !j < hi do
+          let w =
+            if !j >= hi then x.(!i)
+            else if !i >= mid then x.(!j)
+            else min x.(!i) x.(!j)
+          in
+          if !i < mid && x.(!i) = w then incr i;
+          if !j < hi && x.(!j) = w then incr j;
+          y.(!out) <- w;
+          incr out
+        done;
+        ends.(!merged) <- !out;
+        incr merged;
+        r := !r + 2
+      done;
+      runs := !merged;
+      src := y;
+      dst := x
+    done;
+    let len = if !runs = 0 then 0 else ends.(0) in
     let acc = ref [] in
-    for i = !n - 1 downto 0 do
-      let w = Array.unsafe_get filled i in
-      match !acc with
-      | hd :: _ when hd = w -> ()
-      | _ -> acc := w :: !acc
+    for k = len - 1 downto 0 do
+      acc := !src.(k) :: !acc
     done;
     !acc
   end

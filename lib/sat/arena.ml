@@ -8,6 +8,26 @@ type cref = int
 
 let header_words = 3
 
+(* [Array.blit] into an array in the major heap goes through
+   [caml_modify] once per element, even when every element is an
+   immediate int; a loop over a statically int-typed array compiles to
+   plain loads and stores. Copies backwards when the ranges overlap
+   with [dst] above [src], like [Array.blit]. *)
+let blit_ints (src : int array) src_off (dst : int array) dst_off len =
+  if
+    len < 0 || src_off < 0 || dst_off < 0
+    || src_off > Array.length src - len
+    || dst_off > Array.length dst - len
+  then invalid_arg "Arena.blit_ints";
+  if src == dst && src_off < dst_off then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dst_off + i) (Array.unsafe_get src (src_off + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dst_off + i) (Array.unsafe_get src (src_off + i))
+    done
+
 let create ?(capacity = 1024) () =
   { data = Array.make (max capacity 4) 0; used = 0; wasted = 0 }
 
@@ -15,7 +35,7 @@ let ensure t extra =
   if t.used + extra > Array.length t.data then begin
     let cap = max (t.used + extra) (2 * Array.length t.data) in
     let data = Array.make cap 0 in
-    Array.blit t.data 0 data 0 t.used;
+    blit_ints t.data 0 data 0 t.used;
     t.data <- data
   end
 
@@ -27,9 +47,10 @@ let alloc_slice t ~learnt lits n =
   t.data.(c) <- (n lsl 3) lor (if learnt then 4 else 0);
   t.data.(c + 1) <- 0;
   t.data.(c + 2) <- 0;
-  Array.blit lits 0 t.data (c + header_words) n;
+  blit_ints lits 0 t.data (c + header_words) n;
   t.used <- c + header_words + n;
   c
+  [@@qca.hot]
 
 let alloc t ~learnt lits = alloc_slice t ~learnt lits (Array.length lits)
 
@@ -75,7 +96,7 @@ let reloc t ~into c =
     let n = size t c in
     ensure into (n + header_words);
     let c' = into.used in
-    Array.blit t.data c into.data c' (n + header_words);
+    blit_ints t.data c into.data c' (n + header_words);
     into.used <- c' + header_words + n;
     (* leave a forwarding address behind *)
     t.data.(c) <- t.data.(c) lor 1;

@@ -30,6 +30,12 @@ type t = {
     layout knowledge confined to the accessors and the solver's hot
     paths. *)
 
+val blit_ints : int array -> int -> int array -> int -> int -> unit
+(** [blit_ints src src_off dst dst_off len] is [Array.blit] for int
+    arrays (same bounds check, overlap handled) without the per-element
+    write barrier [Array.blit] pays when [dst] lives in the major heap.
+    Every int-array copy in the solver goes through it. *)
+
 type cref = int
 (** Word offset of a clause header. Never 0-aligned guarantees are
     assumed; any non-negative header offset is valid. *)

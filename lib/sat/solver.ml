@@ -234,15 +234,21 @@ type t = {
   mutable ok : bool;
   mutable has_model : bool;
   mutable core : Lit.t list;
-  (* Inprocessing state. [originals] keeps every clause handed to
-     {!add_clause} verbatim (shared list pointers, no copy) so
-     {!export_problem} can snapshot the problem independently of any
-     simplification; [eliminated]/[elim_stack] carry bounded variable
-     elimination (saved occurrence clauses, most recent entry first) for
-     model extension and restore-on-mention; [frozen] vars are exempt
-     from elimination (assumption vars and once-restored vars, so
-     incremental callers do not thrash the stack). *)
-  originals : Lit.t list Vec.t;
+  (* Inprocessing state. The original-clause journal keeps every
+     clause handed to {!add_clause} verbatim, as flat literals
+     [orig_lits] plus per-clause end offsets [orig_ends] (ints only, so
+     the journal holds no list cells alive and is written without the
+     write barrier); {!export_problem} rebuilds the lists from it,
+     independently of any simplification. [eliminated]/[elim_stack]
+     carry bounded variable elimination (saved occurrence clauses, most
+     recent entry first) for model extension and restore-on-mention;
+     [frozen] vars are exempt from elimination (assumption vars and
+     once-restored vars, so incremental callers do not thrash the
+     stack). *)
+  mutable orig_lits : int array;
+  mutable orig_nlits : int;
+  mutable orig_ends : int array;  (* clause i = orig_lits[ends(i-1), ends(i)) *)
+  mutable orig_n : int;
   mutable eliminated : bool array;  (* var -> currently eliminated *)
   mutable frozen : bool array;  (* var -> never eliminate *)
   mutable elim_value : bool array;  (* extended model values (valid after Sat) *)
@@ -315,7 +321,10 @@ let create ?(options = default_options) () =
     ok = true;
     has_model = false;
     core = [];
-    originals = Vec.create ~dummy:[] ();
+    orig_lits = Array.make 256 0;
+    orig_nlits = 0;
+    orig_ends = Array.make 64 0;
+    orig_n = 0;
     eliminated = Array.make initial_cap false;
     frozen = Array.make initial_cap false;
     elim_value = Array.make initial_cap false;
@@ -352,15 +361,15 @@ let proof_enabled t = t.proof_on
 let proof_log t = Array.sub t.proof_buf 0 t.proof_len
 let proof_words t = t.proof_len
 
+(* A copy of [a] at least [need] long (doubling), zero-filled. *)
+let grow_ints a need =
+  let fresh = Array.make (max need (2 * Array.length a)) 0 in
+  Arena.blit_ints a 0 fresh 0 (Array.length a);
+  fresh
+
 let proof_ensure t extra =
-  if t.proof_len + extra > Array.length t.proof_buf then begin
-    let cap =
-      max (t.proof_len + extra) (max 256 (2 * Array.length t.proof_buf))
-    in
-    let fresh = Array.make cap 0 in
-    Array.blit t.proof_buf 0 fresh 0 t.proof_len;
-    t.proof_buf <- fresh
-  end
+  if t.proof_len + extra > Array.length t.proof_buf then
+    t.proof_buf <- grow_ints t.proof_buf (max 256 (t.proof_len + extra))
 
 (* One event: header [n lsl 1 lor delete], then n literals copied from
    [src] starting at [off]. All emission sites guard on [proof_on]
@@ -369,7 +378,7 @@ let proof_ensure t extra =
 let proof_emit t ~delete src off n =
   proof_ensure t (n + 1);
   t.proof_buf.(t.proof_len) <- (n lsl 1) lor (if delete then 1 else 0);
-  Array.blit src off t.proof_buf (t.proof_len + 1) n;
+  Arena.blit_ints src off t.proof_buf (t.proof_len + 1) n;
   t.proof_len <- t.proof_len + n + 1;
   Obs.incr m_proof_events
 
@@ -417,17 +426,22 @@ let grow_arrays t n =
       Array.blit a 0 fresh 0 old;
       fresh
     in
-    t.assigns <- copy_arr t.assigns (-1);
+    let copy_ints a fill =
+      let fresh = Array.make cap fill in
+      Arena.blit_ints a 0 fresh 0 old;
+      fresh
+    in
+    t.assigns <- copy_ints t.assigns (-1);
     t.phase <- copy_arr t.phase t.opts.phase_init;
-    t.reason <- copy_arr t.reason no_reason;
-    t.level <- copy_arr t.level 0;
+    t.reason <- copy_ints t.reason no_reason;
+    t.level <- copy_ints t.level 0;
     t.seen <- copy_arr t.seen false;
     t.eliminated <- copy_arr t.eliminated false;
     t.frozen <- copy_arr t.frozen false;
     t.elim_value <- copy_arr t.elim_value false;
-    t.trail <- copy_arr t.trail 0;
-    t.hheap <- copy_arr t.hheap 0;
-    t.hindex <- copy_arr t.hindex (-1);
+    t.trail <- copy_ints t.trail 0;
+    t.hheap <- copy_ints t.hheap 0;
+    t.hindex <- copy_ints t.hindex (-1);
     let hact = Array.make cap 0.0 in
     Array.blit t.hact 0 hact 0 old;
     t.hact <- hact;
@@ -435,7 +449,7 @@ let grow_arrays t n =
       (* [solve] may have grown these beyond cap+1 for assumption
          levels; never shrink *)
       let fresh = Array.make (max (cap + 1) (Array.length a)) fill in
-      Array.blit a 0 fresh 0 (Array.length a);
+      Arena.blit_ints a 0 fresh 0 (Array.length a);
       fresh
     in
     t.trail_lim <- copy_plus t.trail_lim 0;
@@ -448,10 +462,10 @@ let grow_arrays t n =
     Array.blit t.wdata 0 wdata 0 oldw;
     t.wdata <- wdata;
     let wsize = Array.make (2 * cap) 0 in
-    Array.blit t.wsize 0 wsize 0 oldw;
+    Arena.blit_ints t.wsize 0 wsize 0 oldw;
     t.wsize <- wsize;
     let lmark = Array.make (2 * cap) 0 in
-    Array.blit t.lmark 0 lmark 0 (Array.length t.lmark);
+    Arena.blit_ints t.lmark 0 lmark 0 (Array.length t.lmark);
     t.lmark <- lmark
   end
 
@@ -565,7 +579,7 @@ let[@inline] enqueue t l reason =
 let push_watch_grow t l =
   let d = t.wdata.(l) in
   let d' = Array.make (max 4 (2 * Array.length d)) 0 in
-  Array.blit d 0 d' 0 t.wsize.(l);
+  Arena.blit_ints d 0 d' 0 t.wsize.(l);
   t.wdata.(l) <- d';
   d'
 
@@ -576,6 +590,7 @@ let[@inline] push_watch t l blocker word =
   Array.unsafe_set d n blocker;
   Array.unsafe_set d (n + 1) word;
   Array.unsafe_set t.wsize l (n + 2)
+  [@@qca.hot]
 
 let attach_clause t cr =
   let ad = t.arena.Arena.data in
@@ -619,7 +634,7 @@ let propagate t =
         j := !j + 2;
         if lit_value_raw t blocker = 0 then begin
           confl := word lsr 1;
-          Array.blit wd !i wd !j (n - !i);
+          Arena.blit_ints wd !i wd !j (n - !i);
           j := !j + (n - !i);
           i := n
         end
@@ -660,7 +675,7 @@ let propagate t =
             if lit_value_raw t first = 0 then begin
               (* conflict: keep the remaining watchers untouched *)
               confl := cr;
-              Array.blit wd !i wd !j (n - !i);
+              Arena.blit_ints wd !i wd !j (n - !i);
               j := !j + (n - !i);
               i := n
             end
@@ -834,7 +849,7 @@ let analyze t conflict =
   buf.(0) <- !p lxor 1;
   let len = !buf_len in
   (* minimization: drop literals implied by the rest of the clause *)
-  Array.blit buf 0 t.toclear 0 len;
+  Arena.blit_ints buf 0 t.toclear 0 len;
   t.toclear_size <- len;
   let keep =
     if t.opts.use_minimization && len > 1 then begin
@@ -1682,17 +1697,33 @@ let simplify ?(force = false) t =
     else t.simplify_requested <- true
   end
 
+(* Checks the variables and appends the pristine clause to the
+   journal, for export_problem. The new literals only count once the
+   whole clause has passed the check. A top-level recursion, so the
+   per-clause call allocates no closure. *)
+let rec journal_lits t n = function
+  | [] -> n
+  | l :: rest ->
+    if Lit.var l >= t.nvars then
+      invalid_arg "Solver.add_clause: unknown variable";
+    if n = Array.length t.orig_lits then
+      t.orig_lits <- grow_ints t.orig_lits (n + 1);
+    Array.unsafe_set t.orig_lits n l;
+    journal_lits t (n + 1) rest
+
+let journal_clause t lits =
+  let n = journal_lits t t.orig_nlits lits in
+  if t.orig_n = Array.length t.orig_ends then
+    t.orig_ends <- grow_ints t.orig_ends (t.orig_n + 1);
+  t.orig_ends.(t.orig_n) <- n;
+  t.orig_n <- t.orig_n + 1;
+  t.orig_nlits <- n
+
 let add_clause t lits =
   backtrack_to t 0;
   t.has_model <- false;
   if t.ok then begin
-    List.iter
-      (fun l ->
-        if Lit.var l >= t.nvars then
-          invalid_arg "Solver.add_clause: unknown variable")
-      lits;
-    (* the pristine clause, for export_problem (shared pointer, no copy) *)
-    Vec.push t.originals lits;
+    journal_clause t lits;
     (* an incremental caller re-mentioning an eliminated variable brings
        it (and everything eliminated since) back first; the scan is
        skipped outright while nothing stands eliminated *)
@@ -1867,12 +1898,12 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
     let lim_cap = t.nvars + Array.length assumptions + 1 in
     if lim_cap > Array.length t.trail_lim then begin
       let fresh = Array.make lim_cap 0 in
-      Array.blit t.trail_lim 0 fresh 0 (Array.length t.trail_lim);
+      Arena.blit_ints t.trail_lim 0 fresh 0 (Array.length t.trail_lim);
       t.trail_lim <- fresh
     end;
     if lim_cap > Array.length t.lbd_stamp then begin
       let fresh = Array.make lim_cap (-1) in
-      Array.blit t.lbd_stamp 0 fresh 0 (Array.length t.lbd_stamp);
+      Arena.blit_ints t.lbd_stamp 0 fresh 0 (Array.length t.lbd_stamp);
       t.lbd_stamp <- fresh
     end;
     (* Knuth's O(1) Luby generator: [v] runs 1 1 2 1 1 2 4 ... *)
@@ -2023,13 +2054,23 @@ let options t = t.opts
    exports one empty clause. *)
 type problem = { p_nvars : int; p_clauses : Lit.t list list }
 
+(* Journal clauses [start ..], rebuilt as fresh lists in addition
+   order (each list back to front, so no reversal is needed). *)
+let originals_since t start =
+  let cls = ref [] in
+  for i = t.orig_n - 1 downto max 0 start do
+    let lo = if i = 0 then 0 else t.orig_ends.(i - 1) in
+    let c = ref [] in
+    for k = t.orig_ends.(i) - 1 downto lo do
+      c := t.orig_lits.(k) :: !c
+    done;
+    cls := !c :: !cls
+  done;
+  !cls
+
 let export_problem t =
   if not t.ok then { p_nvars = t.nvars; p_clauses = [ [] ] }
-  else begin
-    let cls = ref [] in
-    Vec.iter (fun c -> cls := c :: !cls) t.originals;
-    { p_nvars = t.nvars; p_clauses = List.rev !cls }
-  end
+  else { p_nvars = t.nvars; p_clauses = originals_since t 0 }
 
 let import_problem ?options ?(proof = false) p =
   let s = create ?options () in
@@ -2038,19 +2079,11 @@ let import_problem ?options ?(proof = false) p =
   List.iter (fun c -> add_clause s c) p.p_clauses;
   s
 
-(* Delta export for persistent clones: the [originals] journal is
-   append-only, so (watermark, length) windows name exactly the clauses
-   added between two points in time. A session syncs its seats by
-   replaying the window plus any new variables. *)
-let num_originals t = Vec.length t.originals
-
-let originals_since t start =
-  let n = Vec.length t.originals in
-  let cls = ref [] in
-  for i = n - 1 downto max 0 start do
-    cls := Vec.get t.originals i :: !cls
-  done;
-  !cls
+(* Delta export for persistent clones: the journal is append-only, so
+   (watermark, length) windows name exactly the clauses added between
+   two points in time. A session syncs its seats by replaying the
+   window ({!originals_since}) plus any new variables. *)
+let num_originals t = t.orig_n
 
 (* Read-only snapshot of the internal state for the invariant auditor
    (lib/check). Scalar fields are copies; the arrays are shared with the

@@ -172,9 +172,12 @@ val options : t -> options
 (** {1 Problem export (portfolio cloning)}
 
     {!export_problem} snapshots the problem a solver holds — variable
-    count plus exactly the clauses that were added, verbatim, untouched
-    by simplification or root-level rewriting (the importer
-    re-normalizes and re-derives root facts). Learnt clauses are
+    count plus exactly the clauses that were added, verbatim (same
+    literal order, duplicates and tautologies kept), untouched by
+    simplification or root-level rewriting (the importer re-normalizes
+    and re-derives root facts). The solver journals each added clause
+    as flat literals, not as the caller's list, so every export builds
+    fresh lists. Learnt clauses are
     implied and not exported; a refuted solver exports one empty
     clause. {!import_problem} rebuilds an equivalent fresh solver,
     possibly under different {!options} — this is how
@@ -189,7 +192,8 @@ val import_problem : ?options:options -> ?proof:bool -> problem -> t
     clone's log covers its whole derivation. *)
 
 val num_originals : t -> int
-(** Length of the append-only original-clause journal. Together with
+(** Number of clauses in the append-only original-clause journal (one
+    per {!add_clause} call made while the solver was {!okay}). Together with
     {!originals_since} this supports delta synchronization of
     persistent clones: record the length as a watermark, later replay
     exactly the clauses added since. *)

@@ -430,6 +430,30 @@ let test_sat_f_closes_at_bound () =
       ("qv 3x32", W.quantum_volume ~seed:5 ~num_qubits:3 ~layers:32);
     ]
 
+(* Two depth-100 R/P searches are pinned end to end: objective, rounds
+   and the CDCL counters. They move only when the encoding (selector,
+   cuts) or the solver's search changes; values computed with the
+   original clause-insertion path and the sort-based sparse merge. *)
+let test_deep_search_pinned () =
+  List.iter
+    (fun (name, seed, obj, (value, rounds, conflicts, decisions, props)) ->
+      let c =
+        Qca_workloads.Workloads.random_template ~seed ~num_qubits:4 ~depth:100
+      in
+      let part = Block.partition c in
+      let model = Model.build hw part (Rules.find_all hw part) in
+      let sol = Result.get_ok (Model.optimize model obj) in
+      let st = Model.sat_stats model in
+      checki (name ^ " objective") value sol.Model.objective_value;
+      checki (name ^ " rounds") rounds sol.Model.rounds;
+      checki (name ^ " conflicts") conflicts st.Solver.conflicts;
+      checki (name ^ " decisions") decisions st.Solver.decisions;
+      checki (name ^ " propagations") props st.Solver.propagations)
+    [
+      ("SAT R seed 3", 3, Model.Sat_r, (8844, 20, 13, 193591, 320203));
+      ("SAT P seed 4", 4, Model.Sat_p, (14331310600, 19, 11, 169240, 288823));
+    ]
+
 let suite =
   [
     ("table I values", `Quick, test_table1_values);
@@ -456,4 +480,5 @@ let suite =
     ("method and hardware names", `Quick, test_method_and_hardware_names);
     ("proven optimal flag", `Quick, test_proven_optimal_flag);
     ("SAT F closes at the bound", `Quick, test_sat_f_closes_at_bound);
+    ("depth-100 R/P search pinned", `Quick, test_deep_search_pinned);
   ]

@@ -123,6 +123,20 @@ let test_hot_metrics_safe () =
     \  Obs.observe h v\n\
     \  [@@qca.hot]\n"
 
+let test_hot_array_calls_flagged () =
+  check_rules "Array.blit and Array.sort inside [@qca.hot]"
+    ~expect:[ "QCA-HOT-004"; "QCA-HOT-004" ]
+    "let step a b n =\n\
+    \  Array.blit a 0 b 0 n;\n\
+    \  Array.sort compare b\n\
+    \  [@@qca.hot]\n"
+
+let test_hot_blit_ints_safe () =
+  check_rules "Array.blit outside hot regions and Arena.blit_ints are fine"
+    ~expect:[]
+    "let grow a b n = Array.blit a 0 b 0 n\n\
+     let step a b n = Arena.blit_ints a 0 b 0 n [@@qca.hot]\n"
+
 (* {1 QCA-WVR-005: malformed waivers} *)
 
 let test_wvr_empty_reason () =
@@ -231,4 +245,6 @@ let suite =
     ("json reporter", `Quick, test_json_shape);
     ("text reporter", `Quick, test_text_reporter);
     ("tree is lint-clean", `Quick, test_tree_is_clean);
+    ("HOT: array blit and sort flagged", `Quick, test_hot_array_calls_flagged);
+    ("HOT: blit_ints and cold blit clean", `Quick, test_hot_blit_ints_safe);
   ]

@@ -389,6 +389,83 @@ let test_stats_counted () =
   checkb "conflicts counted" true (st.Solver.conflicts > 0);
   checkb "propagations counted" true (st.Solver.propagations > 0)
 
+(* {1 Int copies and the clause journal} *)
+
+(* [Arena.blit_ints] against [Array.blit] on random ranges: distinct
+   arrays, overlapping forward and backward copies within one array,
+   length 0, and out-of-range arguments (both must raise). *)
+let test_blit_ints_matches_blit () =
+  let rng = Rng.create 77 in
+  let outcome f =
+    match f () with () -> true | exception Invalid_argument _ -> false
+  in
+  for _ = 1 to 2000 do
+    let n = Rng.int rng 40 in
+    let src = Array.init n (fun _ -> Rng.int rng 1000 - 500) in
+    let same = Rng.bool rng in
+    let m = if same then n else Rng.int rng 40 in
+    let dst = Array.init m (fun _ -> Rng.int rng 1000) in
+    let range k = Rng.int rng (k + 3) - 1 in
+    let so = range n and d_o = range m in
+    let len = if Rng.int rng 8 = 0 then 0 else range (max n m) in
+    let a_src = Array.copy src and b_src = Array.copy src in
+    let a_dst = if same then a_src else Array.copy dst in
+    let b_dst = if same then b_src else Array.copy dst in
+    let ok_a = outcome (fun () -> Array.blit a_src so a_dst d_o len) in
+    let ok_b = outcome (fun () -> Arena.blit_ints b_src so b_dst d_o len) in
+    checkb "same bounds verdict" ok_a ok_b;
+    checkb "same destination" true (a_dst = b_dst);
+    checkb "same source" true (a_src = b_src)
+  done
+
+(* The journal hands back exactly what [add_clause] received: literal
+   order, duplicate literals, tautologies and root-satisfied clauses
+   included, after propagation has moved watches in the arena and after
+   a forced inprocessing pass, and from a watermark taken midway. *)
+let test_journal_fidelity () =
+  let s = Solver.create () in
+  let v = Array.init 12 (fun _ -> Solver.new_var s) in
+  let p i = Lit.pos v.(i) and n i = Lit.neg_of_var v.(i) in
+  let first =
+    [
+      [ p 2; p 0; p 1 ];
+      [ n 3; p 1; n 3; p 4 ];  (* duplicate literal *)
+      [ p 5; n 5; p 6 ];  (* tautology *)
+      [ p 7 ];
+      [ p 8; p 7; n 9 ];  (* satisfied at the root *)
+      [ n 7; p 9; p 10; p 11 ];  (* root-false literal *)
+    ]
+  in
+  List.iter (Solver.add_clause s) first;
+  let mark = Solver.num_originals s in
+  let second =
+    [
+      [ n 0; n 1; p 3 ];
+      [ n 2; p 4; p 5; p 6 ];
+      [ n 9 ];  (* forces watch moves in the clauses above *)
+      [ n 10; n 11 ];
+      [ p 0; p 2; p 0 ];
+      [ n 4; n 6; p 8; p 11 ];
+    ]
+  in
+  List.iter (Solver.add_clause s) second;
+  let check what =
+    checki (what ^ ": count") (List.length first + List.length second)
+      (Solver.num_originals s);
+    checkb (what ^ ": export") true
+      ((Solver.export_problem s).Solver.p_clauses = first @ second);
+    checkb (what ^ ": from the watermark") true
+      (Solver.originals_since s mark = second);
+    checkb (what ^ ": past the end") true
+      (Solver.originals_since s (Solver.num_originals s) = [])
+  in
+  check "after propagation";
+  Alcotest.check result "sat" Solver.Sat (Solver.solve s);
+  check "after search";
+  Solver.simplify ~force:true s;
+  check "after simplify";
+  checki "p_nvars" 12 (Solver.export_problem s).Solver.p_nvars
+
 let suite =
   [
     ("empty problem", `Quick, test_empty_problem);
@@ -411,4 +488,6 @@ let suite =
     ("incremental clauses", `Quick, test_incremental_clause_addition);
     ("literal representation", `Quick, test_lit_representation);
     ("stats", `Quick, test_stats_counted);
+    ("blit_ints matches Array.blit", `Quick, test_blit_ints_matches_blit);
+    ("journal fidelity", `Quick, test_journal_fidelity);
   ]
