@@ -110,25 +110,6 @@ let totalizer_instance ~max_out =
   | Some r -> ignore (Totalizer.assume_at_most_approx ~resolution:r s terms 500));
   s
 
-(* The exact totalizer CNF with a simplify request pending, solved
-   under its bound assumption. The request is deferred: it is honored
-   at the first restart boundary, so a propagation-only instance like
-   this one never pays for the full inprocessing pass (occurrence
-   index, subsumption, BVE, probing, vivification) — the row documents
-   that the gate works by staying within 1.5x of the plain
-   totalizer-exact row. *)
-let totalizer_solved_instance () =
-  let s = Sat.create () in
-  let terms =
-    List.init 24 (fun i -> (Lit.pos (Sat.new_var s), 37 + (13 * (i mod 5))))
-  in
-  (match Totalizer.assume_at_most s terms 500 with
-  | Some a ->
-    Sat.simplify s;
-    assert (Sat.solve ~assumptions:[ a ] s = Sat.Sat)
-  | None -> assert false);
-  s
-
 let noise =
   {
     Density.gate_fidelity = Hardware.fidelity hw;
@@ -183,17 +164,11 @@ let tests =
              ignore
                (php_instance
                   { Sat.default_options with use_phase_saving = false })));
-      Test.make ~name:"ablation-sat/no-simplify"
-        (stage (fun () ->
-             ignore
-               (php_instance { Sat.default_options with use_simplify = false })));
       (* Ablations: exact vs thinned PB encodings *)
       Test.make ~name:"ablation-encoding/totalizer-exact"
         (stage (fun () -> ignore (totalizer_instance ~max_out:None)));
       Test.make ~name:"ablation-encoding/totalizer-thinned"
         (stage (fun () -> ignore (totalizer_instance ~max_out:(Some 16))));
-      Test.make ~name:"ablation-encoding/totalizer-exact-simplify"
-        (stage (fun () -> ignore (totalizer_solved_instance ())));
       (* Ablations: exact OMT vs the greedy heuristic *)
       Test.make ~name:"ablation-omt/sat-p"
         (stage (fun () ->
@@ -232,8 +207,8 @@ let plain_row ns =
 
    One un-timed rerun of every solver-touching micro-benchmark, with
    the search counters read back afterwards, so the JSON rows carry
-   conflicts/propagations/omt_rounds instead of nulls and the simplify
-   ablation rows are comparable on work done, not just wall time. All
+   conflicts/propagations/omt_rounds instead of nulls and the ablation
+   rows are comparable on work done, not just wall time. All
    workloads here are deterministic, so the counters match what the
    timed Bechamel runs did. *)
 
@@ -274,15 +249,10 @@ let micro_telemetry () =
     ( "qca/ablation-sat/no-phase-saving",
       sat_counters
         (php_instance { Sat.default_options with use_phase_saving = false }) );
-    ( "qca/ablation-sat/no-simplify",
-      sat_counters
-        (php_instance { Sat.default_options with use_simplify = false }) );
     ( "qca/ablation-encoding/totalizer-exact",
       sat_counters (totalizer_instance ~max_out:None) );
     ( "qca/ablation-encoding/totalizer-thinned",
       sat_counters (totalizer_instance ~max_out:(Some 16)) );
-    ( "qca/ablation-encoding/totalizer-exact-simplify",
-      sat_counters (totalizer_solved_instance ()) );
     ("qca/ablation-omt/sat-p", adapt_counters (Pipeline.Sat Model.Sat_p));
     ("qca/ablation-omt/greedy-p", adapt_counters (Pipeline.Greedy Model.Sat_p));
   ]

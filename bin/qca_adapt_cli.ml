@@ -16,7 +16,7 @@ module Cli = Qca_obs.Cli
 open Qca_adapt
 
 let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
-    no_simplify no_incremental certify metrics trace_out =
+    no_incremental certify metrics trace_out =
   Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
@@ -33,11 +33,8 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
         ?max_conflicts:(Option.map (fun n -> max 0 n) max_conflicts)
         ()
     in
-    let options =
-      { Solver.default_options with use_simplify = not no_simplify }
-    in
     let o =
-      Pipeline.adapt_governed ~options ~budget ~jobs
+      Pipeline.adapt_governed ~budget ~jobs
         ~incremental:(not no_incremental) hw method_ circuit
     in
     let baseline =
@@ -129,13 +126,6 @@ let jobs_arg =
   in
   Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_simplify_arg =
-  let doc =
-    "Disable CDCL inprocessing (subsumption, variable elimination, probing, \
-     vivification) in every solver call of the pipeline."
-  in
-  Arg.(value & flag & info [ "no-simplify" ] ~doc)
-
 let no_incremental_arg =
   let doc =
     "Rebuild the solver from scratch on every OMT round instead of keeping \
@@ -170,7 +160,7 @@ let cmd =
   Cmd.v (Cmd.info "qca-adapt" ~doc)
     Term.(
       const run $ method_arg $ hw_arg $ input_arg $ show_arg $ timeout_arg
-      $ conflicts_arg $ jobs_arg $ no_simplify_arg $ no_incremental_arg
+      $ conflicts_arg $ jobs_arg $ no_incremental_arg
       $ certify_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

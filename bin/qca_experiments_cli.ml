@@ -7,7 +7,6 @@ open Cmdliner
 module E = Qca_experiments.Experiments
 module Workloads = Qca_workloads.Workloads
 module Hardware = Qca_adapt.Hardware
-module Solver = Qca_sat.Solver
 module Clock = Qca_util.Clock
 module Trace = Qca_obs.Trace
 module Cli = Qca_obs.Cli
@@ -28,8 +27,8 @@ let artifacts = [ "table1"; "eq11"; "fig5"; "fig6"; "fig7"; "all" ]
 let suite fast =
   if fast then Workloads.simulation_suite () else Workloads.evaluation_suite ()
 
-let run what hw_name fast timeout_ms jobs no_simplify no_incremental
-    csv_out metrics trace_out =
+let run what hw_name fast timeout_ms jobs no_incremental csv_out metrics
+    trace_out =
   Cli.obs_start ~metrics ~trace_out;
   let checked =
     if List.mem what artifacts then Hardware.of_string hw_name
@@ -43,9 +42,6 @@ let run what hw_name fast timeout_ms jobs no_simplify no_incremental
     prerr_endline ("error: " ^ msg);
     3
   | Ok hw ->
-    let options =
-      { Solver.default_options with use_simplify = not no_simplify }
-    in
     let on_progress = progress_line (Clock.now ()) in
     let some_degraded = ref false in
     let note rows =
@@ -64,14 +60,13 @@ let run what hw_name fast timeout_ms jobs no_simplify no_incremental
     let figs56 () =
       note
         (Trace.span "fig5_fig6" (fun () ->
-             E.fig5_fig6 ~options ?timeout_ms ~jobs
-               ~incremental:(not no_incremental) ~on_progress hw
-               (suite fast)))
+             E.fig5_fig6 ?timeout_ms ~jobs ~incremental:(not no_incremental)
+               ~on_progress hw (suite fast)))
     in
     let sim () =
       note_sim
         (Trace.span "fig7" (fun () ->
-             E.fig7 ~options ?timeout_ms ~jobs ~on_progress hw
+             E.fig7 ?timeout_ms ~jobs ~on_progress hw
                (Workloads.simulation_suite ())))
     in
     (match what with
@@ -124,13 +119,6 @@ let jobs_arg =
   in
   Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_simplify_arg =
-  let doc =
-    "Disable CDCL inprocessing (subsumption, variable elimination, probing, \
-     vivification) in every adaptation of the matrix."
-  in
-  Arg.(value & flag & info [ "no-simplify" ] ~doc)
-
 let no_incremental_arg =
   let doc =
     "Disable solver reuse in the SMT rows: no shared per-case template, and \
@@ -163,7 +151,7 @@ let cmd =
     (Cmd.info "qca-experiments" ~doc)
     Term.(
       const run $ what_arg $ hw_arg $ fast_arg $ timeout_arg $ jobs_arg
-      $ no_simplify_arg $ no_incremental_arg $ csv_arg
+      $ no_incremental_arg $ csv_arg
       $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

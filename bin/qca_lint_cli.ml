@@ -23,8 +23,7 @@ let report name issues =
   List.iter (fun i -> Format.printf "%s: %a@." name Lint.pp_issue i) issues;
   Lint.errors issues <> []
 
-let run input hw_name certify method_name timeout_ms jobs no_simplify metrics
-    trace_out =
+let run input hw_name certify method_name timeout_ms jobs metrics trace_out =
   Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
@@ -50,12 +49,7 @@ let run input hw_name certify method_name timeout_ms jobs no_simplify metrics
       if not certify then false
       else begin
         let budget = Solver.budget ?timeout_ms () in
-        let options =
-          { Solver.default_options with use_simplify = not no_simplify }
-        in
-        let o =
-          Pipeline.adapt_governed ~options ~budget ~jobs hw method_ circuit
-        in
+        let o = Pipeline.adapt_governed ~budget ~jobs hw method_ circuit in
         let issues =
           Trace.span "certify" (fun () ->
               Lint.certify_adaptation hw ~original:circuit
@@ -114,13 +108,6 @@ let jobs_arg =
   in
   Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_simplify_arg =
-  let doc =
-    "Disable CDCL inprocessing (subsumption, variable elimination, probing, \
-     vivification) in --certify's adaptation."
-  in
-  Arg.(value & flag & info [ "no-simplify" ] ~doc)
-
 let metrics_arg =
   let doc = "Print the metrics-registry summary to stderr on exit." in
   Arg.(value & flag & info [ "metrics" ] ~doc)
@@ -137,6 +124,6 @@ let cmd =
   Cmd.v (Cmd.info "qca-lint" ~doc)
     Term.(
       const run $ input_arg $ hw_arg $ certify_arg $ method_arg $ timeout_arg
-      $ jobs_arg $ no_simplify_arg $ metrics_arg $ trace_out_arg)
+      $ jobs_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

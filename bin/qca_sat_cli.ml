@@ -12,8 +12,8 @@ module Portfolio = Qca_par.Portfolio
 module Trace = Qca_obs.Trace
 module Cli = Qca_obs.Cli
 
-let run input no_vsids no_restarts no_phase_saving no_simplify jobs
-    stats timeout_ms max_conflicts certify metrics trace_out =
+let run input no_vsids no_restarts no_phase_saving jobs stats timeout_ms
+    max_conflicts certify metrics trace_out =
   Cli.obs_start ~metrics ~trace_out;
   match
     Result.bind (Cli.read_input input) (fun text ->
@@ -29,7 +29,6 @@ let run input no_vsids no_restarts no_phase_saving no_simplify jobs
         use_vsids = not no_vsids;
         use_restarts = not no_restarts;
         use_phase_saving = not no_phase_saving;
-        use_simplify = not no_simplify;
       }
     in
     let budget =
@@ -40,11 +39,6 @@ let run input no_vsids no_restarts no_phase_saving no_simplify jobs
     let solver =
       Trace.span "encode" (fun () -> Dimacs.load ~options ~proof:certify problem)
     in
-    (* File-based solving is one-shot: force the full inprocessing pass
-       now instead of leaving a deferred request for the restart-gated
-       schedule (which zero-conflict instances would never honor). *)
-    if not no_simplify then
-      Trace.span "simplify" (fun () -> Solver.simplify ~force:true solver);
     let outcome =
       Trace.span "solve" (fun () ->
           Portfolio.solve_portfolio ~budget ~proof:certify ~jobs solver)
@@ -94,12 +88,7 @@ let run input no_vsids no_restarts no_phase_saving no_simplify jobs
         st.Solver.deleted_clauses;
       Printf.printf "c minimized    %d literals\n" st.Solver.minimized_literals;
       Printf.printf "c arena gcs    %d\n" st.Solver.arena_gcs;
-      Printf.printf "c avg lbd      %.2f\n" st.Solver.avg_lbd;
-      Printf.printf "c simplify     %d rounds: %d subsumed, %d strengthened, \
-                     %d vars eliminated, %d vivified, %d failed literals\n"
-        st.Solver.simplify_rounds st.Solver.subsumed_clauses
-        st.Solver.strengthened_clauses st.Solver.eliminated_vars
-        st.Solver.vivified_clauses st.Solver.failed_literals
+      Printf.printf "c avg lbd      %.2f\n" st.Solver.avg_lbd
     end;
     let verdict_exit =
       match result with
@@ -138,14 +127,6 @@ let no_phase_saving =
     value & flag
     & info [ "no-phase-saving" ]
         ~doc:"Disable phase saving (decisions use the fixed initial polarity).")
-
-let no_simplify =
-  Arg.(
-    value & flag
-    & info [ "no-simplify" ]
-        ~doc:
-          "Disable inprocessing (subsumption, bounded variable elimination, \
-           probing, vivification); solve the raw clause set.")
 
 let jobs_arg =
   let doc =
@@ -188,7 +169,7 @@ let cmd =
   Cmd.v (Cmd.info "qca-sat" ~doc)
     Term.(
       const run $ input_arg $ no_vsids $ no_restarts $ no_phase_saving
-      $ no_simplify $ jobs_arg $ stats $ timeout_arg
+      $ jobs_arg $ stats $ timeout_arg
       $ conflicts_arg $ certify_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

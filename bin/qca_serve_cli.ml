@@ -9,7 +9,6 @@
    (fallback tier or shed), 3 invalid input / transport failure. *)
 
 open Cmdliner
-module Solver = Qca_sat.Solver
 module Fault = Qca_util.Fault
 open Qca_serve
 
@@ -25,8 +24,8 @@ let port_arg =
 
 let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
     cache_capacity template_capacity default_timeout_ms max_timeout_ms
-    max_request_bytes retries certify revalidate_period no_simplify
-    no_incremental fault_spec dump_dir slow_ms watchdog_ms =
+    max_request_bytes retries certify revalidate_period no_incremental
+    fault_spec dump_dir slow_ms watchdog_ms =
   match
     match fault_spec with
     | None -> Ok Fault.none
@@ -56,8 +55,6 @@ let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
         certify;
         revalidate_period;
         fault;
-        options =
-          { Solver.default_options with use_simplify = not no_simplify };
         dump_dir =
           (match dump_dir with
           | Some _ -> dump_dir
@@ -155,10 +152,6 @@ let daemon_cmd =
     in
     Arg.(value & opt int 8 & info [ "revalidate-period" ] ~docv:"N" ~doc)
   in
-  let no_simplify =
-    let doc = "Disable CDCL inprocessing in every solve." in
-    Arg.(value & flag & info [ "no-simplify" ] ~doc)
-  in
   let no_incremental =
     let doc =
       "Disable solver reuse: no encoded-template store, and every OMT round \
@@ -202,8 +195,8 @@ let daemon_cmd =
     Term.(
       const daemon $ host_arg $ port_arg $ workers $ jobs $ queue $ shed_at
       $ direct_at $ cache $ templates $ default_timeout $ max_timeout
-      $ max_bytes $ retries $ certify $ revalidate $ no_simplify
-      $ no_incremental $ fault $ dump_dir $ slow_ms $ watchdog_ms)
+      $ max_bytes $ retries $ certify $ revalidate $ no_incremental
+      $ fault $ dump_dir $ slow_ms $ watchdog_ms)
 
 (* {1 client subcommands} *)
 

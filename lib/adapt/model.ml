@@ -497,7 +497,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
      [jobs > 1] one persistent portfolio session — stays alive across
      every round, the tightened bound entering as an assumption literal
      over the memoized totalizer outputs, so learnt clauses, saved
-     phases, VSIDS activities and simplification results carry over.
+     phases and VSIDS activities carry over.
      Non-incremental (--no-incremental, the measured A/B baseline):
      every round exports the problem, imports a fresh clone, encodes
      the current bound from scratch on it and throws it all away after

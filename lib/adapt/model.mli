@@ -134,9 +134,8 @@ val optimize :
     [incremental] (default [true]) keeps one solver — and at
     [jobs > 1] one persistent seat session — alive across the OMT
     rounds: the tightened bound enters as an assumption literal over
-    the memoized totalizer outputs, so learnt clauses, saved phases,
-    VSIDS activities and simplification results carry from round to
-    round. [incremental:false] is the measured scratch baseline: every
+    the memoized totalizer outputs, so learnt clauses, saved phases
+    and VSIDS activities carry from round to round. [incremental:false] is the measured scratch baseline: every
     round re-exports the problem, re-encodes the bound on a fresh clone
     and discards it. The objective value is identical either way.
 

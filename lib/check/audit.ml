@@ -217,70 +217,16 @@ let check_view (v : Solver.view) =
       let idx = v.Solver.v_hindex.(var) in
       if idx >= 0 && (idx >= hs || v.Solver.v_hheap.(idx) <> var) then
         push "heap: stale index %d for variable %d" idx var;
-      if
-        v.Solver.v_use_vsids
-        && v.Solver.v_assigns.(var) < 0
-        && (not v.Solver.v_eliminated.(var))
-        && idx < 0
-      then push "heap: unassigned variable %d missing from the order" var
+      if v.Solver.v_use_vsids && v.Solver.v_assigns.(var) < 0 && idx < 0 then
+        push "heap: unassigned variable %d missing from the order" var
     done
   end;
-
-  (* -- eliminated variables: gone from every live structure -- *)
-  for var = 0 to nv - 1 do
-    if v.Solver.v_eliminated.(var) then begin
-      if v.Solver.v_assigns.(var) >= 0 then
-        push "eliminated: variable %d is assigned" var;
-      if v.Solver.v_hindex.(var) >= 0 then
-        push "eliminated: variable %d still in the decision order" var;
-      if v.Solver.v_wsize.(2 * var) <> 0 || v.Solver.v_wsize.((2 * var) + 1) <> 0
-      then push "eliminated: variable %d still has watchers" var
-    end
-  done;
-  Hashtbl.iter
-    (fun cr () ->
-      if not (deleted cr) then
-        for i = 0 to size cr - 1 do
-          let l = clause_lit cr i in
-          if lit_ok l && v.Solver.v_eliminated.(l lsr 1) then
-            push "eliminated: live clause %d mentions variable %d" cr (l lsr 1)
-        done)
-    live;
 
   if !n_issues > 50 then
     issues := Printf.sprintf "... and %d further violations" (!n_issues - 50) :: !issues;
   List.rev !issues
 
 let check solver = check_view (Solver.view solver)
-
-(* Model reconstruction over eliminated variables: after a [Sat]
-   answer, the extended assignment (Solver.value, which consults the
-   elimination stack's witness values) must satisfy every clause that
-   variable elimination moved out of the problem. A violation here
-   means the extension procedure — not the search — is wrong. *)
-let check_reconstruction solver =
-  let issues = ref [] in
-  List.iter
-    (fun (var, saved) ->
-      Array.iter
-        (fun lits ->
-          let sat =
-            Array.exists
-              (fun l ->
-                let b = Solver.value solver (l lsr 1) in
-                if l land 1 = 0 then b else not b)
-              lits
-          in
-          if not sat then
-            issues :=
-              Printf.sprintf
-                "reconstruction: saved clause of eliminated variable %d \
-                 unsatisfied by the extended model"
-                var
-              :: !issues)
-        saved)
-    (Solver.elimination_stack solver);
-  List.rev !issues
 
 exception Violation of string list
 

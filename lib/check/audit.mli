@@ -10,16 +10,7 @@
     as the periodic in-search hook behind [QCA_AUDIT]. *)
 
 val check : Qca_sat.Solver.t -> string list
-(** All invariant violations found, empty when the state is coherent.
-    Covers the inprocessing invariants too: an eliminated variable must
-    be unassigned, absent from the decision order and the watch lists,
-    and mentioned by no live clause. *)
-
-val check_reconstruction : Qca_sat.Solver.t -> string list
-(** After a [Sat] answer on a solver that eliminated variables: checks
-    that the extended model (the witness values reconstructed from the
-    elimination stack) satisfies every clause the elimination removed.
-    Raises [Invalid_argument] if the solver holds no model. *)
+(** All invariant violations found, empty when the state is coherent. *)
 
 exception Violation of string list
 

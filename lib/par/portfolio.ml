@@ -61,12 +61,9 @@ type seat = { seat_id : int; seat_options : Solver.options }
 
 (* Seat 0 keeps the caller's configuration untouched (whatever wins at
    jobs = 1 is always in the race); later seats vary restart pacing,
-   decay, polarity policy, the inprocessing schedule and the decision
-   RNG. Seeds are a pure function of the seat index — two portfolios
-   over the same base are identical. Inprocessing schedules diversify
-   too: an eager slicer (period 4), a lazy one (period 16), and one
-   raw-CNF seat with inprocessing off entirely (cheap instances are
-   often decided before a simplify pass pays for itself). *)
+   decay, polarity policy and the decision RNG. Seeds are a pure
+   function of the seat index — two portfolios over the same base are
+   identical. *)
 let seats ~base k =
   List.init k (fun i ->
       if i = 0 then { seat_id = 0; seat_options = base }
@@ -79,7 +76,6 @@ let seats ~base k =
               base with
               Solver.restart_base = base.Solver.restart_base * 2;
               phase_init = true;
-              simplify_period = 4;
               seed;
             }
           | 2 ->
@@ -87,7 +83,6 @@ let seats ~base k =
               base with
               Solver.use_phase_saving = false;
               var_decay = 0.85;
-              use_simplify = false;
               seed;
             }
           | 3 ->
@@ -95,7 +90,6 @@ let seats ~base k =
               base with
               Solver.restart_base = max 16 (base.Solver.restart_base / 2);
               var_decay = 0.99;
-              simplify_period = 16;
               seed;
             }
           | _ ->
@@ -104,7 +98,6 @@ let seats ~base k =
               Solver.restart_base = base.Solver.restart_base * 4;
               var_decay = 0.90;
               phase_init = true;
-              simplify_period = 4;
               seed;
             }
         in
@@ -144,9 +137,9 @@ let seat_budget parent ~should_stop =
 (* {1 Sessions: persistent seats across rounds}
 
    A session keeps the [jobs] diversified clones alive between solves,
-   so one OMT round's learnt clauses, saved phases, VSIDS
-   activities and simplification results carry into the next round of
-   the same incremental problem. Clauses the caller adds to the base
+   so one OMT round's learnt clauses, saved phases and VSIDS
+   activities carry into the next round of the same incremental
+   problem. Clauses the caller adds to the base
    between solves are replayed into every seat from the base's
    append-only original-clause journal (a watermark per session), along
    with any new variables — seat and base variable numbering stay

@@ -14,9 +14,9 @@
 
     A {!session} keeps the seats alive across solves of one growing
     instance (the OMT bound-tightening loop): learnt clauses, saved
-    phases, VSIDS activities and simplification results carry over from
-    round to round, and clauses added to the base between rounds are
-    replayed into every seat from the base's original-clause journal. *)
+    phases and VSIDS activities carry over from round to round, and
+    clauses added to the base between rounds are replayed into every
+    seat from the base's original-clause journal. *)
 
 module Solver = Qca_sat.Solver
 
@@ -91,5 +91,5 @@ val session_solve :
     clauses and variables added to the base since the previous solve
     are first replayed into every seat (from the base's append-only
     original-clause journal), then the seats race — keeping their
-    learnt clauses, phases, activities and simplification results from
-    earlier rounds. Must not be called concurrently on one session. *)
+    learnt clauses, phases and activities from earlier rounds. Must not
+    be called concurrently on one session. *)

@@ -18,7 +18,7 @@ val to_dimacs : problem -> string
 val load : ?options:Solver.options -> ?proof:bool -> problem -> Solver.t
 (** Builds a fresh solver containing the problem. [proof] (default
     false) enables DRUP proof logging {e before} the clauses are added,
-    so root-level simplification conflicts are already recorded. *)
+    so root-level conflicts found while adding them are recorded. *)
 
 val solve : ?options:Solver.options -> problem -> Solver.result * bool array option
 (** Solves and returns the model when satisfiable. *)

@@ -19,16 +19,6 @@ let m_conflicts_per_sec = Obs.gauge "sat.conflicts_per_sec"
 let m_lbd = Obs.histogram "sat.lbd"
 let m_trail_depth = Obs.histogram "sat.trail_depth"
 
-(* Inprocessing telemetry (DESIGN.md section 7.6); every counter is the
-   cumulative work across all simplification passes of the process. *)
-let m_simp_runs = Obs.counter "sat.simplify.runs"
-let m_simp_subsumed = Obs.counter "sat.simplify.subsumed"
-let m_simp_strengthened = Obs.counter "sat.simplify.strengthened"
-let m_simp_eliminated = Obs.counter "sat.simplify.eliminated"
-let m_simp_vivified = Obs.counter "sat.simplify.vivified"
-let m_simp_failed_lits = Obs.counter "sat.simplify.failed_literals"
-
-module Trace = Qca_obs.Trace
 module Ring = Qca_obs.Ring
 
 (* Flight-recorder kinds (interned once; [Ring.record] is hot-safe).
@@ -36,7 +26,6 @@ module Ring = Qca_obs.Ring
 let k_conflicts = Ring.kind "sat.conflicts"
 let k_restart = Ring.kind "sat.restart"
 let k_stop = Ring.kind "sat.stop"
-let k_simplify = Ring.kind "sat.simplify"
 
 (* Conflicts between telemetry syncs of the cheap gauges. *)
 let telemetry_period = 256
@@ -52,8 +41,6 @@ type options = {
   restart_base : int;
   phase_init : bool;  (* polarity of fresh vars / fixed polarity *)
   seed : int;  (* <> 0: occasional random decision polarity *)
-  use_simplify : bool;  (* inprocessing: subsumption, BVE, probing, vivification *)
-  simplify_period : int;  (* restarts between light inprocessing slices *)
 }
 
 let default_options =
@@ -68,8 +55,6 @@ let default_options =
     restart_base = 64;
     phase_init = false;
     seed = 0;
-    use_simplify = true;
-    simplify_period = 8;
   }
 
 type stop_reason =
@@ -163,12 +148,6 @@ type stats = {
   minimized_literals : int;
   arena_gcs : int;
   avg_lbd : float;
-  subsumed_clauses : int;
-  strengthened_clauses : int;
-  eliminated_vars : int;
-  vivified_clauses : int;
-  failed_literals : int;
-  simplify_rounds : int;
 }
 
 (* No reason (decision / root-level fact). *)
@@ -234,32 +213,15 @@ type t = {
   mutable ok : bool;
   mutable has_model : bool;
   mutable core : Lit.t list;
-  (* Inprocessing state. The original-clause journal keeps every
-     clause handed to {!add_clause} verbatim, as flat literals
-     [orig_lits] plus per-clause end offsets [orig_ends] (ints only, so
-     the journal holds no list cells alive and is written without the
-     write barrier); {!export_problem} rebuilds the lists from it,
-     independently of any simplification. [eliminated]/[elim_stack]
-     carry bounded variable elimination (saved occurrence clauses, most
-     recent entry first) for model extension and restore-on-mention;
-     [frozen] vars are exempt from elimination (assumption vars and
-     once-restored vars, so incremental callers do not thrash the
-     stack). *)
+  (* The original-clause journal keeps every clause handed to
+     {!add_clause} verbatim, as flat literals [orig_lits] plus
+     per-clause end offsets [orig_ends] (ints only, so the journal
+     holds no list cells alive and is written without the write
+     barrier); {!export_problem} rebuilds the lists from it. *)
   mutable orig_lits : int array;
   mutable orig_nlits : int;
   mutable orig_ends : int array;  (* clause i = orig_lits[ends(i-1), ends(i)) *)
   mutable orig_n : int;
-  mutable eliminated : bool array;  (* var -> currently eliminated *)
-  mutable frozen : bool array;  (* var -> never eliminate *)
-  mutable elim_value : bool array;  (* extended model values (valid after Sat) *)
-  mutable elim_stack : (int * int array array) list;
-  mutable n_elim_live : int;
-  mutable clauses_since_simp : int;
-  mutable simplified_once : bool;
-  mutable simplify_requested : bool;
-      (* a deferred {!simplify} request: honored at the next restart
-         boundary (the first proof that search is conflict-bound), so
-         propagation-only instances never pay for a full pass *)
   mutable n_conflicts : int;
   mutable n_decisions : int;
   mutable n_propagations : int;
@@ -269,12 +231,6 @@ type t = {
   mutable n_minimized : int;
   mutable n_gcs : int;
   mutable lbd_sum : int;
-  mutable n_subsumed : int;
-  mutable n_strengthened : int;
-  mutable n_eliminated : int;
-  mutable n_vivified : int;
-  mutable n_failed_lits : int;
-  mutable n_simplify_rounds : int;
 }
 
 let initial_cap = 64
@@ -325,14 +281,6 @@ let create ?(options = default_options) () =
     orig_nlits = 0;
     orig_ends = Array.make 64 0;
     orig_n = 0;
-    eliminated = Array.make initial_cap false;
-    frozen = Array.make initial_cap false;
-    elim_value = Array.make initial_cap false;
-    elim_stack = [];
-    n_elim_live = 0;
-    clauses_since_simp = 0;
-    simplified_once = false;
-    simplify_requested = false;
     n_conflicts = 0;
     n_decisions = 0;
     n_propagations = 0;
@@ -342,12 +290,6 @@ let create ?(options = default_options) () =
     n_minimized = 0;
     n_gcs = 0;
     lbd_sum = 0;
-    n_subsumed = 0;
-    n_strengthened = 0;
-    n_eliminated = 0;
-    n_vivified = 0;
-    n_failed_lits = 0;
-    n_simplify_rounds = 0;
   }
 
 let num_vars t = t.nvars
@@ -403,14 +345,16 @@ let proof_fold ~init ~f proof =
    The auditor itself lives in lib/check (it must not share code with
    the solver); the solver only exposes the hook and invokes it every
    [QCA_AUDIT] conflicts. QCA_AUDIT unset/0 disables, a value > 1 is
-   the period in conflicts, any other value means the default period. *)
+   the period in conflicts, any other value means the default period.
+   Read once at module initialization, not lazily: portfolio seats on
+   several domains would otherwise race to force it, and a lazy value
+   forced concurrently raises [CamlinternalLazy.Undefined]. *)
 
 let audit_period =
-  lazy
-    (match Sys.getenv_opt "QCA_AUDIT" with
-    | None | Some "" | Some "0" -> 0
-    | Some v -> (
-      match int_of_string_opt v with Some n when n > 1 -> n | _ -> 256))
+  match Sys.getenv_opt "QCA_AUDIT" with
+  | None | Some "" | Some "0" -> 0
+  | Some v -> (
+    match int_of_string_opt v with Some n when n > 1 -> n | _ -> 256)
 
 let audit_hook : (t -> unit) option Atomic.t = Atomic.make None
 let set_audit_hook f = Atomic.set audit_hook (Some f)
@@ -436,9 +380,6 @@ let grow_arrays t n =
     t.reason <- copy_ints t.reason no_reason;
     t.level <- copy_ints t.level 0;
     t.seen <- copy_arr t.seen false;
-    t.eliminated <- copy_arr t.eliminated false;
-    t.frozen <- copy_arr t.frozen false;
-    t.elim_value <- copy_arr t.elim_value false;
     t.trail <- copy_ints t.trail 0;
     t.hheap <- copy_ints t.hheap 0;
     t.hindex <- copy_ints t.hindex (-1);
@@ -527,24 +468,6 @@ let heap_pop t =
     end;
     t.hindex.(v) <- -1;
     v
-  end
-
-(* Remove a variable from the order (variable elimination): move the
-   last heap entry into its slot and restore the heap property in both
-   directions. *)
-let heap_remove t v =
-  let i = t.hindex.(v) in
-  if i >= 0 then begin
-    t.hindex.(v) <- -1;
-    let n = t.hsize - 1 in
-    t.hsize <- n;
-    if i < n then begin
-      let w = t.hheap.(n) in
-      t.hheap.(i) <- w;
-      t.hindex.(w) <- i;
-      heap_sift_down t i;
-      heap_sift_up t t.hindex.(w)
-    end
   end
 
 let new_var t =
@@ -1031,672 +954,6 @@ let reduce_db t =
 let force_reduce_db t = reduce_db t
 let force_gc t = garbage_collect t
 
-(* --- Inprocessing (DESIGN.md section 7.6) ---
-
-   All of the machinery below runs at decision level 0 with unit
-   propagation at fixpoint. Proof discipline: every clause the solver
-   stores was emitted to the DRUP stream with exactly its stored
-   literals (or is an original), so deletions always name a clause the
-   checker holds; clauses removed by variable elimination are the one
-   exception — they get no delete event, which keeps their later
-   proof-free restoration sound (RUP is monotone in the database, so
-   the checker holding extra clauses never hurts). *)
-
-let simp_max_subsume_size = 30
-let simp_occ_scan_cap = 400
-let simp_bve_max_occ = 16
-let simp_bve_max_resolvent = 32
-let simp_probe_cap = 2048
-let simp_probe_cap_light = 256
-let simp_vivify_cap = 400
-let simp_vivify_cap_light = 32
-let simp_vivify_max_size = 40
-
-(* Below this many problem clauses a full pass cannot pay for itself:
-   tiny instances are decided by plain CDCL in less time than building
-   the occurrence index. Keeps inprocessing out of the way of the
-   incremental OMT loop, whose per-round instances are small. *)
-let simp_min_clauses = 128
-
-(* Remove the watcher word of [word] from the list of literal [l]
-   (swap-with-last; no-op when absent). *)
-let detach_watch t l word =
-  let d = t.wdata.(l) in
-  let n = t.wsize.(l) in
-  let rec go i =
-    if i < n then
-      if d.(i + 1) = word then begin
-        d.(i) <- d.(n - 2);
-        d.(i + 1) <- d.(n - 1);
-        t.wsize.(l) <- n - 2
-      end
-      else go (i + 2)
-  in
-  go 0
-
-let detach_clause t cr =
-  let ad = t.arena.Arena.data in
-  let word = (cr lsl 1) lor (if ad.(cr) lsr 3 = 2 then 1 else 0) in
-  detach_watch t ad.(cr + hdr) word;
-  detach_watch t ad.(cr + hdr + 1) word
-
-(* Detach + mark deleted; [emit] writes the DRUP deletion (with the
-   clause's stored literals, before the header is stamped). *)
-let delete_clause t ~emit cr =
-  detach_clause t cr;
-  if emit && t.proof_on then
-    proof_emit t ~delete:true t.arena.Arena.data (cr + hdr)
-      (Arena.size t.arena cr);
-  Arena.delete t.arena cr
-
-(* Root-level facts keep the cref of the clause that implied them; the
-   simplifier deletes clauses freely, so those reasons must be dropped
-   first (every analysis path guards on [level > 0], and the auditor
-   accepts decision-style roots). *)
-let clear_root_reasons t =
-  for i = 0 to t.trail_size - 1 do
-    t.reason.(t.trail.(i) lsr 1) <- no_reason
-  done
-
-(* Attach a derived clause: root-false literals are stripped (still RUP
-   — the checker's closure holds every root fact) and root-satisfied
-   clauses vanish without an event. Exactly the stored literals go to
-   the proof, so a later deletion names a clause the checker has.
-   Returns the cref, or -1 when nothing was stored (satisfied, unit, or
-   empty). A unit is normally enqueued and propagated on the spot;
-   with [defer] it is pushed there instead — variable elimination must
-   not propagate while clauses of the pivot are still attached. *)
-let add_derived ?defer t ~learnt lits =
-  if Array.exists (fun l -> lit_value_raw t l = 1) lits then -1
-  else begin
-    let kept =
-      Array.of_list
-        (List.filter (fun l -> lit_value_raw t l <> 0) (Array.to_list lits))
-    in
-    let n = Array.length kept in
-    if t.proof_on then proof_emit t ~delete:false kept 0 n;
-    match n with
-    | 0 ->
-      t.ok <- false;
-      -1
-    | 1 ->
-      (match defer with
-      | Some pending -> Vec.push pending kept.(0)
-      | None ->
-        enqueue t kept.(0) no_reason;
-        if propagate t >= 0 then begin
-          t.ok <- false;
-          proof_emit_empty t
-        end);
-      -1
-    | _ ->
-      let cr = Arena.alloc t.arena ~learnt kept in
-      attach_clause t cr;
-      cr
-  end
-
-(* Enqueue the deferred unit resolvents of one elimination (every
-   clause of the pivot is detached by now, so propagation cannot touch
-   the eliminated variable). *)
-let flush_pending t pending =
-  for i = 0 to Vec.length pending - 1 do
-    if t.ok then begin
-      let l = Vec.get pending i in
-      match lit_value_raw t l with
-      | 1 -> ()
-      | 0 ->
-        t.ok <- false;
-        proof_emit_empty t
-      | _ ->
-        enqueue t l no_reason;
-        if propagate t >= 0 then begin
-          t.ok <- false;
-          proof_emit_empty t
-        end
-    end
-  done;
-  Vec.clear pending
-
-(* Re-attach a clause saved by variable elimination, proof-free: the
-   checker never saw it leave, so it must come back with exactly its
-   saved literals. Root-false literals are kept in the clause (only
-   moved out of the watch slots); a clause reduced to one unassigned
-   literal just enqueues it — the checker derives that unit by
-   propagation over its own copy. *)
-let reattach_saved t lits =
-  if not (Array.exists (fun l -> lit_value_raw t l = 1) lits) then begin
-    let arr = Array.copy lits in
-    let n = Array.length arr in
-    let j = ref 0 in
-    for k = 0 to n - 1 do
-      if lit_value_raw t arr.(k) <> 0 then begin
-        let tmp = arr.(!j) in
-        arr.(!j) <- arr.(k);
-        arr.(k) <- tmp;
-        incr j
-      end
-    done;
-    match !j with
-    | 0 ->
-      t.ok <- false;
-      proof_emit_empty t
-    | 1 ->
-      enqueue t arr.(0) no_reason;
-      if propagate t >= 0 then begin
-        t.ok <- false;
-        proof_emit_empty t
-      end
-    | _ ->
-      let cr = Arena.alloc t.arena ~learnt:false arr in
-      Vec.push t.clauses cr;
-      attach_clause t cr
-  end
-
-(* Pop the elimination stack down through [v]: entries above [v] were
-   eliminated later, and their saved clauses never mention a variable
-   that was already eliminated when they were saved — so restoring
-   top-down keeps every live clause free of eliminated variables.
-   Restored variables are frozen: an incremental caller that keeps
-   mentioning a variable must not see it eliminated and restored on
-   every solve. *)
-let restore_var t v =
-  while t.eliminated.(v) do
-    match t.elim_stack with
-    | [] -> assert false
-    | (w, saved) :: rest ->
-      t.elim_stack <- rest;
-      t.eliminated.(w) <- false;
-      t.frozen.(w) <- true;
-      t.n_elim_live <- t.n_elim_live - 1;
-      if t.opts.use_vsids && t.assigns.(w) < 0 then heap_insert t w;
-      Array.iter (fun lits -> if t.ok then reattach_saved t lits) saved
-  done
-
-(* Assign every eliminated variable so the extended assignment
-   satisfies its saved clauses (Sat has been reached: all live
-   variables are assigned). Most recent elimination first — an entry's
-   saved clauses only mention variables that were live at its
-   elimination, i.e. later-eliminated ones, whose values are already
-   extended. Default false; flip to true only when some saved clause
-   with a positive occurrence is otherwise unsatisfied (the symmetric
-   negative clause cannot also be otherwise-false, or the resolvent —
-   present and satisfied — would be false too). *)
-let extend_model t =
-  List.iter
-    (fun (v, saved) ->
-      let pos = 2 * v in
-      let holds l =
-        let w = l lsr 1 in
-        let b =
-          if t.eliminated.(w) then t.elim_value.(w) else t.assigns.(w) = 1
-        in
-        if l land 1 = 0 then b else not b
-      in
-      t.elim_value.(v) <- false;
-      Array.iter
-        (fun lits ->
-          if
-            Simplify.mem pos lits
-            && not (Array.exists (fun l -> l <> pos && holds l) lits)
-          then t.elim_value.(v) <- true)
-        saved)
-    t.elim_stack
-
-(* Stage 1: strip root-satisfied clauses and root-false literals.
-   The stripped clause is added before the original is deleted, so its
-   RUP check can still use the original. *)
-let clean_stage t vec ~learnt =
-  let a = t.arena in
-  let ad = a.Arena.data in
-  let i = ref 0 in
-  while t.ok && !i < Vec.length vec do
-    let cr = Vec.get vec !i in
-    if not (Arena.deleted a cr) then begin
-      let n = ad.(cr) lsr 3 in
-      let sat = ref false and nfalse = ref 0 in
-      for k = cr + hdr to cr + hdr + n - 1 do
-        match lit_value_raw t ad.(k) with
-        | 1 -> sat := true
-        | 0 -> incr nfalse
-        | _ -> ()
-      done;
-      if !sat then delete_clause t ~emit:true cr
-      else if !nfalse > 0 then begin
-        let old_lbd = if learnt then Arena.lbd a cr else 0 in
-        let kept = Array.make (n - !nfalse) 0 in
-        let j = ref 0 in
-        for k = cr + hdr to cr + hdr + n - 1 do
-          let l = ad.(k) in
-          if lit_value_raw t l <> 0 then begin
-            kept.(!j) <- l;
-            incr j
-          end
-        done;
-        let ncr = add_derived t ~learnt kept in
-        delete_clause t ~emit:true cr;
-        if ncr >= 0 then begin
-          if learnt then Arena.set_lbd a ncr (min old_lbd (Arena.size a ncr));
-          Vec.set vec !i ncr
-        end
-      end
-    end;
-    incr i
-  done
-
-(* Occurrence index over the live problem clauses: per literal, the
-   crefs whose clause contains it, plus per-cref (signature, literals).
-   Stale crefs (deleted by a later step) are skipped at scan time;
-   completeness over live problem clauses is required for variable
-   elimination to be sound, so every clause registers regardless of
-   size. *)
-type simp_index = {
-  occ : int Vec.t array;  (* literal -> crefs *)
-  info : (int, int * int array) Hashtbl.t;  (* cref -> signature, lits *)
-}
-
-let simp_register idx cr lits =
-  Hashtbl.replace idx.info cr (Simplify.signature lits, lits);
-  Array.iter (fun l -> Vec.push idx.occ.(l) cr) lits
-
-let build_index t =
-  let idx =
-    {
-      occ = Array.init (2 * t.nvars) (fun _ -> Vec.create ~dummy:0 ());
-      info = Hashtbl.create (max 64 (Vec.length t.clauses));
-    }
-  in
-  let a = t.arena in
-  let ad = a.Arena.data in
-  Vec.iter
-    (fun cr ->
-      if not (Arena.deleted a cr) then
-        simp_register idx cr (Array.sub ad (cr + hdr) (ad.(cr) lsr 3)))
-    t.clauses;
-  idx
-
-let[@inline] simp_live t idx cr =
-  (not (Arena.deleted t.arena cr)) && Hashtbl.mem idx.info cr
-
-(* Stage 2: subsumption and self-subsuming resolution (strengthening).
-   Candidates come from the occurrence lists, pre-filtered by the Bloom
-   signatures; strengthened clauses are re-added (new cref) and appended
-   to the clause vector, so they get their own turn — total literal
-   count strictly decreases, so the loop terminates. *)
-let subsume_stage t idx =
-  let a = t.arena in
-  let i = ref 0 in
-  while t.ok && !i < Vec.length t.clauses do
-    let cr = Vec.get t.clauses !i in
-    (if not (Arena.deleted a cr) then
-       match Hashtbl.find_opt idx.info cr with
-       | Some (sg, lits) when Array.length lits <= simp_max_subsume_size ->
-         (* forward subsumption, seeded at the least-occurring literal *)
-         let best = ref lits.(0) in
-         Array.iter
-           (fun l ->
-             if Vec.length idx.occ.(l) < Vec.length idx.occ.(!best) then
-               best := l)
-           lits;
-         let cands = idx.occ.(!best) in
-         if Vec.length cands <= simp_occ_scan_cap then
-           Vec.iter
-             (fun d ->
-               if d <> cr && simp_live t idx d then
-                 match Hashtbl.find_opt idx.info d with
-                 | Some (sgd, dlits)
-                   when Array.length dlits >= Array.length lits
-                        && Simplify.may_subsume sg sgd
-                        && Simplify.subsumes lits dlits ->
-                   delete_clause t ~emit:true d;
-                   t.n_subsumed <- t.n_subsumed + 1
-                 | _ -> ())
-             cands;
-         (* self-subsuming resolution: c with [p] flipped subsumes d *)
-         if not (Arena.deleted a cr) then
-           Array.iter
-             (fun p ->
-               let cands = idx.occ.(p lxor 1) in
-               if Vec.length cands <= simp_occ_scan_cap then
-                 Vec.iter
-                   (fun d ->
-                     if t.ok && d <> cr && simp_live t idx d then
-                       match Hashtbl.find_opt idx.info d with
-                       | Some (sgd, dlits)
-                         when Array.length dlits >= Array.length lits
-                              && Simplify.may_subsume sg sgd
-                              && Simplify.subsumes_with_flip ~pivot:p lits
-                                   dlits ->
-                         let slits = Simplify.strengthen dlits (p lxor 1) in
-                         let ncr = add_derived t ~learnt:false slits in
-                         delete_clause t ~emit:true d;
-                         if ncr >= 0 then begin
-                           Vec.push t.clauses ncr;
-                           simp_register idx ncr slits
-                         end;
-                         t.n_strengthened <- t.n_strengthened + 1
-                       | _ -> ())
-                   cands)
-             lits
-       | _ -> ());
-    incr i
-  done
-
-(* Stage 3: bounded variable elimination. A variable with few
-   occurrences is eliminated when its non-tautological resolvents are
-   no more numerous than the clauses they replace. Resolvents are
-   added first (their RUP checks resolve against the still-present
-   parents), learnt clauses over the pivot are deleted (they are
-   implied), and the occurrences move to the elimination stack with no
-   proof events. Unit resolvents are deferred until every clause of
-   the pivot is detached. *)
-let bve_stage t idx pending =
-  let a = t.arena in
-  let live_occ l =
-    let out = ref [] in
-    Vec.iter (fun cr -> if simp_live t idx cr then out := cr :: !out) idx.occ.(l);
-    !out
-  in
-  let v = ref 0 in
-  while t.ok && !v < t.nvars do
-    let x = !v in
-    if
-      t.assigns.(x) < 0
-      && (not t.eliminated.(x))
-      && (not t.frozen.(x))
-      && Vec.length idx.occ.(2 * x) + Vec.length idx.occ.((2 * x) + 1)
-         <= 8 * simp_bve_max_occ
-    then begin
-      let pos = live_occ (2 * x) and neg = live_occ ((2 * x) + 1) in
-      let np = List.length pos and nn = List.length neg in
-      if np + nn <= simp_bve_max_occ then begin
-        let lits_of cr = snd (Hashtbl.find idx.info cr) in
-        (* count non-tautological resolvents; bail out on growth *)
-        let resolvents = ref [] in
-        let count = ref 0 in
-        let fits = ref true in
-        List.iter
-          (fun c ->
-            if !fits then
-              List.iter
-                (fun d ->
-                  if !fits then
-                    match Simplify.resolve ~pivot_var:x (lits_of c) (lits_of d) with
-                    | None -> ()
-                    | Some r ->
-                      incr count;
-                      if
-                        !count > np + nn
-                        || Array.length r > simp_bve_max_resolvent
-                      then fits := false
-                      else resolvents := r :: !resolvents)
-                neg)
-          pos;
-        if !fits then begin
-          List.iter
-            (fun r ->
-              if t.ok then begin
-                let ncr = add_derived ~defer:pending t ~learnt:false r in
-                if ncr >= 0 then begin
-                  Vec.push t.clauses ncr;
-                  simp_register idx ncr r
-                end
-              end)
-            !resolvents;
-          (* learnt clauses over the pivot are implied: plain deletions *)
-          Vec.iter
-            (fun cr ->
-              if not (Arena.deleted a cr) then begin
-                let n = a.Arena.data.(cr) lsr 3 in
-                let mentions = ref false in
-                for k = cr + hdr to cr + hdr + n - 1 do
-                  if a.Arena.data.(k) lsr 1 = x then mentions := true
-                done;
-                if !mentions then delete_clause t ~emit:true cr
-              end)
-            t.learnts;
-          let saved =
-            Array.of_list (List.map (fun cr -> lits_of cr) (pos @ neg))
-          in
-          List.iter
-            (fun cr ->
-              delete_clause t ~emit:false cr;
-              Hashtbl.remove idx.info cr)
-            (pos @ neg);
-          t.elim_stack <- (x, saved) :: t.elim_stack;
-          t.eliminated.(x) <- true;
-          heap_remove t x;
-          t.n_eliminated <- t.n_eliminated + 1;
-          t.n_elim_live <- t.n_elim_live + 1;
-          flush_pending t pending
-        end
-      end
-    end;
-    incr v
-  done
-
-(* Stage 4: failed-literal probing. Assert a literal that has binary
-   watchers on its negation, propagate; a conflict makes its negation a
-   root fact ([¬l] is RUP: the checker's propagation mirrors ours over a
-   superset of our clauses). *)
-let has_binary_watch t l =
-  let d = t.wdata.(l) in
-  let n = t.wsize.(l) in
-  let rec go i = i < n && (d.(i + 1) land 1 = 1 || go (i + 2)) in
-  go 0
-
-let probe_stage t ~cap =
-  let probes = ref 0 in
-  let l = ref 0 in
-  while t.ok && !probes < cap && !l < 2 * t.nvars do
-    let p = !l in
-    let x = p lsr 1 in
-    if
-      t.assigns.(x) < 0
-      && (not t.eliminated.(x))
-      && has_binary_watch t (p lxor 1)
-    then begin
-      incr probes;
-      new_level t;
-      enqueue t p no_reason;
-      let confl = propagate t in
-      backtrack_to t 0;
-      if confl >= 0 then begin
-        t.n_failed_lits <- t.n_failed_lits + 1;
-        let u = [| p lxor 1 |] in
-        if t.proof_on then proof_emit t ~delete:false u 0 1;
-        match lit_value_raw t u.(0) with
-        | 1 -> ()
-        | 0 ->
-          t.ok <- false;
-          proof_emit_empty t
-        | _ ->
-          enqueue t u.(0) no_reason;
-          if propagate t >= 0 then begin
-            t.ok <- false;
-            proof_emit_empty t
-          end
-      end
-    end;
-    incr l
-  done
-
-(* Stage 5: vivification. Assert the negations of a clause's literals
-   one by one (with the clause itself detached, so it cannot feed its
-   own propagation); a conflict or an implied-true literal truncates
-   the clause, an implied-false literal drops out. Each shortened form
-   is RUP under the asserted negations. *)
-let vivify_one t vec i cr ~learnt =
-  let a = t.arena in
-  let n = Arena.size a cr in
-  let lits = Array.init n (fun k -> a.Arena.data.(cr + hdr + k)) in
-  let old_lbd = if learnt then Arena.lbd a cr else 0 in
-  detach_clause t cr;
-  let kept = Array.make n 0 in
-  let nkept = ref 0 in
-  let root_sat = ref false in
-  new_level t;
-  (try
-     Array.iter
-       (fun l ->
-         match lit_value_raw t l with
-         | 1 ->
-           if t.level.(l lsr 1) = 0 then root_sat := true
-           else begin
-             kept.(!nkept) <- l;
-             incr nkept
-           end;
-           raise Exit
-         | 0 -> () (* implied false: drop the literal *)
-         | _ ->
-           enqueue t (l lxor 1) no_reason;
-           if propagate t >= 0 then begin
-             kept.(!nkept) <- l;
-             incr nkept;
-             raise Exit
-           end
-           else begin
-             kept.(!nkept) <- l;
-             incr nkept
-           end)
-       lits
-   with Exit -> ());
-  backtrack_to t 0;
-  let m = !nkept in
-  if !root_sat then begin
-    delete_clause t ~emit:true cr;
-    t.n_vivified <- t.n_vivified + 1
-  end
-  else if m < n then begin
-    let ncr = add_derived t ~learnt (Array.sub kept 0 m) in
-    delete_clause t ~emit:true cr;
-    if ncr >= 0 then begin
-      if learnt then Arena.set_lbd a ncr (min old_lbd (Arena.size a ncr));
-      Vec.set vec i ncr
-    end;
-    t.n_vivified <- t.n_vivified + 1
-  end
-  else attach_clause t cr
-
-let vivify_stage t vec ~learnt ~cap =
-  let a = t.arena in
-  let tried = ref 0 in
-  let i = ref (Vec.length vec - 1) in
-  (* newest first: recent learnts profit most *)
-  while t.ok && !tried < cap && !i >= 0 do
-    let cr = Vec.get vec !i in
-    if not (Arena.deleted a cr) then begin
-      let n = Arena.size a cr in
-      if n >= 3 && n <= simp_vivify_max_size && (not learnt || Arena.lbd a cr <= 6)
-      then begin
-        incr tried;
-        vivify_one t vec !i cr ~learnt
-      end
-    end;
-    decr i
-  done
-
-let simp_flush_metrics t ~s0 =
-  Ring.record k_simplify t.n_conflicts t.n_subsumed t.n_eliminated;
-  if Atomic.get Obs.live then begin
-    let sub0, str0, eli0, viv0, fl0 = s0 in
-    Obs.incr m_simp_runs;
-    let d c v = if v > 0 then Obs.add c v in
-    d m_simp_subsumed (t.n_subsumed - sub0);
-    d m_simp_strengthened (t.n_strengthened - str0);
-    d m_simp_eliminated (t.n_eliminated - eli0);
-    d m_simp_vivified (t.n_vivified - viv0);
-    d m_simp_failed_lits (t.n_failed_lits - fl0)
-  end
-
-(* Full pass: clean, subsume/strengthen, eliminate, probe, vivify, then
-   drop dead crefs and compact the arena. Runs at solver start (and
-   again when enough clauses arrived since the last pass). *)
-let simplify_full t =
-  if t.ok && t.trail_lim_size = 0 then
-    Trace.span "sat.simplify" (fun () ->
-        if propagate t >= 0 then begin
-          t.ok <- false;
-          proof_emit_empty t
-        end
-        else begin
-          let s0 =
-            ( t.n_subsumed,
-              t.n_strengthened,
-              t.n_eliminated,
-              t.n_vivified,
-              t.n_failed_lits )
-          in
-          t.n_simplify_rounds <- t.n_simplify_rounds + 1;
-          clear_root_reasons t;
-          clean_stage t t.clauses ~learnt:false;
-          if t.ok then clean_stage t t.learnts ~learnt:true;
-          if t.ok then begin
-            let idx = Trace.span "sat.simplify.index" (fun () -> build_index t) in
-            Trace.span "sat.simplify.subsume" (fun () -> subsume_stage t idx);
-            if t.ok then begin
-              let pending = Vec.create ~dummy:0 () in
-              Trace.span "sat.simplify.bve" (fun () -> bve_stage t idx pending)
-            end
-          end;
-          if t.ok then
-            Trace.span "sat.simplify.probe" (fun () ->
-                probe_stage t ~cap:simp_probe_cap);
-          if t.ok then
-            Trace.span "sat.simplify.vivify" (fun () ->
-                vivify_stage t t.clauses ~learnt:false ~cap:simp_vivify_cap;
-                if t.ok then
-                  vivify_stage t t.learnts ~learnt:true
-                    ~cap:simp_vivify_cap_light);
-          let a = t.arena in
-          Vec.filter_in_place (fun cr -> not (Arena.deleted a cr)) t.clauses;
-          Vec.filter_in_place (fun cr -> not (Arena.deleted a cr)) t.learnts;
-          if t.ok && Arena.wasted_words t.arena > 0 then garbage_collect t;
-          t.clauses_since_simp <- 0;
-          t.simplified_once <- true;
-          simp_flush_metrics t ~s0;
-          let period = Lazy.force audit_period in
-          if period > 0 then audit t
-        end)
-
-(* Light pass for restart boundaries: probing and a little learnt
-   vivification only — no occurrence index, no elimination. *)
-let inprocess_light t =
-  if t.ok && t.trail_lim_size = 0 then
-    Trace.span "sat.simplify.light" (fun () ->
-        let s0 =
-          ( t.n_subsumed,
-            t.n_strengthened,
-            t.n_eliminated,
-            t.n_vivified,
-            t.n_failed_lits )
-        in
-        t.n_simplify_rounds <- t.n_simplify_rounds + 1;
-        clear_root_reasons t;
-        probe_stage t ~cap:simp_probe_cap_light;
-        if t.ok then
-          vivify_stage t t.learnts ~learnt:true ~cap:simp_vivify_cap_light;
-        let a = t.arena in
-        Vec.filter_in_place (fun cr -> not (Arena.deleted a cr)) t.learnts;
-        simp_flush_metrics t ~s0)
-
-(* Preprocessing on demand. The default merely *requests* a full pass:
-   it is honored at the next restart boundary, the first evidence the
-   instance is conflict-bound — so an encode-dominated, propagation-only
-   solve never pays for building the occurrence index (this is what the
-   `totalizer-exact-simplify` bench row measures). [force] keeps the old
-   eager behavior for callers that know the pass pays before any search.
-   A no-op under [use_simplify = false] so an ablated solver stays raw
-   no matter how it is driven. *)
-let simplify ?(force = false) t =
-  if t.opts.use_simplify then begin
-    if force then begin
-      backtrack_to t 0;
-      t.has_model <- false;
-      simplify_full t
-    end
-    else t.simplify_requested <- true
-  end
-
 (* Checks the variables and appends the pristine clause to the
    journal, for export_problem. The new literals only count once the
    whole clause has passed the check. A top-level recursion, so the
@@ -1719,62 +976,48 @@ let journal_clause t lits =
   t.orig_n <- t.orig_n + 1;
   t.orig_nlits <- n
 
+(* One pass over the literals into [t.astack]: dedupe and detect
+   tautologies with the per-literal mark [tick], drop root-false
+   literals. Returns the number of literals kept, or -1 when the clause
+   is a tautology or already satisfied at the root. A top-level
+   recursion, like [journal_lits], so the per-clause call allocates
+   nothing. *)
+let rec dedup_lits t tick n = function
+  | [] -> n
+  | l :: rest ->
+    if t.lmark.(l lxor 1) = tick then -1
+    else if t.lmark.(l) = tick then dedup_lits t tick n rest
+    else begin
+      t.lmark.(l) <- tick;
+      match lit_value_raw t l with
+      | 1 -> -1
+      | 0 -> dedup_lits t tick n rest
+      | _ ->
+        t.astack.(n) <- l;
+        dedup_lits t tick (n + 1) rest
+    end
+
 let add_clause t lits =
   backtrack_to t 0;
   t.has_model <- false;
   if t.ok then begin
     journal_clause t lits;
-    (* an incremental caller re-mentioning an eliminated variable brings
-       it (and everything eliminated since) back first; the scan is
-       skipped outright while nothing stands eliminated *)
-    if t.n_elim_live > 0 then
-      List.iter
-        (fun l ->
-          let v = Lit.var l in
-          if t.eliminated.(v) then restore_var t v)
-        lits;
-    (* one pass over the literals: dedupe and detect tautologies with a
-       per-literal mark, drop root-false literals, and notice clauses
-       that are already satisfied at the root *)
     t.lmark_tick <- t.lmark_tick + 1;
-    let tick = t.lmark_tick in
-    let mark = t.lmark in
-    let buf = t.astack in
-    let n = ref 0 in
-    let tautology = ref false in
-    let already_sat = ref false in
-    List.iter
-      (fun l ->
-        if not !tautology then begin
-          if mark.(l lxor 1) = tick then tautology := true
-          else if mark.(l) <> tick then begin
-            mark.(l) <- tick;
-            match lit_value_raw t l with
-            | 1 -> already_sat := true
-            | 0 -> ()
-            | _ ->
-              buf.(!n) <- l;
-              incr n
-          end
-        end)
-      lits;
-    if t.ok && not (!tautology || !already_sat) then begin
-      match !n with
-      | 0 ->
+    match dedup_lits t t.lmark_tick 0 lits with
+    | -1 -> ()
+    | 0 ->
+      t.ok <- false;
+      proof_emit_empty t
+    | 1 ->
+      enqueue t t.astack.(0) no_reason;
+      if propagate t >= 0 then begin
         t.ok <- false;
         proof_emit_empty t
-      | 1 ->
-        enqueue t buf.(0) no_reason;
-        if propagate t >= 0 then begin
-          t.ok <- false;
-          proof_emit_empty t
-        end
-      | n ->
-        let cr = Arena.alloc_slice t.arena ~learnt:false buf n in
-        Vec.push t.clauses cr;
-        attach_clause t cr;
-        t.clauses_since_simp <- t.clauses_since_simp + 1
-    end
+      end
+    | n ->
+      let cr = Arena.alloc_slice t.arena ~learnt:false t.astack n in
+      Vec.push t.clauses cr;
+      attach_clause t cr
   end
 
 let pick_branch_var t =
@@ -1782,7 +1025,7 @@ let pick_branch_var t =
     let rec pop () =
       let v = heap_pop t in
       if v < 0 then -1
-      else if var_value t v < 0 && not (Array.unsafe_get t.eliminated v) then v
+      else if var_value t v < 0 then v
       else pop ()
     in
     pop ()
@@ -1790,7 +1033,7 @@ let pick_branch_var t =
   else begin
     let rec scan v =
       if v >= t.nvars then -1
-      else if var_value t v < 0 && not (Array.unsafe_get t.eliminated v) then v
+      else if var_value t v < 0 then v
       else scan (v + 1)
     in
     scan 0
@@ -1881,18 +1124,6 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
   end
   else begin
     let assumptions = Array.of_list assumptions in
-    (* assumption variables: restore them if eliminated and freeze them
-       for good (so one incremental caller's selector is not eliminated
-       on one solve and restored on the next), then simplify while the
-       trail is still at the root *)
-    Array.iter
-      (fun a ->
-        let v = Lit.var a in
-        if t.eliminated.(v) then restore_var t v;
-        t.frozen.(v) <- true)
-      assumptions;
-    if not t.ok then finish Unsat
-    else begin
     (* decision levels are bounded by nvars plus one (possibly empty)
        level per assumption *)
     let lim_cap = t.nvars + Array.length assumptions + 1 in
@@ -1920,13 +1151,6 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
     let conflicts_until_restart =
       ref (if t.opts.use_restarts then t.opts.restart_base * next_luby () else max_int)
     in
-    (* Inprocessing is effort-gated: the first restart proves the
-       instance is not decided by propagation alone, so the full pass
-       runs there, then every [simplify_period] restarts — full again
-       only when the clause DB grew substantially since the last pass,
-       light (probe + learnt vivification) otherwise. Instances solved
-       without conflicts never pay for simplification. *)
-    let restarts_until_simp = ref (if t.simplified_once then max 1 t.opts.simplify_period else 1) in
     let learnt_limit = ref (max 1000 (2 * Vec.length t.clauses)) in
     try
       while true do
@@ -1964,8 +1188,8 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
           if not t.ok then raise (Answered Unsat);
           var_decay_tick t;
           clause_decay_tick t;
-          let period = Lazy.force audit_period in
-          if period > 0 && t.n_conflicts mod period = 0 then audit t
+          if audit_period > 0 && t.n_conflicts mod audit_period = 0 then
+            audit t
         end
         else if t.opts.use_restarts && !conflicts_until_restart <= 0 then begin
           t.n_restarts <- t.n_restarts + 1;
@@ -1973,26 +1197,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
           Ring.record k_restart t.n_restarts t.n_conflicts
             (Vec.length t.learnts);
           conflicts_until_restart := t.opts.restart_base * next_luby ();
-          backtrack_to t 0;
-          if
-            t.opts.use_simplify
-            && (t.simplify_requested
-               || Vec.length t.clauses >= simp_min_clauses)
-          then begin
-            decr restarts_until_simp;
-            if t.simplify_requested || !restarts_until_simp <= 0 then begin
-              let requested = t.simplify_requested in
-              t.simplify_requested <- false;
-              restarts_until_simp := max 1 t.opts.simplify_period;
-              if
-                requested
-                || (not t.simplified_once)
-                || t.clauses_since_simp >= Vec.length t.clauses / 2
-              then simplify_full t
-              else inprocess_light t;
-              if not t.ok then raise (Answered Unsat)
-            end
-          end
+          backtrack_to t 0
         end
         else if t.opts.use_clause_deletion && Vec.length t.learnts > !learnt_limit
         then begin
@@ -2017,7 +1222,6 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
         else begin
           let v = pick_branch_var t in
           if v < 0 then begin
-            if t.n_elim_live > 0 then extend_model t;
             t.has_model <- true;
             raise (Answered Sat)
           end
@@ -2030,13 +1234,12 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
       done;
       assert false
     with Answered r -> finish r
-    end
   end
 
 let value t v =
   if not t.has_model then invalid_arg "Solver.value: no model";
   if v < 0 || v >= t.nvars then invalid_arg "Solver.value: unknown variable";
-  if t.eliminated.(v) then t.elim_value.(v) else t.assigns.(v) = 1
+  t.assigns.(v) = 1
 
 let lit_value t l = if Lit.sign l then value t (Lit.var l) else not (value t (Lit.var l))
 
@@ -2047,7 +1250,7 @@ let unsat_core t = t.core
 let options t = t.opts
 
 (* Problem snapshot for portfolio cloning: exactly the clauses the
-   caller added, untouched by simplification or root-level rewriting
+   caller added, untouched by root-level rewriting
    (the importing seat re-normalizes and re-derives root facts itself).
    Learnt clauses are implied and deliberately not exported — each seat
    re-learns under its own configuration. An already-refuted solver
@@ -2110,7 +1313,6 @@ type view = {
   v_hsize : int;
   v_hindex : int array;
   v_hact : float array;
-  v_eliminated : bool array;
 }
 
 let view t =
@@ -2136,14 +1338,7 @@ let view t =
     v_hsize = t.hsize;
     v_hindex = t.hindex;
     v_hact = t.hact;
-    v_eliminated = t.eliminated;
   }
-
-(* For Check.Audit's model-reconstruction pass: the elimination stack,
-   most recent entry first, with the saved occurrence clauses in the
-   internal literal encoding (copies — the auditor may keep them). *)
-let elimination_stack t =
-  List.map (fun (v, cls) -> (v, Array.map Array.copy cls)) t.elim_stack
 
 let stats t =
   {
@@ -2156,10 +1351,4 @@ let stats t =
     minimized_literals = t.n_minimized;
     arena_gcs = t.n_gcs;
     avg_lbd = (if t.n_learnt = 0 then 0.0 else float_of_int t.lbd_sum /. float_of_int t.n_learnt);
-    subsumed_clauses = t.n_subsumed;
-    strengthened_clauses = t.n_strengthened;
-    eliminated_vars = t.n_eliminated;
-    vivified_clauses = t.n_vivified;
-    failed_literals = t.n_failed_lits;
-    simplify_rounds = t.n_simplify_rounds;
   }

@@ -37,20 +37,6 @@ type options = {
           (deterministic xorshift keyed by the seed) — the portfolio
           diversification knob. [0] (default) consults no RNG and is
           bit-identical to the classic search. *)
-  use_simplify : bool;
-      (** inprocessing (on by default): subsumption and self-subsuming
-          resolution, bounded variable elimination, failed-literal
-          probing and clause vivification. Effort-gated: the full pass
-          first runs at the first restart (an instance decided by
-          propagation alone never pays for it), then every
-          [simplify_period] restarts — full again after substantial
-          clause-DB growth, light (probing + learnt vivification)
-          otherwise. All derivations and deletions flow through the
-          DRUP stream, so certification works unchanged (see DESIGN.md
-          section 7.6). {!simplify} forces an eager pass. *)
-  simplify_period : int;
-      (** restarts between inprocessing passes (default 8); the
-          portfolio seats diversify this *)
 }
 
 val default_options : options
@@ -125,8 +111,8 @@ val num_clauses : t -> int
 
 val okay : t -> bool
 (** [false] once the clause database is known inconsistent at the root
-    level — an empty clause was added, or simplification/propagation
-    derived one — after which every {!solve} answers [Unsat]
+    level — an empty clause was added, or propagation derived one —
+    after which every {!solve} answers [Unsat]
     immediately. Callers that clone solvers (e.g. the portfolio) use
     this to avoid exporting a derived empty clause as if it were an
     original. *)
@@ -142,17 +128,6 @@ val solve : ?assumptions:Lit.t list -> ?budget:budget -> t -> result
     an injected fault stops the search; the partial assignment is
     retracted and the solver can be reused. Without a budget the answer
     is always [Sat] or [Unsat]. *)
-
-val simplify : ?force:bool -> t -> unit
-(** Requests one full inprocessing pass (subsumption, bounded variable
-    elimination, probing, vivification). By default the request is
-    deferred to the next restart boundary — the first evidence that the
-    instance is conflict-bound — so a solve decided by propagation
-    alone never pays for it. [~force:true] runs the pass at the root
-    right now regardless; this invalidates any model the solver holds,
-    and a root conflict derived here makes every future {!solve} return
-    [Unsat], exactly as {!add_clause} would. A no-op when the solver
-    was created with [use_simplify = false]. *)
 
 val value : t -> Lit.var -> bool
 (** Model value after [Sat]; raises [Invalid_argument] otherwise. *)
@@ -174,8 +149,8 @@ val options : t -> options
     {!export_problem} snapshots the problem a solver holds — variable
     count plus exactly the clauses that were added, verbatim (same
     literal order, duplicates and tautologies kept), untouched by
-    simplification or root-level rewriting (the importer re-normalizes
-    and re-derives root facts). The solver journals each added clause
+    root-level rewriting (the importer re-normalizes and re-derives
+    root facts). The solver journals each added clause
     as flat literals, not as the caller's list, so every export builds
     fresh lists. Learnt clauses are
     implied and not exported; a refuted solver exports one empty
@@ -274,21 +249,11 @@ type view = {
   v_hsize : int;
   v_hindex : int array;
   v_hact : float array;
-  v_eliminated : bool array;
-      (** var -> removed by bounded variable elimination (never
-          assigned, absent from the decision order) *)
 }
 (** Read-only snapshot for the auditor: scalars are copied, arrays are
     shared with the live solver. *)
 
 val view : t -> view
-
-val elimination_stack : t -> (Lit.var * int array array) list
-(** The bounded-variable-elimination stack, most recent entry first:
-    each eliminated variable with the occurrence clauses (internal
-    literal encoding, copied) that were moved out of the problem. The
-    auditor's model-reconstruction check verifies that a [Sat] model
-    extended over these variables satisfies every saved clause. *)
 
 val force_reduce_db : t -> unit
 (** Debug/test entry point: run a learnt-database reduction (with its
@@ -308,13 +273,6 @@ type stats = {
       (** literals removed from learnt clauses by minimization *)
   arena_gcs : int;  (** clause-arena compactions *)
   avg_lbd : float;  (** mean literal-block-distance of learnt clauses *)
-  subsumed_clauses : int;  (** clauses removed by subsumption *)
-  strengthened_clauses : int;
-      (** clauses shortened by self-subsuming resolution *)
-  eliminated_vars : int;  (** variables removed by bounded elimination *)
-  vivified_clauses : int;  (** clauses shortened or removed by vivification *)
-  failed_literals : int;  (** root units found by probing *)
-  simplify_rounds : int;  (** inprocessing passes (full + light) *)
 }
 
 val stats : t -> stats

@@ -184,8 +184,7 @@ let test_audit_clean_states () =
   let sat_s, _ = solve_with_proof (php_clauses 4 4) in
   checkb "sat state audits clean" true (Audit.check sat_s = [])
 
-(* First variable the solver actually assigned (inprocessing may have
-   eliminated low-numbered variables, whose assigns slot is already -1). *)
+(* First variable the solver has assigned. *)
 let first_assigned v =
   let rec go i =
     if v.Solver.v_assigns.(i) >= 0 then i else go (i + 1)

@@ -198,17 +198,6 @@ let test_contradictory_assumptions () =
   Alcotest.check result "a ∧ ¬a assumptions" Solver.Unsat
     (Solver.solve ~assumptions:[ Lit.pos a; Lit.neg_of_var a ] s)
 
-let test_incremental_clause_addition () =
-  let s = Solver.create () in
-  let a = Solver.new_var s and b = Solver.new_var s in
-  Solver.add_clause s [ Lit.pos a; Lit.pos b ];
-  Alcotest.check result "sat initially" Solver.Sat (Solver.solve s);
-  Solver.add_clause s [ Lit.neg_of_var a ];
-  Alcotest.check result "still sat" Solver.Sat (Solver.solve s);
-  checkb "b must hold now" true (Solver.value s b);
-  Solver.add_clause s [ Lit.neg_of_var b ];
-  Alcotest.check result "now unsat" Solver.Unsat (Solver.solve s)
-
 (* {1 Differential testing against a reference DPLL} *)
 
 (* A deliberately naive solver — DPLL with unit propagation, no
@@ -327,6 +316,42 @@ let prop_core_sound =
              = Solver.Unsat
         | Solver.Unknown _ -> false))
 
+let test_incremental_clause_addition () =
+  let s = Solver.create () in
+  let a = Solver.new_var s and b = Solver.new_var s in
+  Solver.add_clause s [ Lit.pos a; Lit.pos b ];
+  Alcotest.check result "sat initially" Solver.Sat (Solver.solve s);
+  Solver.add_clause s [ Lit.neg_of_var a ];
+  Alcotest.check result "still sat" Solver.Sat (Solver.solve s);
+  checkb "b must hold now" true (Solver.value s b);
+  Solver.add_clause s [ Lit.neg_of_var b ];
+  Alcotest.check result "now unsat" Solver.Unsat (Solver.solve s);
+  (* random rounds: binary clauses added after a solve must give the
+     reference verdict on the grown clause set *)
+  let rng = Rng.create 515 in
+  let grown_unsat = ref 0 in
+  for round = 1 to 20 do
+    let nvars = 12 in
+    let clauses = random_instance (round + 500) nvars 30 in
+    let s, r = solve_with clauses nvars in
+    Alcotest.check result "round 1 matches reference"
+      (Ref_dpll.solve nvars clauses) r;
+    let extra =
+      List.init 6 (fun _ ->
+          List.init 2 (fun _ -> Lit.make (Rng.int rng nvars) (Rng.bool rng)))
+    in
+    List.iter (Solver.add_clause s) extra;
+    let all = clauses @ extra in
+    let r = Solver.solve s in
+    Alcotest.check result "round 2 matches reference" (Ref_dpll.solve nvars all) r;
+    if r = Solver.Sat then
+      checkb "model satisfies the grown clause set" true
+        (model_satisfies (Solver.model s) all)
+    else incr grown_unsat
+  done;
+  checkb "both verdicts after the adds" true
+    (!grown_unsat > 0 && !grown_unsat < 20)
+
 let test_reduce_db_and_gc () =
   (* PHP(8,7) is hard enough to overflow the learnt limit: the clause
      database is reduced and the arena compacted several times *)
@@ -363,13 +388,7 @@ let test_lit_representation () =
   checki "dimacs roundtrip neg" n (Lit.of_int (Lit.to_int n))
 
 let test_stats_counted () =
-  (* simplification alone can refute PHP(4,3) at the root; this test is
-     about the CDCL counters, so run it on the raw search *)
-  let s =
-    Solver.create
-      ~options:{ Solver.default_options with use_simplify = false }
-      ()
-  in
+  let s = Solver.create () in
   let fresh = Solver.stats s in
   checki "fresh solver: no conflicts" 0 fresh.Solver.conflicts;
   (* PHP(4,3) forces at least one conflict *)
@@ -421,7 +440,7 @@ let test_blit_ints_matches_blit () =
 (* The journal hands back exactly what [add_clause] received: literal
    order, duplicate literals, tautologies and root-satisfied clauses
    included, after propagation has moved watches in the arena and after
-   a forced inprocessing pass, and from a watermark taken midway. *)
+   a search, and from a watermark taken midway. *)
 let test_journal_fidelity () =
   let s = Solver.create () in
   let v = Array.init 12 (fun _ -> Solver.new_var s) in
@@ -462,8 +481,6 @@ let test_journal_fidelity () =
   check "after propagation";
   Alcotest.check result "sat" Solver.Sat (Solver.solve s);
   check "after search";
-  Solver.simplify ~force:true s;
-  check "after simplify";
   checki "p_nvars" 12 (Solver.export_problem s).Solver.p_nvars
 
 let suite =
