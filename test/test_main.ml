@@ -15,6 +15,7 @@ let () =
       ("quantum", Test_quantum.suite);
       ("circuit", Test_circuit.suite);
       ("sat", Test_sat.suite);
+      ("simplify", Test_sat.differential_suite);
       ("pseudo_bool", Test_pseudo_bool.suite);
       ("diff_logic", Test_diff_logic.suite);
       ("adapt", Test_adapt.suite);

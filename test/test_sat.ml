@@ -325,9 +325,12 @@ let test_incremental_clause_addition () =
   Alcotest.check result "still sat" Solver.Sat (Solver.solve s);
   checkb "b must hold now" true (Solver.value s b);
   Solver.add_clause s [ Lit.neg_of_var b ];
-  Alcotest.check result "now unsat" Solver.Unsat (Solver.solve s);
-  (* random rounds: binary clauses added after a solve must give the
-     reference verdict on the grown clause set *)
+  Alcotest.check result "now unsat" Solver.Unsat (Solver.solve s)
+
+(* Differential: binary clauses added after a solve must give the same
+   verdict as a fresh solver and the reference DPLL on the grown clause
+   set, and a Sat answer must come with a model of that set. *)
+let test_incremental_adds_agree () =
   let rng = Rng.create 515 in
   let grown_unsat = ref 0 in
   for round = 1 to 20 do
@@ -344,6 +347,8 @@ let test_incremental_clause_addition () =
     let all = clauses @ extra in
     let r = Solver.solve s in
     Alcotest.check result "round 2 matches reference" (Ref_dpll.solve nvars all) r;
+    Alcotest.check result "round 2 matches a fresh solver"
+      (snd (solve_with all nvars)) r;
     if r = Solver.Sat then
       checkb "model satisfies the grown clause set" true
         (model_satisfies (Solver.model s) all)
@@ -507,4 +512,13 @@ let suite =
     ("stats", `Quick, test_stats_counted);
     ("blit_ints matches Array.blit", `Quick, test_blit_ints_matches_blit);
     ("journal fidelity", `Quick, test_journal_fidelity);
+  ]
+
+(* Registered as the "simplify" group: these rounds once compared the
+   inprocessing solver with the raw one, and keep that name. *)
+let differential_suite =
+  [
+    ( "differential: incremental adds agree",
+      `Quick,
+      test_incremental_adds_agree );
   ]
