@@ -140,7 +140,7 @@ let check_mutual_exclusion issues conflict_pairs (subs : Rules.t list) =
 let check_deltas issues hw (part : Block.t) (subs : Rules.t list) =
   let err fmt = make issues Error "delta-sanity" fmt in
   let nblocks = Array.length part.Block.blocks in
-  let gates = Circuit.gates part.Block.circuit in
+  let gates = part.Block.gates in
   List.iter
     (fun (s : Rules.t) ->
       if s.Rules.block_id < 0 || s.Rules.block_id >= nblocks then

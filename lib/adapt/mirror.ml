@@ -15,7 +15,7 @@ let adapt _hw ent input =
   let part = Block.partition input in
   let n = Circuit.num_qubits input in
   let perm = Array.init n Fun.id in
-  let gates = Circuit.gates part.Block.circuit in
+  let gates = part.Block.gates in
   let out = ref [] in
   let mirrors = ref 0 in
   let emit g = out := g :: !out in

@@ -110,7 +110,7 @@ let build ?options hw part subs_list =
      (cond-rot one gate, a swap window three adjacent ones, KAK the
      whole block), so Eq. 1 overlap is interval overlap. *)
   let rows = Array.map (fun blk -> Array.of_list blk.Block.gate_ids) part.Block.blocks in
-  let pos = Array.make (Array.length (Circuit.gates part.Block.circuit)) 0 in
+  let pos = Array.make (Circuit.length part.Block.circuit) 0 in
   Array.iter (Array.iteri (fun i g -> pos.(g) <- i)) rows;
   let span = Array.make n_subs (0, 0) in
   Array.iter

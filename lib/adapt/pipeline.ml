@@ -97,7 +97,7 @@ let no_info =
    its substitution's replacement if it is the first substituted gate,
    is skipped if covered by one, and is basis-translated otherwise. *)
 let apply_substitutions part chosen =
-  let gates = Circuit.gates part.Block.circuit in
+  let gates = part.Block.gates in
   let first_of = Hashtbl.create 16 and covered = Hashtbl.create 16 in
   List.iter
     (fun (s : Rules.t) ->
@@ -131,9 +131,11 @@ let kak_only ent part =
       let blk = part.Block.blocks.(bid) in
       match blk.Block.wires with
       | Block.Solo _ ->
-        let gates = Circuit.gates part.Block.circuit in
         List.iter
-          (fun i -> List.iter (fun g -> out := g :: !out) (Basis.translate_gate gates.(i)))
+          (fun i ->
+            List.iter
+              (fun g -> out := g :: !out)
+              (Basis.translate_gate part.Block.gates.(i)))
           blk.Block.gate_ids
       | Block.Pair (a, b) ->
         let u = Block.block_unitary part blk in

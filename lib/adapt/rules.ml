@@ -104,7 +104,7 @@ let kak_substitutions hw part (blk : Block.block) ~fresh =
   | Block.Solo _ -> []
   | Block.Pair (a, b) ->
     let u = Block.block_unitary part blk in
-    let gates = Circuit.gates part.Block.circuit in
+    let gates = part.Block.gates in
     (* the reference sums and the KAK decomposition are shared between
        the cz and cz_db variants; only the final entangler lowering
        differs (see {!Synth.two_qubit_on_each}) *)
@@ -132,7 +132,7 @@ let kak_substitutions hw part (blk : Block.block) ~fresh =
     | _ -> assert false)
 
 let find_all hw part =
-  let gates = Circuit.gates part.Block.circuit in
+  let gates = part.Block.gates in
   let counter = ref 0 in
   let fresh () =
     let v = !counter in

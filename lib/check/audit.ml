@@ -217,8 +217,11 @@ let check_view (v : Solver.view) =
       let idx = v.Solver.v_hindex.(var) in
       if idx >= 0 && (idx >= hs || v.Solver.v_hheap.(idx) <> var) then
         push "heap: stale index %d for variable %d" idx var;
-      if v.Solver.v_use_vsids && v.Solver.v_assigns.(var) < 0 && idx < 0 then
-        push "heap: unassigned variable %d missing from the order" var
+      let decision = v.Solver.v_decision.(var) in
+      if v.Solver.v_use_vsids && decision && v.Solver.v_assigns.(var) < 0 && idx < 0
+      then push "heap: unassigned variable %d missing from the order" var;
+      if (not decision) && idx >= 0 then
+        push "heap: non-decision variable %d in the order" var
     done
   end;
 

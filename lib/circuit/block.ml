@@ -4,6 +4,7 @@ type block = { id : int; wires : wires; gate_ids : int list }
 
 type t = {
   circuit : Circuit.t;
+  gates : Gate.t array;
   blocks : block array;
   deps : (int * int) list;
   gate_block : int array;
@@ -131,7 +132,7 @@ let partition circuit =
   done;
   (* edges follow per-qubit chains in creation order: never a cycle *)
   assert (!tail = n_blocks);
-  { circuit; blocks; deps; gate_block; preds; succs; order }
+  { circuit; gates; blocks; deps; gate_block; preds; succs; order }
 
 let local_wire wires q =
   match wires with
@@ -146,7 +147,7 @@ let local_wire wires q =
     end
 
 let block_circuit t blk =
-  let gates = Circuit.gates t.circuit in
+  let gates = t.gates in
   let width = match blk.wires with Solo _ -> 1 | Pair _ -> 2 in
   let remap = function
     | Gate.Single (g, q) -> Gate.Single (g, local_wire blk.wires q)

@@ -20,6 +20,8 @@ type block = {
 
 type t = {
   circuit : Circuit.t;
+  gates : Gate.t array;
+      (** [Circuit.gates circuit], decoded once: [gate_ids] index it *)
   blocks : block array;
   deps : (int * int) list;  (** edges (b', b): b' must finish before b starts *)
   gate_block : int array;  (** gate index -> owning block id *)

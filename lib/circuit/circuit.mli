@@ -1,26 +1,39 @@
-(** Quantum circuits as ordered gate lists.
+(** Quantum circuits as ordered gate sequences.
 
     A circuit is an immutable sequence of gates over [num_qubits] wires.
     The full unitary (qubit 0 = most significant bit) is available for
     circuits of up to {!max_unitary_qubits} qubits, which covers the
-    whole evaluation of the paper (≤ 4 qubits). *)
+    whole evaluation of the paper (≤ 4 qubits).
+
+    Storage is packed: one int per gate (its kind and wires) and one
+    flat float array with every gate's parameters in gate order (a
+    rotation 1 float, [U3] 3, [Su2] 8, [U4] 32). {!gates} decodes a
+    fresh array on each call, bit for bit what was stored; callers that
+    index gates repeatedly keep the decoded array (as {!Block.t} does).
+    Every builder but {!add} is bulk; {!add} copies the circuit, so
+    building one gate at a time is quadratic. *)
 
 open Qca_linalg
 
 type t
 
 val create : int -> t
-(** Empty circuit on the given number of qubits (≥ 1). *)
+(** Empty circuit on the given number of qubits (≥ 1, ≤ 2{^28}). *)
 
 val num_qubits : t -> int
 val gates : t -> Gate.t array
+(** The gates in order, decoded into a fresh array. *)
+
 val length : t -> int
 val is_empty : t -> bool
 
 val add : t -> Gate.t -> t
-(** Appends one gate; validates wire indices. *)
+(** Appends one gate; validates wire indices. Copies the circuit. *)
 
 val add_list : t -> Gate.t list -> t
+(** Appends the gates, validating wires; raises [Invalid_argument] also
+    for an [Su2]/[U4] matrix that is not 2x2/4x4. *)
+
 val of_gates : int -> Gate.t list -> t
 val append : t -> t -> t
 (** Concatenation; both circuits must have the same width. *)

@@ -202,7 +202,8 @@ let sync_session ss =
       Array.iter
         (fun s ->
           while Solver.num_vars s < nv do
-            ignore (Solver.new_var s)
+            let v = Solver.num_vars s in
+            ignore (Solver.new_var ~decision:(Solver.is_decision base v) s)
           done;
           List.iter (fun c -> Solver.add_clause s c) delta)
         ss.ss_seats

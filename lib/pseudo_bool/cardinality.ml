@@ -1,14 +1,16 @@
 open Qca_sat
 
 (* Sinz 2005 sequential counter: registers r.(i).(j) ⇔ at least j+1 of
-   the first i+1 literals are true. *)
+   the first i+1 literals are true. The registers are non-decision
+   variables (each clause holds at most one positive one), so the
+   search branches only on [lits]. *)
 let at_most s lits k =
   if k < 0 then Solver.add_clause s []
   else begin
     let lits = Array.of_list lits in
     let n = Array.length lits in
     if n > k then begin
-      let r = Array.init n (fun _ -> Array.init k (fun _ -> Solver.new_var s)) in
+      let r = Array.init n (fun _ -> Array.init k (fun _ -> Solver.new_var ~decision:false s)) in
       for i = 0 to n - 1 do
         if i > 0 then begin
           for j = 0 to k - 1 do

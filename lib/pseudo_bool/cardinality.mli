@@ -2,7 +2,9 @@
 
     These add hard CNF constraints to a {!Qca_sat.Solver.t}. Used for
     the per-block exactly-one selectors of the adaptation model and as
-    the baseline encoding in the encoder ablation benchmarks. *)
+    the baseline encoding in the encoder ablation benchmarks. The
+    counter registers are non-decision variables
+    ({!Qca_sat.Solver.new_var}). *)
 
 open Qca_sat
 

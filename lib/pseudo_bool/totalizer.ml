@@ -13,6 +13,14 @@ let normalize terms =
   let acc, offset = List.fold_left step ([], 0) terms in
   (List.rev acc, offset)
 
+(* Every variable an encoding introduces (node outputs, counter
+   registers, assumption selectors) is a non-decision variable: its
+   value follows from the inputs by propagation, and the clauses below
+   hold at most one positive auxiliary literal each, so the solver's
+   false completion of the ones left unassigned is a model. The search
+   branches only on the caller's input literals. *)
+let aux s = Solver.new_var ~decision:false s
+
 (* A node of the totalizer tree: a sorted list of (weight, literal)
    outputs, each literal meaning "the subtree sum is ≥ weight". Sums are
    clamped at [cap]. When a node would carry more than [max_out]
@@ -144,7 +152,7 @@ let merge s ~cap ~max_out ?(keep_below = 1) (a : node) (b : node) : node =
   let keep_below = min keep_below cap in
   let sorted = merge_candidates ~cap ~keep_below a b in
   let kept = thin ~max_out sorted in
-  let outs = List.map (fun w -> (w, Lit.pos (Solver.new_var s))) kept in
+  let outs = List.map (fun w -> (w, Lit.pos (aux s))) kept in
   let kept_arr = Array.of_list kept in
   (* outs is built positionally from kept, so the two arrays share
      indices and the binary search resolves straight to the literal *)
@@ -191,7 +199,7 @@ let count_outputs s lits max_count =
   let k = min n max_count in
   if k = 0 then [||]
   else begin
-    let r = Array.init n (fun _ -> Array.init k (fun _ -> Solver.new_var s)) in
+    let r = Array.init n (fun _ -> Array.init k (fun _ -> aux s)) in
     for i = 0 to n - 1 do
       Solver.add_clause s [ Lit.negate lits.(i); Lit.pos r.(i).(0) ];
       if i > 0 then begin
@@ -290,7 +298,7 @@ let assume_at_most_sized ~max_out s terms k =
     match marker_geq_sized s ~max_out pos_terms (k' + 1) with
     | None -> None
     | Some marker ->
-      let a = Lit.pos (Solver.new_var s) in
+      let a = Lit.pos (aux s) in
       (* a → ¬marker, i.e. a → sum ≤ k' *)
       Solver.add_clause s [ Lit.negate a; Lit.negate marker ];
       Some a
@@ -334,7 +342,7 @@ type selector = {
   total : int;  (* maximum possible positive sum *)
   outputs : (int * Lit.t) array;  (* root outputs, ascending weights *)
   root : pending_root option;  (* when the tree has a root merge *)
-  mutable negations : (int, Lit.t) Hashtbl.t option;  (* memo: weight -> assumption *)
+  negations : (int, Lit.t) Hashtbl.t;  (* memo: weight -> assumption *)
 }
 
 let at_most_selector ?(resolution = 256) s terms ~max =
@@ -363,7 +371,7 @@ let at_most_selector ?(resolution = 256) s terms ~max =
         in
         let outs =
           Array.of_list
-            (List.map (fun w -> (w, Lit.pos (Solver.new_var s))) kept)
+            (List.map (fun w -> (w, Lit.pos (aux s))) kept)
         in
         ( outs,
           Some
@@ -375,7 +383,7 @@ let at_most_selector ?(resolution = 256) s terms ~max =
             } )
     end
   in
-  { sel_solver = s; offset; total; outputs; root; negations = Some (Hashtbl.create 8) }
+  { sel_solver = s; offset; total; outputs; root; negations = Hashtbl.create 8 }
 
 (* Emit the root-merge clauses concluding at output [idx] — the bucket
    of sums that round down to its weight — on first query. *)
@@ -434,17 +442,12 @@ let select sel k =
       else begin
         materialize_root sel idx;
         let w, marker = sel.outputs.(idx) in
-        let memo =
-          match sel.negations with
-          | Some m -> m
-          | None -> assert false
-        in
-        match Hashtbl.find_opt memo w with
+        match Hashtbl.find_opt sel.negations w with
         | Some a -> Some (Some a)
         | None ->
-          let a = Lit.pos (Solver.new_var sel.sel_solver) in
+          let a = Lit.pos (aux sel.sel_solver) in
           Solver.add_clause sel.sel_solver [ Lit.negate a; Lit.negate marker ];
-          Hashtbl.replace memo w a;
+          Hashtbl.replace sel.negations w a;
           Some (Some a)
       end
     end

@@ -8,7 +8,12 @@
     on the instances of this repository.
 
     The OMT drivers use {!assume_at_most} to perform objective
-    strengthening with a fresh removable selector per bound. *)
+    strengthening with a fresh removable selector per bound.
+
+    Every variable an encoding creates (node outputs, counter registers,
+    assumption selectors) is a non-decision variable
+    ({!Qca_sat.Solver.new_var}): the search branches only on the
+    caller's literals. *)
 
 open Qca_sat
 

@@ -55,7 +55,6 @@ let alloc_slice t ~learnt lits n =
 let alloc t ~learnt lits = alloc_slice t ~learnt lits (Array.length lits)
 
 let[@inline] size t c = Array.unsafe_get t.data c lsr 3
-let[@inline] learnt t c = Array.unsafe_get t.data c land 4 <> 0
 let[@inline] deleted t c = Array.unsafe_get t.data c land 2 <> 0
 let[@inline] reloced t c = Array.unsafe_get t.data c land 1 <> 0
 
@@ -66,14 +65,6 @@ let delete t c =
   end
 
 let[@inline] lit t c i = Array.unsafe_get t.data (c + header_words + i)
-let[@inline] set_lit t c i l = Array.unsafe_set t.data (c + header_words + i) l
-
-let[@inline] swap_lits t c i j =
-  let d = t.data in
-  let bi = c + header_words + i and bj = c + header_words + j in
-  let tmp = Array.unsafe_get d bi in
-  Array.unsafe_set d bi (Array.unsafe_get d bj);
-  Array.unsafe_set d bj tmp
 
 (* Activity is stored as the float's bit pattern shifted right by one so
    it fits an OCaml 63-bit int; only the lowest mantissa bit is lost,

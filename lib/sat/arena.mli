@@ -50,7 +50,6 @@ val alloc_slice : t -> learnt:bool -> int array -> int -> cref
     without the caller-side [Array.sub] (the add-clause hot path). *)
 
 val size : t -> cref -> int
-val learnt : t -> cref -> bool
 val deleted : t -> cref -> bool
 
 val delete : t -> cref -> unit
@@ -59,9 +58,6 @@ val delete : t -> cref -> unit
 
 val lit : t -> cref -> int -> int
 (** [lit t c i] is the [i]-th literal, unchecked beyond array bounds. *)
-
-val set_lit : t -> cref -> int -> int -> unit
-val swap_lits : t -> cref -> int -> int -> unit
 
 val activity : t -> cref -> float
 val set_activity : t -> cref -> float -> unit

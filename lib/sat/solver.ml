@@ -189,6 +189,10 @@ type t = {
   mutable hsize : int;
   mutable hindex : int array;  (* var -> heap position, -1 if absent *)
   mutable hact : float array;  (* var -> activity *)
+  (* var -> branched on. Non-decision variables never enter the heap;
+     [solve] answers Sat with them unassigned, and the model reads them
+     as false (see [add_clause] for why that completion is a model). *)
+  mutable decision : bool array;
   (* scratch for analyze / minimization / add_clause *)
   mutable learnt_buf : int array;
   mutable learnt_len : int;
@@ -258,6 +262,7 @@ let create ?(options = default_options) () =
     hsize = 0;
     hindex = Array.make initial_cap (-1);
     hact = Array.make initial_cap 0.0;
+    decision = Array.make initial_cap true;
     learnt_buf = Array.make (initial_cap + 1) 0;
     learnt_len = 0;
     astack = Array.make (initial_cap + 1) 0;
@@ -386,6 +391,7 @@ let grow_arrays t n =
     let hact = Array.make cap 0.0 in
     Array.blit t.hact 0 hact 0 old;
     t.hact <- hact;
+    t.decision <- copy_arr t.decision true;
     let copy_plus a fill =
       (* [solve] may have grown these beyond cap+1 for assumption
          levels; never shrink *)
@@ -470,12 +476,15 @@ let heap_pop t =
     v
   end
 
-let new_var t =
+let new_var ?(decision = true) t =
   let v = t.nvars in
   t.nvars <- v + 1;
   grow_arrays t t.nvars;
-  heap_insert t v;
+  t.decision.(v) <- decision;
+  if decision then heap_insert t v;
   v
+
+let is_decision t v = t.decision.(v)
 
 (* -1 undef / 1 true / 0 false *)
 let[@inline] var_value t v = t.assigns.(v)
@@ -657,7 +666,7 @@ let backtrack_to t lvl =
       let v = Array.unsafe_get t.trail i lsr 1 in
       Array.unsafe_set t.assigns v (-1);
       Array.unsafe_set t.reason v no_reason;
-      if vsids then heap_insert t v
+      if vsids && Array.unsafe_get t.decision v then heap_insert t v
     done;
     t.trail_size <- bound;
     t.trail_lim_size <- lvl;
@@ -997,6 +1006,30 @@ let rec dedup_lits t tick n = function
         dedup_lits t tick (n + 1) rest
     end
 
+(* [solve] answers Sat with the non-decision variables it left
+   unassigned read as false. Propagation is then at a fixpoint, so an
+   original clause not yet satisfied has at least two unassigned
+   literals; false makes each negative one true, so only a clause whose
+   unassigned literals are all positive and non-decision can stay
+   false. A clause kept with two or more positive non-decision literals
+   therefore turns them back into decision variables, and the false
+   completion always satisfies every original clause. *)
+let promote_positive_aux t n =
+  let aux = ref 0 in
+  for i = 0 to n - 1 do
+    let l = t.astack.(i) in
+    if l land 1 = 0 && not t.decision.(l lsr 1) then incr aux
+  done;
+  if !aux >= 2 then
+    for i = 0 to n - 1 do
+      let l = t.astack.(i) in
+      let v = l lsr 1 in
+      if l land 1 = 0 && not t.decision.(v) then begin
+        t.decision.(v) <- true;
+        heap_insert t v
+      end
+    done
+
 let add_clause t lits =
   backtrack_to t 0;
   t.has_model <- false;
@@ -1015,6 +1048,7 @@ let add_clause t lits =
         proof_emit_empty t
       end
     | n ->
+      promote_positive_aux t n;
       let cr = Arena.alloc_slice t.arena ~learnt:false t.astack n in
       Vec.push t.clauses cr;
       attach_clause t cr
@@ -1033,7 +1067,7 @@ let pick_branch_var t =
   else begin
     let rec scan v =
       if v >= t.nvars then -1
-      else if var_value t v < 0 then v
+      else if var_value t v < 0 && t.decision.(v) then v
       else scan (v + 1)
     in
     scan 0
@@ -1255,7 +1289,11 @@ let options t = t.opts
    Learnt clauses are implied and deliberately not exported — each seat
    re-learns under its own configuration. An already-refuted solver
    exports one empty clause. *)
-type problem = { p_nvars : int; p_clauses : Lit.t list list }
+type problem = {
+  p_nvars : int;
+  p_clauses : Lit.t list list;
+  p_decision : bool array;
+}
 
 (* Journal clauses [start ..], rebuilt as fresh lists in addition
    order (each list back to front, so no reversal is needed). *)
@@ -1272,13 +1310,16 @@ let originals_since t start =
   !cls
 
 let export_problem t =
-  if not t.ok then { p_nvars = t.nvars; p_clauses = [ [] ] }
-  else { p_nvars = t.nvars; p_clauses = originals_since t 0 }
+  let p_decision = Array.sub t.decision 0 t.nvars in
+  if not t.ok then { p_nvars = t.nvars; p_clauses = [ [] ]; p_decision }
+  else { p_nvars = t.nvars; p_clauses = originals_since t 0; p_decision }
 
 let import_problem ?options ?(proof = false) p =
   let s = create ?options () in
   if proof then enable_proof s;
-  for _ = 1 to p.p_nvars do ignore (new_var s) done;
+  for v = 0 to p.p_nvars - 1 do
+    ignore (new_var ~decision:p.p_decision.(v) s)
+  done;
   List.iter (fun c -> add_clause s c) p.p_clauses;
   s
 
@@ -1313,6 +1354,7 @@ type view = {
   v_hsize : int;
   v_hindex : int array;
   v_hact : float array;
+  v_decision : bool array;
 }
 
 let view t =
@@ -1338,6 +1380,7 @@ let view t =
     v_hsize = t.hsize;
     v_hindex = t.hindex;
     v_hact = t.hact;
+    v_decision = t.decision;
   }
 
 let stats t =

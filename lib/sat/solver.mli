@@ -105,7 +105,24 @@ type result = Sat | Unsat | Unknown of stop_reason
 
 val create : ?options:options -> unit -> t
 
-val new_var : t -> Lit.var
+val new_var : ?decision:bool -> t -> Lit.var
+(** A fresh variable. [decision] (default [true]) says whether the
+    search may branch on it. A non-decision variable never enters the
+    VSIDS order: it is only ever assigned by propagation or as an
+    assumption, {!solve} answers [Sat] while it is still unassigned, and
+    {!value} reads it as [false] then. Encodings use it for auxiliary
+    variables (totalizer and counter outputs, assumption selectors)
+    whose value any model of the inputs determines.
+
+    That false completion is a model of every original clause as long
+    as no clause holds two positive non-decision literals: {!add_clause}
+    turns such variables back into decision variables, so the flag can
+    cost neither soundness nor completeness. *)
+
+val is_decision : t -> Lit.var -> bool
+(** Whether the search may branch on the variable now (a clause may
+    have promoted it since {!new_var}). *)
+
 val num_vars : t -> int
 val num_clauses : t -> int
 
@@ -120,17 +137,23 @@ val okay : t -> bool
 val add_clause : t -> Lit.t list -> unit
 (** Adds a clause (permanently). Tautologies are dropped; duplicate
     literals merged. Adding the empty clause (or deriving a root-level
-    conflict) makes every future {!solve} return [Unsat]. *)
+    conflict) makes every future {!solve} return [Unsat]. When the
+    kept literals include two or more positive literals over
+    non-decision variables, those variables become decision variables
+    (see {!new_var}). *)
 
 val solve : ?assumptions:Lit.t list -> ?budget:budget -> t -> result
 (** Solves under the optional assumptions. With a [budget], may answer
     [Unknown reason] when a cap, the deadline, the cancellation flag or
     an injected fault stops the search; the partial assignment is
     retracted and the solver can be reused. Without a budget the answer
-    is always [Sat] or [Unsat]. *)
+    is always [Sat] or [Unsat]. [Sat] is answered once every decision
+    variable is assigned and propagation reaches a fixpoint without a
+    conflict; non-decision variables may still be unassigned. *)
 
 val value : t -> Lit.var -> bool
-(** Model value after [Sat]; raises [Invalid_argument] otherwise. *)
+(** Model value after [Sat]; raises [Invalid_argument] otherwise. A
+    non-decision variable the search left unassigned reads [false]. *)
 
 val lit_value : t -> Lit.t -> bool
 
@@ -157,9 +180,14 @@ val options : t -> options
     clause. {!import_problem} rebuilds an equivalent fresh solver,
     possibly under different {!options} — this is how
     {!Qca_par.Portfolio} seats diversified clones without sharing any
-    mutable solver state. *)
+    mutable solver state. The decision flags (see {!new_var}) travel
+    with the problem. *)
 
-type problem = { p_nvars : int; p_clauses : Lit.t list list }
+type problem = {
+  p_nvars : int;
+  p_clauses : Lit.t list list;
+  p_decision : bool array;  (** per variable, {!is_decision} at export *)
+}
 
 val export_problem : t -> problem
 val import_problem : ?options:options -> ?proof:bool -> problem -> t
@@ -249,6 +277,7 @@ type view = {
   v_hsize : int;
   v_hindex : int array;
   v_hact : float array;
+  v_decision : bool array;  (** var -> {!is_decision} *)
 }
 (** Read-only snapshot for the auditor: scalars are copied, arrays are
     shared with the live solver. *)

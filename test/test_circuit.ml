@@ -322,6 +322,87 @@ let test_synth_on_wires () =
   checkb "synth on arbitrary wires" true
     (Mat.equal_up_to_global_phase ~tol:1e-6 (Circuit.unitary c) expect)
 
+(* Packed storage round trip: every gate constructor, angles including
+   -0.0, NaN, infinities and subnormals, random Su2/U4 matrices (entries
+   need not be unitary for storage), wires up to 4095, through every
+   builder. Gates compare by their marshalled bytes, so each float must
+   come back bit for bit. *)
+let test_packed_round_trip () =
+  let rng = Rng.create 2026 in
+  let n = 4096 in
+  let odd = [| -0.0; 0.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324 |] in
+  let angle () =
+    if Rng.int rng 3 = 0 then odd.(Rng.int rng (Array.length odd))
+    else Rng.float rng 20.0 -. 10.0
+  in
+  let matrix dim =
+    Mat.init dim dim (fun _ _ -> Cx.make (angle ()) (angle ()))
+  in
+  let wire () = if Rng.bool rng then n - 1 - Rng.int rng 4 else Rng.int rng n in
+  let singles () =
+    Gate.
+      [
+        H; X; Y; Z; S; Sdg; T; Tdg; Sx; Rx (angle ()); Ry (angle ());
+        Rz (angle ()); U3 (angle (), angle (), angle ()); Su2 (matrix 2);
+        Su2 (random_su2 rng);
+      ]
+  in
+  let twos () =
+    Gate.
+      [
+        Cx; Cz; Cz_db; Swap; Swap_d; Swap_c; Iswap; Crx (angle ());
+        Cry (angle ()); Crz (angle ()); Cphase (angle ()); U4 (matrix 4);
+        U4 (random_u4 rng);
+      ]
+  in
+  let gates =
+    List.concat
+      (List.init 8 (fun _ ->
+           List.map (fun g -> Gate.Single (g, wire ())) (singles ())
+           @ List.map
+               (fun g ->
+                 let a = wire () in
+                 let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+                 Gate.Two (g, a, b))
+               (twos ())))
+  in
+  let bytes g = Marshal.to_string (g : Gate.t) [ Marshal.No_sharing ] in
+  let same what expected c =
+    checki (what ^ ": length") (List.length expected) (Circuit.length c);
+    checkb (what ^ ": gates") true
+      (List.map bytes expected = List.map bytes (Array.to_list (Circuit.gates c)))
+  in
+  let k = List.length gates / 2 in
+  let front = List.filteri (fun i _ -> i < k) gates in
+  let back = List.filteri (fun i _ -> i >= k) gates in
+  let c = Circuit.of_gates n gates in
+  same "of_gates" gates c;
+  same "add" gates (List.fold_left Circuit.add (Circuit.create n) gates);
+  same "add_list" gates (Circuit.add_list (Circuit.of_gates n front) back);
+  same "append" gates
+    (Circuit.append (Circuit.of_gates n front) (Circuit.of_gates n back));
+  same "map_gates" (List.concat_map (fun g -> [ g; g ]) gates)
+    (Circuit.map_gates (fun g -> [ g; g ]) c);
+  same "inverse" (List.rev_map Gate.inverse gates) (Circuit.inverse c);
+  checki "two-qubit count"
+    (List.length (List.filter Gate.is_two_qubit gates))
+    (Circuit.count_two_qubit c);
+  (* merging runs gives the same gates whichever builder made the
+     circuit *)
+  let width4 =
+    List.init 200 (fun _ ->
+        let q = Rng.int rng 4 in
+        if Rng.int rng 4 = 0 then Gate.Two (Gate.Cz, q, (q + 1) mod 4)
+        else Gate.Single (Gate.Su2 (random_su2 rng), q))
+  in
+  let merged = Circuit.merge_single_qubit_runs (Circuit.of_gates 4 width4) in
+  same "merge" (Array.to_list (Circuit.gates merged))
+    (Circuit.merge_single_qubit_runs
+       (List.fold_left Circuit.add (Circuit.create 4) width4));
+  Alcotest.check_raises "3x3 Su2 rejected"
+    (Invalid_argument "Circuit: opaque gate needs a 2x2 matrix") (fun () ->
+      ignore (Circuit.of_gates 1 [ Gate.Single (Gate.Su2 (Mat.identity 3), 0) ]))
+
 let suite =
   [
     ("construction", `Quick, test_construction);
@@ -348,4 +429,5 @@ let suite =
     ("synth entangler choice", `Quick, test_synth_uses_requested_entangler);
     QCheck_alcotest.to_alcotest prop_synth_random;
     ("synth on wires", `Quick, test_synth_on_wires);
+    ("packed round trip", `Quick, test_packed_round_trip);
   ]

@@ -488,6 +488,127 @@ let test_journal_fidelity () =
   check "after search";
   checki "p_nvars" 12 (Solver.export_problem s).Solver.p_nvars
 
+(* {1 Non-decision auxiliaries}
+
+   A random instance over 8-12 decision inputs: random 3-clauses, a
+   weighted at-most bound (totalizer), a cardinality bound (sequential
+   counter), a selector queried for an assumption literal, then clauses
+   over the encodings' auxiliaries (half of them with two positive
+   auxiliary literals) and more random 3-clauses. The same seed builds
+   the same instance in any solver; [mid] runs between the encodings
+   and the auxiliary clauses. Returns the assumptions. *)
+let aux_instance ?(mid = ignore) seed s =
+  let rng = Rng.create seed in
+  let n = 8 + Rng.int rng 5 in
+  let x = Array.init n (fun _ -> Solver.new_var s) in
+  let lit () = Lit.make x.(Rng.int rng n) (Rng.bool rng) in
+  let clauses k =
+    for _ = 1 to k do
+      Solver.add_clause s [ lit (); lit (); lit () ]
+    done
+  in
+  clauses (2 * n);
+  let terms () =
+    List.init (3 + Rng.int rng 5) (fun _ -> (lit (), 1 + Rng.int rng 9))
+  in
+  Qca_pseudo_bool.Totalizer.enforce_at_most s (terms ()) (5 + Rng.int rng 15);
+  let counted = List.init (4 + Rng.int rng 4) (fun _ -> lit ()) in
+  if Rng.bool rng then
+    Qca_pseudo_bool.Cardinality.at_most s counted (1 + Rng.int rng 3)
+  else Qca_pseudo_bool.Cardinality.at_least s counted (1 + Rng.int rng 3);
+  let sel =
+    Qca_pseudo_bool.Totalizer.at_most_selector s (terms ()) ~max:40
+  in
+  let assumptions =
+    match Qca_pseudo_bool.Totalizer.select sel (Rng.int rng 30) with
+    | Some (Some a) -> [ a ]
+    | Some None | None -> []
+  in
+  mid ();
+  let aux =
+    List.init (Solver.num_vars s) Fun.id
+    |> List.filter (fun v -> not (Solver.is_decision s v))
+    |> Array.of_list
+  in
+  if Array.length aux > 0 then
+    for i = 1 to 4 do
+      let a = aux.(Rng.int rng (Array.length aux))
+      and b = aux.(Rng.int rng (Array.length aux)) in
+      Solver.add_clause s
+        [ Lit.pos a; Lit.make b (i mod 2 = 0); lit () ]
+    done;
+  clauses n;
+  assumptions
+
+let prop_non_decision_aux =
+  QCheck.Test.make
+    ~name:"non-decision auxiliaries: same verdicts, models satisfy originals"
+    ~count:60 QCheck.small_int (fun seed ->
+      let s = Solver.create () in
+      let assumptions = aux_instance seed s in
+      let p = Solver.export_problem s in
+      let verdict solver = Solver.solve ~assumptions solver in
+      let valid solver = function
+        | Solver.Sat ->
+          model_satisfies (Solver.model solver) p.Solver.p_clauses
+          && List.for_all (Solver.lit_value solver) assumptions
+        | Solver.Unsat -> true
+        | Solver.Unknown _ -> false
+      in
+      let r = verdict s in
+      let all_decision =
+        Solver.import_problem
+          { p with Solver.p_decision = Array.make p.Solver.p_nvars true }
+      in
+      let r_all = verdict all_decision in
+      let clone = Solver.import_problem p in
+      let same_flags =
+        List.for_all
+          (fun v -> Solver.is_decision clone v = p.Solver.p_decision.(v))
+          (List.init p.Solver.p_nvars Fun.id)
+      in
+      let r_clone = verdict clone in
+      let base = Solver.create () in
+      let session = ref None in
+      let mid () =
+        session := Some (Qca_par.Portfolio.create_session ~jobs:2 base)
+      in
+      ignore (aux_instance ~mid seed base);
+      let r_par =
+        match !session with
+        | None -> Solver.Unknown Solver.Cancelled
+        | Some ss ->
+          (Qca_par.Portfolio.session_solve ~assumptions ss).Qca_par.Portfolio.verdict
+      in
+      same_flags && r = r_all && r = r_clone && r = r_par && valid s r
+      && valid all_decision r && valid clone r && valid base r)
+
+(* The one-positive-auxiliary rule: a clause with two positive
+   non-decision literals turns both into decision variables, one with a
+   single positive one (or only negative ones) leaves the flags alone. *)
+let test_positive_aux_promoted () =
+  let s = Solver.create () in
+  let x = Solver.new_var s in
+  let a = Solver.new_var ~decision:false s in
+  let b = Solver.new_var ~decision:false s in
+  let c = Solver.new_var ~decision:false s in
+  let unused = Solver.new_var ~decision:false s in
+  checkb "x decides" true (Solver.is_decision s x);
+  checkb "a does not" false (Solver.is_decision s a);
+  Solver.add_clause s [ Lit.pos a; Lit.neg_of_var b; Lit.pos x ];
+  Solver.add_clause s [ Lit.neg_of_var a; Lit.neg_of_var c ];
+  checkb "one positive: a kept" false (Solver.is_decision s a);
+  checkb "negative: b kept" false (Solver.is_decision s b);
+  Solver.add_clause s [ Lit.pos b; Lit.pos c ];
+  checkb "two positive: b promoted" true (Solver.is_decision s b);
+  checkb "two positive: c promoted" true (Solver.is_decision s c);
+  checkb "a untouched" false (Solver.is_decision s a);
+  Solver.add_clause s [ Lit.neg_of_var x ];
+  Alcotest.check result "sat" Solver.Sat (Solver.solve s);
+  checkb "model satisfies the originals" true
+    (model_satisfies (Solver.model s) (Solver.export_problem s).Solver.p_clauses);
+  checkb "unassigned auxiliary reads false" false (Solver.value s unused)
+
 let suite =
   [
     ("empty problem", `Quick, test_empty_problem);
@@ -512,6 +633,8 @@ let suite =
     ("stats", `Quick, test_stats_counted);
     ("blit_ints matches Array.blit", `Quick, test_blit_ints_matches_blit);
     ("journal fidelity", `Quick, test_journal_fidelity);
+    QCheck_alcotest.to_alcotest prop_non_decision_aux;
+    ("positive auxiliaries promoted", `Quick, test_positive_aux_promoted);
   ]
 
 (* Registered as the "simplify" group: these rounds once compared the
