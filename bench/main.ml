@@ -402,46 +402,6 @@ let par_rows () =
         } );
     ] )
 
-(* {1 Incremental OMT reuse}
-
-   The PR-10 A/B rows. Incremental-on is the serving steady state the
-   tentpole ships: the SAT-R / SAT-P adaptation of the fig6 workload
-   served from a warm encoded template (partition/match/encode done
-   once, one solver alive across the OMT rounds with the bound
-   tightened as an assumption over the memoized totalizer outputs).
-   Incremental-off is the pre-reuse behavior: re-partition, re-match,
-   re-encode, and rebuild the solver from scratch on every OMT round.
-   Objectives are identical either way (test/test_incremental.ml);
-   only wall-clock differs. Reps are interleaved A/B/A/B so machine
-   drift charges both sides equally; best-of-reps is reported. *)
-
-let reuse_rows () =
-  let tm = Pipeline.prepare hw bench_circuit in
-  let ab method_ =
-    let reps = if fast then 1 else 3 in
-    let on = ref infinity and off = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Clock.now () in
-      ignore (Pipeline.adapt_template tm (Pipeline.Sat method_));
-      on := Float.min !on (Clock.ms_between t0 (Clock.now ()));
-      let t1 = Clock.now () in
-      ignore
-        (Pipeline.adapt_governed ~incremental:false hw (Pipeline.Sat method_)
-           bench_circuit);
-      off := Float.min !off (Clock.ms_between t1 (Clock.now ()))
-    done;
-    (!on, !off)
-  in
-  let r_on, r_off = ab Model.Sat_r in
-  let p_on, p_off = ab Model.Sat_p in
-  ( r_on, r_off, p_on, p_off,
-    [
-      ("qca/omt/incremental-on", plain_row (r_on *. 1e6));
-      ("qca/omt/incremental-off", plain_row (r_off *. 1e6));
-      ("qca/omt/incremental-p-on", plain_row (p_on *. 1e6));
-      ("qca/omt/incremental-p-off", plain_row (p_off *. 1e6));
-    ] )
-
 (* {1 Flight-recorder overhead}
 
    A/B of the ablation PHP(6,5) solve with the ring recorder disabled
@@ -539,16 +499,6 @@ let run_benchmarks () =
     (if par_ms > 0.0 then seq_ms /. par_ms else Float.nan);
   Format.fprintf fmt "portfolio PHP(6,5): winner seat %d of %d raced@." winner
     jobs;
-  let r_on, r_off, p_on, p_off, reuse = reuse_rows () in
-  Format.fprintf fmt "== Incremental OMT reuse (A/B, best of reps) ==@.";
-  Format.fprintf fmt
-    "sat-r adapt: %.2f ms incremental, %.2f ms scratch (speedup %.2fx)@." r_on
-    r_off
-    (if r_on > 0.0 then r_off /. r_on else Float.nan);
-  Format.fprintf fmt
-    "sat-p adapt: %.2f ms incremental, %.2f ms scratch (speedup %.2fx)@." p_on
-    p_off
-    (if p_on > 0.0 then p_off /. p_on else Float.nan);
   let ring_off, ring_on, ring_events, ring = ring_rows () in
   Format.fprintf fmt "== Flight recorder overhead (PHP 6,5) ==@.";
   Format.fprintf fmt
@@ -579,7 +529,7 @@ let run_benchmarks () =
           } )
     in
     let all =
-      List.map micro rows @ governed @ proof @ par @ reuse @ ring
+      List.map micro rows @ governed @ proof @ par @ ring
     in
     let int_opt = function None -> "null" | Some n -> string_of_int n in
     let oc = open_out file in

@@ -15,8 +15,8 @@ module Trace = Qca_obs.Trace
 module Cli = Qca_obs.Cli
 open Qca_adapt
 
-let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
-    no_incremental certify metrics trace_out =
+let run method_name hw_name input show_circuit timeout_ms max_conflicts
+    certify metrics trace_out =
   Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
@@ -33,10 +33,7 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
         ?max_conflicts:(Option.map (fun n -> max 0 n) max_conflicts)
         ()
     in
-    let o =
-      Pipeline.adapt_governed ~budget ~jobs
-        ~incremental:(not no_incremental) hw method_ circuit
-    in
+    let o = Pipeline.adapt_governed ~budget hw method_ circuit in
     let baseline =
       Metrics.summarize hw (Pipeline.adapt hw Pipeline.Direct circuit)
     in
@@ -118,22 +115,6 @@ let conflicts_arg =
   let doc = "Cap on CDCL conflicts across all solver calls." in
   Arg.(value & opt (some int) None & info [ "max-conflicts" ] ~docv:"N" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Race $(docv) diversified CDCL seats per OMT round on OCaml domains \
-     (first decisive seat wins, the rest are cancelled). 1 = sequential. \
-     Defaults to $(b,QCA_JOBS) when set."
-  in
-  Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let no_incremental_arg =
-  let doc =
-    "Rebuild the solver from scratch on every OMT round instead of keeping \
-     one incremental solver alive across rounds (the measured baseline; the \
-     objective value is identical either way)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let certify_arg =
   let doc =
     "Certify the adapted circuit end to end: unitary equivalence with the \
@@ -160,7 +141,6 @@ let cmd =
   Cmd.v (Cmd.info "qca-adapt" ~doc)
     Term.(
       const run $ method_arg $ hw_arg $ input_arg $ show_arg $ timeout_arg
-      $ conflicts_arg $ jobs_arg $ no_incremental_arg
-      $ certify_arg $ metrics_arg $ trace_out_arg)
+      $ conflicts_arg $ certify_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

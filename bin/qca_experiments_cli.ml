@@ -27,8 +27,7 @@ let artifacts = [ "table1"; "eq11"; "fig5"; "fig6"; "fig7"; "all" ]
 let suite fast =
   if fast then Workloads.simulation_suite () else Workloads.evaluation_suite ()
 
-let run what hw_name fast timeout_ms jobs no_incremental csv_out metrics
-    trace_out =
+let run what hw_name fast timeout_ms jobs csv_out metrics trace_out =
   Cli.obs_start ~metrics ~trace_out;
   let checked =
     if List.mem what artifacts then Hardware.of_string hw_name
@@ -60,8 +59,7 @@ let run what hw_name fast timeout_ms jobs no_incremental csv_out metrics
     let figs56 () =
       note
         (Trace.span "fig5_fig6" (fun () ->
-             E.fig5_fig6 ?timeout_ms ~jobs ~incremental:(not no_incremental)
-               ~on_progress hw (suite fast)))
+             E.fig5_fig6 ?timeout_ms ~jobs ~on_progress hw (suite fast)))
     in
     let sim () =
       note_sim
@@ -119,14 +117,6 @@ let jobs_arg =
   in
   Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Disable solver reuse in the SMT rows: no shared per-case template, and \
-     every OMT round rebuilds its solver from scratch (the measured \
-     baseline; row values are identical either way)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let csv_arg =
   let doc =
     "Also write the Fig. 5/6 rows as CSV to $(docv), including the \
@@ -151,7 +141,6 @@ let cmd =
     (Cmd.info "qca-experiments" ~doc)
     Term.(
       const run $ what_arg $ hw_arg $ fast_arg $ timeout_arg $ jobs_arg
-      $ no_incremental_arg $ csv_arg
-      $ metrics_arg $ trace_out_arg)
+      $ csv_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

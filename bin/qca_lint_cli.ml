@@ -23,7 +23,7 @@ let report name issues =
   List.iter (fun i -> Format.printf "%s: %a@." name Lint.pp_issue i) issues;
   Lint.errors issues <> []
 
-let run input hw_name certify method_name timeout_ms jobs metrics trace_out =
+let run input hw_name certify method_name timeout_ms metrics trace_out =
   Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
@@ -49,7 +49,7 @@ let run input hw_name certify method_name timeout_ms jobs metrics trace_out =
       if not certify then false
       else begin
         let budget = Solver.budget ?timeout_ms () in
-        let o = Pipeline.adapt_governed ~budget ~jobs hw method_ circuit in
+        let o = Pipeline.adapt_governed ~budget hw method_ circuit in
         let issues =
           Trace.span "certify" (fun () ->
               Lint.certify_adaptation hw ~original:circuit
@@ -100,14 +100,6 @@ let timeout_arg =
   let doc = "Wall-clock budget for --certify's adaptation, milliseconds." in
   Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Portfolio width for --certify's adaptation (diversified CDCL seats \
-     raced per OMT round). 1 = sequential. Defaults to $(b,QCA_JOBS) \
-     when set."
-  in
-  Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let metrics_arg =
   let doc = "Print the metrics-registry summary to stderr on exit." in
   Arg.(value & flag & info [ "metrics" ] ~doc)
@@ -124,6 +116,6 @@ let cmd =
   Cmd.v (Cmd.info "qca-lint" ~doc)
     Term.(
       const run $ input_arg $ hw_arg $ certify_arg $ method_arg $ timeout_arg
-      $ jobs_arg $ metrics_arg $ trace_out_arg)
+      $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -22,10 +22,10 @@ let port_arg =
 
 (* {1 daemon} *)
 
-let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
+let daemon host port workers queue_capacity shed_fraction direct_fraction
     cache_capacity template_capacity default_timeout_ms max_timeout_ms
-    max_request_bytes retries certify revalidate_period no_incremental
-    fault_spec dump_dir slow_ms watchdog_ms =
+    max_request_bytes retries certify revalidate_period fault_spec dump_dir
+    slow_ms watchdog_ms =
   match
     match fault_spec with
     | None -> Ok Fault.none
@@ -41,13 +41,11 @@ let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
         host;
         port;
         workers;
-        solver_jobs = jobs;
         queue_capacity;
         shed_fraction;
         direct_fraction;
         cache_capacity;
         template_capacity;
-        incremental = not no_incremental;
         default_timeout_ms;
         max_timeout_ms;
         max_request_bytes;
@@ -78,10 +76,6 @@ let daemon_cmd =
   let workers =
     let doc = "Request-handling worker domains." in
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
-  in
-  let jobs =
-    let doc = "Portfolio CDCL seats per solve (as qca-adapt --jobs)." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let queue =
     let doc =
@@ -152,13 +146,6 @@ let daemon_cmd =
     in
     Arg.(value & opt int 8 & info [ "revalidate-period" ] ~docv:"N" ~doc)
   in
-  let no_incremental =
-    let doc =
-      "Disable solver reuse: no encoded-template store, and every OMT round \
-       rebuilds its solver from scratch (the measured baseline)."
-    in
-    Arg.(value & flag & info [ "no-incremental" ] ~doc)
-  in
   let fault =
     let doc =
       "Deterministic fault-injection plan (SITE:N:ACTION, see qca-sat \
@@ -193,10 +180,10 @@ let daemon_cmd =
   let doc = "run the adaptation service" in
   Cmd.v (Cmd.info "daemon" ~doc)
     Term.(
-      const daemon $ host_arg $ port_arg $ workers $ jobs $ queue $ shed_at
+      const daemon $ host_arg $ port_arg $ workers $ queue $ shed_at
       $ direct_at $ cache $ templates $ default_timeout $ max_timeout
-      $ max_bytes $ retries $ certify $ revalidate $ no_incremental
-      $ fault $ dump_dir $ slow_ms $ watchdog_ms)
+      $ max_bytes $ retries $ certify $ revalidate $ fault $ dump_dir
+      $ slow_ms $ watchdog_ms)
 
 (* {1 client subcommands} *)
 

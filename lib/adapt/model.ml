@@ -7,7 +7,6 @@ module Fault = Qca_util.Fault
 module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
 module Ring = Qca_obs.Ring
-module Portfolio = Qca_par.Portfolio
 
 (* OMT-driver telemetry: round count and the incumbent-objective
    trajectory (Eq. 8-10 values), both in the metrics registry and as a
@@ -39,12 +38,8 @@ type t = {
   span : (int * int) array;  (* first/last gate position in its block, by id *)
   false_lit : Lit.t;  (* a literal asserted false, for infeasible prunes *)
   mutable consumed : bool;
-  (* Incremental-reuse state. [session] keeps one set of portfolio
-     seats alive across OMT rounds (and across reusable runs);
-     [selectors] memoizes the pruning totalizer per objective, so a
+  (* [selectors] memoizes the pruning totalizer per objective, so a
      reused template never re-encodes a bound it has seen. *)
-  mutable session : (int * Portfolio.session) option;
-      (* (jobs, seats) — recreated when [jobs] changes *)
   selectors : (objective, Totalizer.selector) Hashtbl.t;
   bounds : (objective, int) Hashtbl.t;  (* memoized [lower_bound] *)
 }
@@ -158,7 +153,6 @@ let build ?options hw part subs_list =
     span;
     false_lit = Lit.pos false_var;
     consumed = false;
-    session = None;
     selectors = Hashtbl.create 4;
     bounds = Hashtbl.create 4;
   }
@@ -395,8 +389,8 @@ let default_round_budget = 120
 
 let m_reuse_runs = Obs.counter "omt.reuse.runs"
 
-let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
-    ?(incremental = true) ?(reuse = false) t obj =
+let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
+    obj =
   if t.consumed then Error `Already_consumed
   else begin
   if reuse then Obs.incr m_reuse_runs else t.consumed <- true;
@@ -493,67 +487,15 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
             bound)
     end
   in
-  (* The round solver. Incremental (the default): one solver — and at
-     [jobs > 1] one persistent portfolio session — stays alive across
-     every round, the tightened bound entering as an assumption literal
-     over the memoized totalizer outputs, so learnt clauses, saved
-     phases and VSIDS activities carry over.
-     Non-incremental (--no-incremental, the measured A/B baseline):
-     every round exports the problem, imports a fresh clone, encodes
-     the current bound from scratch on it and throws it all away after
-     the round — the rebuild cost the incremental path amortizes. *)
-  let session =
-    if not incremental then None
-    else
-      Some
-        (lazy
-          (match t.session with
-          | Some (j, ss) when j = jobs -> ss
-          | _ ->
-            let ss = Portfolio.create_session ~jobs sat in
-            t.session <- Some (jobs, ss);
-            ss))
-  in
+  (* The round solver: one solver stays alive across every round, the
+     tightened bound entering as an assumption literal over the
+     memoized totalizer outputs, so learnt clauses, saved phases and
+     VSIDS activities carry over. *)
   let round_solve best =
-    match session with
-    | Some ss ->
-      let assumptions =
-        run_assumptions
-        @ (match best with None -> [] | Some (b, _, _) -> prune b)
-      in
-      let v =
-        (Portfolio.session_solve ~assumptions ~budget (Lazy.force ss)).verdict
-      in
-      (v, fun i -> Solver.lit_value sat t.choice.(i))
-    | None ->
-      let clone =
-        Trace.span "omt.scratch.rebuild" (fun () ->
-            Solver.import_problem ~options:(Solver.options sat)
-              (Solver.export_problem sat))
-      in
-      let assumptions =
-        run_assumptions
-        @
-        match best with
-        | None -> []
-        | Some (b, _, _) ->
-          let bd = b - 1 - terms.constant - (terms.d_weight * t.d_lb) in
-          if pb_terms = [] then if bd < 0 then [ t.false_lit ] else []
-          else begin
-            match
-              Trace.span "omt.scratch.encode" (fun () ->
-                  Totalizer.assume_at_most_approx ~resolution:256 clone
-                    pb_terms bd)
-            with
-            | None -> []
-            | Some a -> [ a ]
-            | exception Invalid_argument _ -> [ t.false_lit ]
-          end
-      in
-      let v =
-        (Portfolio.solve_portfolio ~assumptions ~budget ~jobs clone).verdict
-      in
-      (v, fun i -> Solver.lit_value clone t.choice.(i))
+    let assumptions =
+      run_assumptions @ match best with None -> [] | Some (b, _, _) -> prune b
+    in
+    Solver.solve ~assumptions ~budget sat
   in
   let rounds = ref 0 and cuts = ref 0 in
   let proven = ref true in
@@ -582,19 +524,15 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     match
       Trace.span "omt.round"
         ~args:[ ("round", string_of_int !rounds) ]
-        (fun () ->
-          (* jobs > 1: every round — including the final UNSAT-proving
-             one, where most conflicts are spent — races the session's
-             diversified seats; jobs = 1 is exactly [Solver.solve]. *)
-          round_solve best)
+        (fun () -> round_solve best)
     with
-    | Solver.Unsat, _ -> best
-    | Solver.Unknown r, _ ->
+    | Solver.Unsat -> best
+    | Solver.Unknown r ->
       proven := false;
       stopped := Some r;
       best
-    | Solver.Sat, value_of ->
-      let mask = Array.init n value_of in
+    | Solver.Sat ->
+      let mask = Array.init n (fun i -> Solver.lit_value sat t.choice.(i)) in
       let v, d, path = exact_objective t terms mask in
       let best' =
         match best with

@@ -95,8 +95,6 @@ val greedy :
 val optimize :
   ?round_budget:int ->
   ?budget:Solver.budget ->
-  ?jobs:int ->
-  ?incremental:bool ->
   ?reuse:bool ->
   t ->
   objective ->
@@ -124,20 +122,10 @@ val optimize :
     [`Budget_exhausted] error is returned; a schedule that
     {!verify_schedule} rejects, [`Unverified_schedule]. Never raises.
 
-    [jobs > 1] races a {!Qca_par.Portfolio} of diversified CDCL seats
-    on every OMT round (the final UNSAT-proving round included); the
-    objective value is unchanged — optimality is closed by an UNSAT
-    answer whatever seat produces it. The seats are created on the first
-    CDCL round, so a run that closes at the bound spawns none.
-    [jobs = 1] (default) is the bit-identical sequential path.
-
-    [incremental] (default [true]) keeps one solver — and at
-    [jobs > 1] one persistent seat session — alive across the OMT
-    rounds: the tightened bound enters as an assumption literal over
-    the memoized totalizer outputs, so learnt clauses, saved phases
-    and VSIDS activities carry from round to round. [incremental:false] is the measured scratch baseline: every
-    round re-exports the problem, re-encodes the bound on a fresh clone
-    and discards it. The objective value is identical either way.
+    Every round solves on the model's own solver, which stays alive
+    across the rounds: the tightened bound enters as an assumption
+    literal over the memoized totalizer outputs, so learnt clauses,
+    saved phases and VSIDS activities carry from round to round.
 
     [reuse] (default [false]) makes the call non-consuming: the run's
     incumbent-exclusion clauses and path cuts are scoped under a fresh

@@ -251,8 +251,8 @@ let degraded o = o.tier <> Full || o.reason <> None
    Every rung always terminates (the lower rungs are polynomial), so a
    governed request never hangs and never raises: the worst case is the
    direct basis translation, which is always a valid adapted circuit. *)
-let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
-    ?template hw method_ circuit =
+let adapt_governed ?options ?budget ?(jobs = 1) ?template hw method_ circuit =
+  if jobs <> 1 then invalid_arg "Pipeline.adapt_governed: jobs must be 1";
   let budget = match budget with Some b -> b | None -> Solver.budget () in
   (* With a prebuilt template the partition/match/encode phases are
      skipped and the optimization runs non-consuming ([~reuse]), leaving
@@ -363,7 +363,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
       in
       match
         Trace.span "solve" (fun () ->
-            Model.optimize ~budget ~jobs ~incremental ~reuse model obj)
+            Model.optimize ~budget ~reuse model obj)
       with
       | Ok sol ->
         let info =
@@ -405,22 +405,20 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
     let c, info = adapt_polynomial hw method_ circuit in
     finish ~tier:Full ~reason:None ~info c
 
-let adapt_with_info ?options ?jobs ?incremental hw method_ circuit =
+let adapt_with_info ?options hw method_ circuit =
   match method_ with
   | Sat _ | Greedy _ ->
     (* [no_budget] never trips and skips the solver's governance layer:
        the ungoverned path, bit for bit *)
     let o =
-      adapt_governed ?options ~budget:Solver.no_budget ?jobs ?incremental hw
-        method_ circuit
+      adapt_governed ?options ~budget:Solver.no_budget hw method_ circuit
     in
     (o.circuit, o.info)
   | Direct | Kak_only_cz | Kak_only_cz_db | Template_f | Template_r ->
     adapt_polynomial hw method_ circuit
 
-let adapt ?options ?jobs ?incremental hw method_ circuit =
-  fst (adapt_with_info ?options ?jobs ?incremental hw method_ circuit)
+let adapt ?options hw method_ circuit =
+  fst (adapt_with_info ?options hw method_ circuit)
 
-let adapt_template ?budget ?jobs ?incremental tm method_ =
-  adapt_governed ?budget ?jobs ?incremental ~template:tm tm.t_hw method_
-    (template_circuit tm)
+let adapt_template ?budget tm method_ =
+  adapt_governed ?budget ~template:tm tm.t_hw method_ (template_circuit tm)

@@ -67,25 +67,12 @@ val no_info : info
     circuit that no substitution search produced. *)
 
 val adapt :
-  ?options:Solver.options ->
-  ?jobs:int ->
-  ?incremental:bool ->
-  Hardware.t ->
-  method_ ->
-  Circuit.t ->
-  Circuit.t
+  ?options:Solver.options -> Hardware.t -> method_ -> Circuit.t -> Circuit.t
 (** Adapts the circuit; the result contains only native gates and is
-    unitary-equivalent to the input (up to global phase). [jobs > 1]
-    enables portfolio solving on the SAT method's OMT rounds (see
-    {!Qca_adapt.Model.optimize}); default 1 = sequential.
-    [incremental] (default [true]) keeps one solver alive across the
-    OMT rounds; [false] is the scratch-rebuild baseline. The adapted
-    circuit's objective value is identical either way. *)
+    unitary-equivalent to the input (up to global phase). *)
 
 val adapt_with_info :
   ?options:Solver.options ->
-  ?jobs:int ->
-  ?incremental:bool ->
   Hardware.t ->
   method_ ->
   Circuit.t ->
@@ -170,7 +157,6 @@ val adapt_governed :
   ?options:Solver.options ->
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?template:template ->
   Hardware.t ->
   method_ ->
@@ -178,22 +164,17 @@ val adapt_governed :
   outcome
 (** Adapt under a resource budget (default: a fresh unlimited budget,
     so [spent] is still reported). With an unlimited budget the served
-    circuit is identical to {!adapt}'s. Total: never raises, never
-    hangs — see the ladder above. [jobs] as in {!adapt}: a portfolio of
-    diversified CDCL seats per OMT round, cancelled cooperatively
-    through this same budget. [incremental] as in {!adapt}.
+    circuit is identical to {!adapt}'s. Never hangs, and never raises
+    but for a [jobs] other than 1 — see the ladder above. [jobs]
+    (default 1) raises [Invalid_argument] at any other value: every
+    OMT round runs on the model's one solver, and the label stays only
+    for callers that pass [~jobs:1].
     With [template] (which must have been {!prepare}d for the same
     hardware and circuit) the partition/match/encode phases are skipped
     and the optimization runs non-consuming, leaving the template ready
     for the next request. *)
 
-val adapt_template :
-  ?budget:Solver.budget ->
-  ?jobs:int ->
-  ?incremental:bool ->
-  template ->
-  method_ ->
-  outcome
+val adapt_template : ?budget:Solver.budget -> template -> method_ -> outcome
 (** [adapt_governed] on the template's own hardware and circuit,
     skipping the prepared phases. Safe to call repeatedly; per-run
     incumbent cuts are scoped under an activation literal and retired

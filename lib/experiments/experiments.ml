@@ -39,9 +39,9 @@ let methods = Pipeline.all_methods
 
 (* Each adaptation gets its own budget so one slow workload cannot
    starve the rest of the matrix. *)
-let governed ?options ?timeout_ms ?incremental ?template hw m circuit =
+let governed ?options ?timeout_ms ?template hw m circuit =
   let budget = Solver.budget ?timeout_ms () in
-  Pipeline.adapt_governed ?options ~budget ?incremental ?template hw m circuit
+  Pipeline.adapt_governed ?options ~budget ?template hw m circuit
 
 let notify on_progress ~case ~meth o =
   match on_progress with
@@ -55,12 +55,8 @@ let notify on_progress ~case ~meth o =
         p_elapsed_ms = o.Pipeline.spent.Pipeline.elapsed_ms;
       }
 
-let row_of ?options ?timeout_ms ?incremental ?template ?on_progress hw kase
-    ~baseline m =
-  let o =
-    governed ?options ?timeout_ms ?incremental ?template hw m
-      kase.Workloads.circuit
-  in
+let row_of ?options ?timeout_ms ?template ?on_progress hw kase ~baseline m =
+  let o = governed ?options ?timeout_ms ?template hw m kase.Workloads.circuit in
   let s = Metrics.summarize hw o.Pipeline.circuit in
   notify on_progress ~case:kase.Workloads.label
     ~meth:(Pipeline.method_name m) o;
@@ -93,19 +89,16 @@ let is_smt_method = function
   | Pipeline.Template_f | Pipeline.Template_r -> false
 
 let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
-    ?(incremental = true) ?on_progress hw kase =
+    ?on_progress hw kase =
   let baseline = baseline_of hw kase in
-  let row =
-    row_of ?options ?timeout_ms ~incremental ?on_progress hw kase ~baseline
-  in
+  let row = row_of ?options ?timeout_ms ?on_progress hw kase ~baseline in
   if jobs <= 1 then begin
     (* Sequential case evaluation: the SMT methods of a case share one
        encoded template (same hardware × circuit key), so SAT F/R/P pay
        the partition/match/encode cost once and inherit each other's
-       learnt clauses. Disabled with the rest of the reuse machinery
-       under [incremental:false] (the scratch baseline). *)
+       learnt clauses. *)
     let template =
-      if incremental && List.exists is_smt_method methods then
+      if List.exists is_smt_method methods then
         Some (Pipeline.prepare ?options hw kase.Workloads.circuit)
       else None
     in
@@ -113,8 +106,8 @@ let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
       (fun m ->
         match template with
         | Some _ when is_smt_method m ->
-          row_of ?options ?timeout_ms ~incremental ?template ?on_progress hw
-            kase ~baseline m
+          row_of ?options ?timeout_ms ?template ?on_progress hw kase ~baseline
+            m
         | _ -> row m)
       methods
   end
@@ -132,12 +125,11 @@ let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
    recomputes its case's (cheap, deterministic) direct baseline rather
    than sharing one, so tasks share nothing mutable. *)
 let fig5_fig6 ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
-    ?(incremental = true) ?on_progress hw cases =
+    ?on_progress hw cases =
   if jobs <= 1 then
     List.concat_map
       (fun kase ->
-        evaluate_case ~methods ?options ?timeout_ms ~incremental ?on_progress
-          hw kase)
+        evaluate_case ~methods ?options ?timeout_ms ?on_progress hw kase)
       cases
   else
     let tasks =
@@ -150,7 +142,7 @@ let fig5_fig6 ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
         Array.to_list
           (Pool.parallel_map pool
              ~f:(fun (kase, m) ->
-               row_of ?options ?timeout_ms ~incremental ?on_progress hw kase
+               row_of ?options ?timeout_ms ?on_progress hw kase
                  ~baseline:(baseline_of hw kase) m)
              tasks))
 

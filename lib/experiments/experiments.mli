@@ -43,28 +43,24 @@ val evaluate_case :
   ?options:Qca_sat.Solver.options ->
   ?timeout_ms:float ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->
   Workloads.case ->
   row list
 (** Adapts one workload with every method and computes the Fig. 5/6
     metrics against the direct-translation baseline. [options] is
-    forwarded to every solver the pipeline builds (e.g. to ablate
-    inprocessing). [timeout_ms] bounds each adaptation independently
+    forwarded to every solver the pipeline builds (e.g. for a heuristic
+    ablation). [timeout_ms] bounds each adaptation independently
     (degraded rows are flagged). [jobs > 1] adapts the methods
     concurrently on a {!Qca_par.Pool} of OCaml domains; rows keep
-    their order. [incremental] (default [true]) lets the case's SMT
-    methods share one encoded {!Pipeline.prepare} template (sequential
-    path) and keeps each optimization's solver alive across its OMT
-    rounds; [incremental:false] is the scratch baseline. *)
+    their order. On the sequential path the case's SMT methods share
+    one encoded {!Pipeline.prepare} template. *)
 
 val fig5_fig6 :
   ?methods:Pipeline.method_ list ->
   ?options:Qca_sat.Solver.options ->
   ?timeout_ms:float ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->
   Workloads.case list ->

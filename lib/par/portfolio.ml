@@ -116,9 +116,8 @@ type outcome = {
    remaining conflict/propagation headroom (each seat gets the full
    remainder — the portfolio deliberately spends up to K× the
    sequential work to finish sooner). Fault plans are stateful and not
-   domain-safe, so seats run fault-free; the parent's plan keeps firing
-   at the coordinator-side sites (warm start, OMT rounds). Only the
-   decisive seat's spend is charged back to the parent. *)
+   domain-safe, so seats run fault-free. Only the decisive seat's spend
+   is charged back to the parent. *)
 let seat_budget parent ~should_stop =
   let remaining cap spent = if cap = max_int then max_int else max 0 (cap - spent) in
   {
@@ -134,102 +133,35 @@ let seat_budget parent ~should_stop =
     propagations_spent = 0;
   }
 
-(* {1 Sessions: persistent seats across rounds}
-
-   A session keeps the [jobs] diversified clones alive between solves,
-   so one OMT round's learnt clauses, saved phases and VSIDS
-   activities carry into the next round of the same incremental
-   problem. Clauses the caller adds to the base
-   between solves are replayed into every seat from the base's
-   append-only original-clause journal (a watermark per session), along
-   with any new variables — seat and base variable numbering stay
-   identical, which is also what makes the model-adoption re-solve
-   sound. *)
-
-type session = {
-  ss_base : Solver.t;
-  ss_jobs : int;
-  ss_seats : Solver.t array;  (* empty when [ss_jobs <= 1] *)
-  mutable ss_watermark : int;  (* originals journal index synced so far *)
-  mutable ss_rounds : int;
-}
-
-let m_sessions = Obs.counter "omt.reuse.sessions"
-let m_reuse_rounds = Obs.counter "omt.reuse.rounds"
-
-let create_session ?(proof = false) ~jobs base =
-  let jobs = max 1 jobs in
+(* One-shot race: the instance is exported once and [jobs] diversified
+   clones solve it alone. *)
+let solve_portfolio ?(assumptions = []) ?(budget = Solver.no_budget)
+    ?(proof = false) ~jobs base =
   (* An already-inconsistent base has nothing meaningful to export:
      [Solver.export_problem] would collapse the whole database to a bare
      empty clause, and a proof-armed seat that "imports" that clause as
      an original produces a DRUP log no checker can justify against the
-     caller's real originals. Degrade to a single-seat session — the
-     base answers Unsat instantly, and when its proof is armed the log
-     already ends with the empty-clause derivation. *)
+     caller's real originals. The base answers Unsat instantly, and
+     when its proof is armed the log already ends with the empty-clause
+     derivation. *)
   if jobs <= 1 || not (Solver.okay base) then
     {
-      ss_base = base;
-      ss_jobs = 1;
-      ss_seats = [||];
-      ss_watermark = 0;
-      ss_rounds = 0;
-    }
-  else begin
-    let problem = Solver.export_problem base in
-    let cfg = Array.of_list (seats ~base:(Solver.options base) jobs) in
-    let mk i =
-      Solver.import_problem ~options:cfg.(i).seat_options ~proof problem
-    in
-    Obs.incr m_sessions;
-    {
-      ss_base = base;
-      ss_jobs = jobs;
-      ss_seats = Array.init jobs mk;
-      ss_watermark = Solver.num_originals base;
-      ss_rounds = 0;
-    }
-  end
-
-(* Replay everything the caller added to the base since the last solve
-   into every seat. *)
-let sync_session ss =
-  if ss.ss_jobs > 1 then begin
-    let base = ss.ss_base in
-    let nv = Solver.num_vars base in
-    let delta = Solver.originals_since base ss.ss_watermark in
-    ss.ss_watermark <- Solver.num_originals base;
-    if delta <> [] || Solver.num_vars ss.ss_seats.(0) < nv then
-      Array.iter
-        (fun s ->
-          while Solver.num_vars s < nv do
-            let v = Solver.num_vars s in
-            ignore (Solver.new_var ~decision:(Solver.is_decision base v) s)
-          done;
-          List.iter (fun c -> Solver.add_clause s c) delta)
-        ss.ss_seats
-  end
-
-let session_solve ?(assumptions = []) ?(budget = Solver.no_budget) ss =
-  ss.ss_rounds <- ss.ss_rounds + 1;
-  if ss.ss_rounds > 1 then Obs.incr m_reuse_rounds;
-  (* A base that went root-inconsistent after the session was created
-     (e.g. a bound unit closed the objective interval) answers directly:
-     racing the seats would only rediscover the conflict, and the base's
-     own proof — when armed — is the one the caller certifies. *)
-  if ss.ss_jobs <= 1 || not (Solver.okay ss.ss_base) then
-    {
-      verdict = Solver.solve ~assumptions ~budget ss.ss_base;
+      verdict = Solver.solve ~assumptions ~budget base;
       winner = 0;
       winner_solver = None;
       seats_run = 1;
     }
   else begin
-    let base = ss.ss_base in
-    sync_session ss;
-    let jobs = ss.ss_jobs in
+    let problem = Solver.export_problem base in
+    let seat_solvers =
+      Array.of_list
+        (List.map
+           (fun st -> Solver.import_problem ~options:st.seat_options ~proof problem)
+           (seats ~base:(Solver.options base) jobs))
+    in
     let outcomes = Array.make jobs None in
     let thunk i ~should_stop =
-      let s = ss.ss_seats.(i) in
+      let s = seat_solvers.(i) in
       let sb = seat_budget budget ~should_stop in
       let r = Solver.solve ~assumptions ~budget:sb s in
       outcomes.(i) <- Some (r, s, sb);
@@ -268,9 +200,8 @@ let session_solve ?(assumptions = []) ?(budget = Solver.no_budget) ss =
     | None -> ());
     (* Adopt a SAT model into the base solver by re-solving under the
        full model as assumptions: pure propagation (the model satisfies
-       every clause, learnt ones included), after which the existing
-       readers — Model decode, Lint — see the winner's
-       model on the solver they already hold. *)
+       every clause, learnt ones included), after which the caller reads
+       the winner's model on the solver it already holds. *)
     (match verdict with
     | Solver.Sat ->
       let model_lits =
@@ -288,16 +219,3 @@ let session_solve ?(assumptions = []) ?(budget = Solver.no_budget) ss =
       seats_run = jobs;
     }
   end
-
-(* One-shot portfolio: a session created and solved once. *)
-let solve_portfolio ?(assumptions = []) ?(budget = Solver.no_budget)
-    ?(proof = false) ~jobs base =
-  if jobs <= 1 then
-    {
-      verdict = Solver.solve ~assumptions ~budget base;
-      winner = 0;
-      winner_solver = None;
-      seats_run = 1;
-    }
-  else
-    session_solve ~assumptions ~budget (create_session ~proof ~jobs base)

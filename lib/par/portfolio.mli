@@ -10,13 +10,8 @@
     The winner's DRUP log covers its whole derivation, so certification
     replays it unchanged. All seat domains are joined on every exit path,
     including seat exceptions and budget exhaustion; a seat exception
-    aborts the race and is re-raised after the joins.
-
-    A {!session} keeps the seats alive across solves of one growing
-    instance (the OMT bound-tightening loop): learnt clauses, saved
-    phases and VSIDS activities carry over from round to round, and
-    clauses added to the base between rounds are replayed into every
-    seat from the base's original-clause journal. *)
+    aborts the race and is re-raised after the joins. [qca-sat --jobs N]
+    is the caller. *)
 
 module Solver = Qca_sat.Solver
 
@@ -70,26 +65,6 @@ val solve_portfolio :
     assumptions), so existing readers of [base] keep working; on
     [Unsat] consult [winner_solver] for the core or DRUP proof.
     [proof] arms DRUP logging on every clone. Only the decisive seat's
-    conflict/propagation spend is charged to the parent budget. *)
-
-(** {1 Sessions: persistent seats across incremental rounds} *)
-
-type session
-
-val create_session : ?proof:bool -> jobs:int -> Solver.t -> session
-(** Clones [jobs] diversified seats of [base] once. With [jobs <= 1] no
-    clone is made and {!session_solve} is the sequential passthrough.
-    [proof] arms DRUP logging on every seat from creation, covering its
-    whole derivation. *)
-
-val session_solve :
-  ?assumptions:Qca_sat.Lit.t list ->
-  ?budget:Solver.budget ->
-  session ->
-  outcome
-(** Like {!solve_portfolio}, but on the session's persistent seats:
-    clauses and variables added to the base since the previous solve
-    are first replayed into every seat (from the base's append-only
-    original-clause journal), then the seats race — keeping their
-    learnt clauses, phases and activities from earlier rounds. Must not
-    be called concurrently on one session. *)
+    conflict/propagation spend is charged to the parent budget. A base
+    that is already inconsistent answers [Unsat] itself, as at
+    [jobs <= 1]. *)

@@ -1,10 +1,11 @@
 (** Cardinality constraints over literals (sequential-counter encoding).
 
-    These add hard CNF constraints to a {!Qca_sat.Solver.t}. Used for
-    the per-block exactly-one selectors of the adaptation model and as
-    the baseline encoding in the encoder ablation benchmarks. The
-    counter registers are non-decision variables
-    ({!Qca_sat.Solver.new_var}). *)
+    These add hard CNF constraints to a {!Qca_sat.Solver.t}. The
+    adaptation model does not use them (its Eq. 1 exclusions are plain
+    binary clauses); the test suite does, for the encodings' own checks
+    and as the cardinality bound in the SAT suite's non-decision
+    auxiliaries property. The counter registers are non-decision
+    variables ({!Qca_sat.Solver.new_var}). *)
 
 open Qca_sat
 

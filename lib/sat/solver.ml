@@ -1295,11 +1295,11 @@ type problem = {
   p_decision : bool array;
 }
 
-(* Journal clauses [start ..], rebuilt as fresh lists in addition
-   order (each list back to front, so no reversal is needed). *)
-let originals_since t start =
+(* Every journal clause, rebuilt as fresh lists in addition order
+   (each list back to front, so no reversal is needed). *)
+let originals t =
   let cls = ref [] in
-  for i = t.orig_n - 1 downto max 0 start do
+  for i = t.orig_n - 1 downto 0 do
     let lo = if i = 0 then 0 else t.orig_ends.(i - 1) in
     let c = ref [] in
     for k = t.orig_ends.(i) - 1 downto lo do
@@ -1312,7 +1312,7 @@ let originals_since t start =
 let export_problem t =
   let p_decision = Array.sub t.decision 0 t.nvars in
   if not t.ok then { p_nvars = t.nvars; p_clauses = [ [] ]; p_decision }
-  else { p_nvars = t.nvars; p_clauses = originals_since t 0; p_decision }
+  else { p_nvars = t.nvars; p_clauses = originals t; p_decision }
 
 let import_problem ?options ?(proof = false) p =
   let s = create ?options () in
@@ -1322,12 +1322,6 @@ let import_problem ?options ?(proof = false) p =
   done;
   List.iter (fun c -> add_clause s c) p.p_clauses;
   s
-
-(* Delta export for persistent clones: the journal is append-only, so
-   (watermark, length) windows name exactly the clauses added between
-   two points in time. A session syncs its seats by replaying the
-   window ({!originals_since}) plus any new variables. *)
-let num_originals t = t.orig_n
 
 (* Read-only snapshot of the internal state for the invariant auditor
    (lib/check). Scalar fields are copies; the arrays are shared with the

@@ -194,17 +194,6 @@ val import_problem : ?options:options -> ?proof:bool -> problem -> t
 (** [proof] arms DRUP logging before any clause is added, so the
     clone's log covers its whole derivation. *)
 
-val num_originals : t -> int
-(** Number of clauses in the append-only original-clause journal (one
-    per {!add_clause} call made while the solver was {!okay}). Together with
-    {!originals_since} this supports delta synchronization of
-    persistent clones: record the length as a watermark, later replay
-    exactly the clauses added since. *)
-
-val originals_since : t -> int -> Lit.t list list
-(** The original clauses added at journal index [start] and later, in
-    addition order (pristine, as handed to {!add_clause}). *)
-
 (** {1 DRUP proof logging}
 
     With {!enable_proof} the CDCL loop records every learnt-clause

@@ -38,13 +38,11 @@ type config = {
   host : string;
   port : int;
   workers : int;
-  solver_jobs : int;
   queue_capacity : int;
   shed_fraction : float;
   direct_fraction : float;
   cache_capacity : int;
   template_capacity : int;
-  incremental : bool;
   default_timeout_ms : float;
   max_timeout_ms : float;
   max_request_bytes : int;
@@ -68,13 +66,11 @@ let default_config =
     host = "127.0.0.1";
     port = 7333;
     workers = 2;
-    solver_jobs = 1;
     queue_capacity = 16;
     shed_fraction = 0.5;
     direct_fraction = 0.875;
     cache_capacity = 256;
     template_capacity = 32;
-    incremental = true;
     default_timeout_ms = 2_000.0;
     max_timeout_ms = 30_000.0;
     max_request_bytes = Wire.default_max_bytes;
@@ -175,7 +171,7 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
           Solver.budget ~timeout_ms:remaining_ms
             ?max_conflicts:r.Protocol.max_conflicts ()
         in
-        if cfg.incremental && is_smt then
+        if is_smt then
           (* SMT methods solve on the store's encoded template for this
              hardware × circuit key: repeat traffic (any objective)
              skips partition/match/encode and inherits learnt clauses *)
@@ -187,11 +183,9 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
               Pipeline.prepare ~options:cfg.options r.Protocol.hardware
                 circuit)
             (fun tmpl ->
-              Pipeline.adapt_template ~budget ~jobs:cfg.solver_jobs tmpl
-                eff_method)
+              Pipeline.adapt_template ~budget tmpl eff_method)
         else
           Pipeline.adapt_governed ~options:cfg.options ~budget
-            ~incremental:cfg.incremental ~jobs:cfg.solver_jobs
             r.Protocol.hardware eff_method circuit
     in
     let transient =

@@ -28,17 +28,13 @@ type config = {
   host : string;  (** bind address, default 127.0.0.1 *)
   port : int;  (** 0 = ephemeral (read it back with {!port}) *)
   workers : int;  (** request-handling domains *)
-  solver_jobs : int;  (** portfolio seats per solve, as [--jobs] *)
   queue_capacity : int;  (** admission bound *)
   shed_fraction : float;  (** queue fill ratio demoting SAT → greedy *)
   direct_fraction : float;  (** queue fill ratio demoting to direct *)
   cache_capacity : int;  (** result-cache entries *)
-  template_capacity : int;  (** encoded-template store entries *)
-  incremental : bool;
-      (** reuse encoded templates across requests sharing a
-          hardware × circuit key, and keep each optimization's solver
-          alive across its OMT rounds (default true; [false] is the
-          scratch baseline behind [--no-incremental]) *)
+  template_capacity : int;
+      (** encoded-template store entries: SMT methods reuse one encoded
+          template across requests sharing a hardware × circuit key *)
   default_timeout_ms : float;  (** deadline when the request names none *)
   max_timeout_ms : float;  (** hard per-request deadline cap *)
   max_request_bytes : int;  (** request body byte cap *)

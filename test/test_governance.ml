@@ -257,28 +257,47 @@ let test_polynomial_methods_never_degrade () =
       | Pipeline.Sat _ | Pipeline.Greedy _ -> ())
     [ Pipeline.Direct; Pipeline.Kak_only_cz; Pipeline.Template_f ]
 
-(* {1 The ladder under concurrency}
+(* {1 The ladder and the jobs label}
 
-   Shedding and degradation must not change shape when the solve runs
-   on a portfolio: the same injected exhaustion lands the same tier
-   with --jobs > 1 as with --jobs 1, and the outcome stays valid. *)
+   Every OMT round runs on the model's own solver, built fresh or held
+   by a reused template. The same injected exhaustion lands the same
+   tier on both, and a stopped template run leaves the template serving
+   in full. [adapt_governed] keeps its [jobs] label for callers passing
+   1; any other value, which once picked a portfolio, is refused up
+   front under every fault plan and deadline, so no concurrency setting
+   can land a different rung. *)
 
-let governed_with_jobs ~jobs fault method_ =
-  let budget = Solver.budget ~fault () in
-  Pipeline.adapt_governed ~budget ~jobs hw method_ paper_like_circuit
+let raises_invalid_argument f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let test_ladder_parity_under_jobs () =
+  let tm = Pipeline.prepare hw paper_like_circuit in
+  let meth = Pipeline.Sat Model.Sat_p in
+  let clean = governed_with Fault.none meth in
   List.iter
     (fun plan ->
-      let o1 = governed_with_jobs ~jobs:1 (Fault.inject plan) (Pipeline.Sat Model.Sat_p) in
-      let o2 = governed_with_jobs ~jobs:2 (Fault.inject plan) (Pipeline.Sat Model.Sat_p) in
-      checkb "same tier under jobs=2" true (o1.Pipeline.tier = o2.Pipeline.tier);
+      let fresh = governed_with (Fault.inject plan) meth in
+      let reused =
+        Pipeline.adapt_template
+          ~budget:(Solver.budget ~fault:(Fault.inject plan) ())
+          tm meth
+      in
+      checkb "same tier on the template" true (fresh.Pipeline.tier = reused.Pipeline.tier);
       checkb "same stop reason shape" true
-        (Option.is_some o1.Pipeline.reason = Option.is_some o2.Pipeline.reason);
+        (Option.is_some fresh.Pipeline.reason = Option.is_some reused.Pipeline.reason);
       checkb "same degradation verdict" true
-        (Pipeline.degraded o1 = Pipeline.degraded o2);
-      check_valid_outcome o1;
-      check_valid_outcome o2)
+        (Pipeline.degraded fresh = Pipeline.degraded reused);
+      check_valid_outcome fresh;
+      check_valid_outcome reused;
+      checkb "jobs=2 refused under the same plan" true
+        (raises_invalid_argument (fun () ->
+             Pipeline.adapt_governed
+               ~budget:(Solver.budget ~fault:(Fault.inject plan) ())
+               ~jobs:2 hw meth paper_like_circuit));
+      let after = Pipeline.adapt_template tm meth in
+      checkb "template serves in full afterwards" true (after.Pipeline.tier = Pipeline.Full);
+      checkb "same makespan as a fresh model" true
+        (after.Pipeline.claimed_makespan = clean.Pipeline.claimed_makespan))
     [
       [];  (* full service *)
       [ (Fault.Omt_round, 1, Fault.Exhaust) ];  (* incumbent *)
@@ -288,18 +307,27 @@ let test_ladder_parity_under_jobs () =
     ]
 
 let test_ladder_deadline_parity_under_jobs () =
-  (* a pre-expired deadline lands on the same rung at any concurrency *)
+  (* a pre-expired deadline lands on the direct rung at jobs=1, and
+     every other jobs value is refused before any rung runs *)
+  let meth = Pipeline.Sat Model.Sat_p in
   List.iter
     (fun jobs ->
       let budget = Solver.budget ~timeout_ms:0.0 () in
-      let o =
-        Pipeline.adapt_governed ~budget ~jobs hw (Pipeline.Sat Model.Sat_p)
-          paper_like_circuit
-      in
-      checkb "direct rung" true (o.Pipeline.tier = Pipeline.Direct_fallback);
-      checkb "deadline reason" true (o.Pipeline.reason = Some Solver.Deadline);
-      check_valid_outcome o)
-    [ 1; 2; 4 ]
+      let run () = Pipeline.adapt_governed ~budget ~jobs hw meth paper_like_circuit in
+      if jobs = 1 then begin
+        let o = run () in
+        checkb "direct rung" true (o.Pipeline.tier = Pipeline.Direct_fallback);
+        checkb "deadline reason" true (o.Pipeline.reason = Some Solver.Deadline);
+        check_valid_outcome o
+      end
+      else
+        checkb
+          (Printf.sprintf "jobs=%d raises Invalid_argument" jobs)
+          true (raises_invalid_argument run))
+    [ 0; 1; 2; 4 ];
+  let o = Pipeline.adapt_governed ~jobs:1 hw meth paper_like_circuit in
+  checkb "jobs=1 serves in full" true (o.Pipeline.tier = Pipeline.Full);
+  check_valid_outcome o
 
 (* {1 Differential soundness} *)
 

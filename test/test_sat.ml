@@ -445,7 +445,7 @@ let test_blit_ints_matches_blit () =
 (* The journal hands back exactly what [add_clause] received: literal
    order, duplicate literals, tautologies and root-satisfied clauses
    included, after propagation has moved watches in the arena and after
-   a search, and from a watermark taken midway. *)
+   a search. *)
 let test_journal_fidelity () =
   let s = Solver.create () in
   let v = Array.init 12 (fun _ -> Solver.new_var s) in
@@ -461,7 +461,6 @@ let test_journal_fidelity () =
     ]
   in
   List.iter (Solver.add_clause s) first;
-  let mark = Solver.num_originals s in
   let second =
     [
       [ n 0; n 1; p 3 ];
@@ -474,14 +473,8 @@ let test_journal_fidelity () =
   in
   List.iter (Solver.add_clause s) second;
   let check what =
-    checki (what ^ ": count") (List.length first + List.length second)
-      (Solver.num_originals s);
     checkb (what ^ ": export") true
-      ((Solver.export_problem s).Solver.p_clauses = first @ second);
-    checkb (what ^ ": from the watermark") true
-      (Solver.originals_since s mark = second);
-    checkb (what ^ ": past the end") true
-      (Solver.originals_since s (Solver.num_originals s) = [])
+      ((Solver.export_problem s).Solver.p_clauses = first @ second)
   in
   check "after propagation";
   Alcotest.check result "sat" Solver.Sat (Solver.solve s);
@@ -495,9 +488,8 @@ let test_journal_fidelity () =
    counter), a selector queried for an assumption literal, then clauses
    over the encodings' auxiliaries (half of them with two positive
    auxiliary literals) and more random 3-clauses. The same seed builds
-   the same instance in any solver; [mid] runs between the encodings
-   and the auxiliary clauses. Returns the assumptions. *)
-let aux_instance ?(mid = ignore) seed s =
+   the same instance in any solver. Returns the assumptions. *)
+let aux_instance seed s =
   let rng = Rng.create seed in
   let n = 8 + Rng.int rng 5 in
   let x = Array.init n (fun _ -> Solver.new_var s) in
@@ -524,7 +516,6 @@ let aux_instance ?(mid = ignore) seed s =
     | Some (Some a) -> [ a ]
     | Some None | None -> []
   in
-  mid ();
   let aux =
     List.init (Solver.num_vars s) Fun.id
     |> List.filter (fun v -> not (Solver.is_decision s v))
@@ -569,16 +560,10 @@ let prop_non_decision_aux =
       in
       let r_clone = verdict clone in
       let base = Solver.create () in
-      let session = ref None in
-      let mid () =
-        session := Some (Qca_par.Portfolio.create_session ~jobs:2 base)
-      in
-      ignore (aux_instance ~mid seed base);
+      ignore (aux_instance seed base);
       let r_par =
-        match !session with
-        | None -> Solver.Unknown Solver.Cancelled
-        | Some ss ->
-          (Qca_par.Portfolio.session_solve ~assumptions ss).Qca_par.Portfolio.verdict
+        (Qca_par.Portfolio.solve_portfolio ~assumptions ~jobs:2 base)
+          .Qca_par.Portfolio.verdict
       in
       same_flags && r = r_all && r = r_clone && r = r_par && valid s r
       && valid all_decision r && valid clone r && valid base r)
