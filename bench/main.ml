@@ -194,14 +194,13 @@ type json_row = {
   propagations : int option;
   omt_rounds : int option;
   row_jobs : int option;  (** domain count used (parallel rows) *)
-  winner_seat : int option;  (** decisive portfolio seat (portfolio rows) *)
   cores : int option;  (** detected host core count (parallel rows) *)
 }
 
 let plain_row ns =
   { ns; budget_exhausted = false; degraded_tier = None; proof_checked = None;
     proof_overhead_ms = None; conflicts = None; propagations = None;
-    omt_rounds = None; row_jobs = None; winner_seat = None; cores = None }
+    omt_rounds = None; row_jobs = None; cores = None }
 
 (* {1 Micro-benchmark telemetry}
 
@@ -347,16 +346,13 @@ let proof_rows () =
       ("qca/proof/php-replay", plain_row (replay_ms *. 1e6));
     ] )
 
-(* {1 Parallel batch adaptation and portfolio racing}
+(* {1 Parallel batch adaptation}
 
    A/B wall-clock of the same Fig. 5/6 batch at jobs = 1 and jobs = N,
    interleaved rep by rep so machine drift charges both sides equally
-   (best-of-reps reported), plus one portfolio race on the PHP(6,5)
-   ablation instance. The host's core count is recorded next to the
-   timings: on a single-core host the jobs-N batch cannot win and the
-   rows simply record what the host delivered. *)
-
-module Portfolio = Qca_par.Portfolio
+   (best-of-reps reported). The host's core count is recorded next to
+   the timings: on a single-core host the jobs-N batch cannot win and
+   the rows simply record what the host delivered. *)
 
 let par_rows () =
   let suite = Workloads.simulation_suite () in
@@ -371,21 +367,11 @@ let par_rows () =
     best_seq := Float.min !best_seq (batch 1);
     best_par := Float.min !best_par (batch jobs)
   done;
-  let num_vars, clauses = php_problem () in
-  let s = Sat.create () in
-  for _ = 1 to num_vars do
-    ignore (Sat.new_var s)
-  done;
-  List.iter (Sat.add_clause s) clauses;
-  let t0 = Clock.now () in
-  let o = Portfolio.solve_portfolio ~jobs s in
-  let race_ms = Clock.ms_between t0 (Clock.now ()) in
-  assert (o.Portfolio.verdict = Sat.Unsat);
   let cores = Domain.recommended_domain_count () in
   (* Every parallel row records both the jobs it ran with and the
      detected core count, so the JSON is self-describing — no synthetic
      "cores" row with a null timing. *)
-  ( !best_seq, !best_par, o.Portfolio.winner, cores,
+  ( !best_seq, !best_par, cores,
     [
       ( "qca/par/batch-jobs-1",
         { (plain_row (!best_seq *. 1e6)) with
@@ -393,13 +379,6 @@ let par_rows () =
       ( Printf.sprintf "qca/par/batch-jobs-%d" jobs,
         { (plain_row (!best_par *. 1e6)) with
           row_jobs = Some jobs; cores = Some cores } );
-      ( "qca/par/portfolio-php",
-        {
-          (plain_row (race_ms *. 1e6)) with
-          row_jobs = Some jobs;
-          winner_seat = Some o.Portfolio.winner;
-          cores = Some cores;
-        } );
     ] )
 
 (* {1 Flight-recorder overhead}
@@ -491,14 +470,12 @@ let run_benchmarks () =
     (if base_ms > 0.0 then 100.0 *. (logged_ms -. base_ms) /. base_ms else 0.0)
     replay_ms
     (if certified then "certified" else "NOT certified");
-  let seq_ms, par_ms, winner, cores, par = par_rows () in
+  let seq_ms, par_ms, cores, par = par_rows () in
   Format.fprintf fmt "== Parallel batch adaptation (%d core(s)) ==@." cores;
   Format.fprintf fmt
     "fig5/6 batch: %.1f ms at jobs=1, %.1f ms at jobs=%d (speedup %.2fx)@."
     seq_ms par_ms jobs
     (if par_ms > 0.0 then seq_ms /. par_ms else Float.nan);
-  Format.fprintf fmt "portfolio PHP(6,5): winner seat %d of %d raced@." winner
-    jobs;
   let ring_off, ring_on, ring_events, ring = ring_rows () in
   Format.fprintf fmt "== Flight recorder overhead (PHP 6,5) ==@.";
   Format.fprintf fmt
@@ -514,7 +491,7 @@ let run_benchmarks () =
     (* object per row:
        { ns, budget_exhausted, degraded_tier, proof_checked,
          proof_overhead_ms, conflicts, propagations, omt_rounds,
-         jobs, winner_seat, cores } *)
+         jobs, cores } *)
     let telemetry = micro_telemetry () in
     let micro (name, ns) =
       match List.assoc_opt name telemetry with
@@ -540,7 +517,7 @@ let run_benchmarks () =
           "  %S: {\"ns\": %s, \"budget_exhausted\": %b, \"degraded_tier\": %s, \
            \"proof_checked\": %s, \"proof_overhead_ms\": %s, \"conflicts\": %s, \
            \"propagations\": %s, \"omt_rounds\": %s, \"jobs\": %s, \
-           \"winner_seat\": %s, \"cores\": %s}%s\n"
+           \"cores\": %s}%s\n"
           name
           (if Float.is_nan r.ns then "null" else Printf.sprintf "%.2f" r.ns)
           r.budget_exhausted
@@ -550,7 +527,7 @@ let run_benchmarks () =
           | None -> "null"
           | Some ms -> Printf.sprintf "%.3f" ms)
           (int_opt r.conflicts) (int_opt r.propagations) (int_opt r.omt_rounds)
-          (int_opt r.row_jobs) (int_opt r.winner_seat) (int_opt r.cores)
+          (int_opt r.row_jobs) (int_opt r.cores)
           (if i = List.length all - 1 then "" else ","))
       all;
     output_string oc "}\n";

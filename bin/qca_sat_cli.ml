@@ -8,11 +8,10 @@ open Cmdliner
 module Dimacs = Qca_sat.Dimacs
 module Solver = Qca_sat.Solver
 module Drup = Qca_check.Drup
-module Portfolio = Qca_par.Portfolio
 module Trace = Qca_obs.Trace
 module Cli = Qca_obs.Cli
 
-let run input no_vsids no_restarts no_phase_saving jobs stats timeout_ms
+let run input no_vsids no_restarts no_phase_saving stats timeout_ms
     max_conflicts certify metrics trace_out =
   Cli.obs_start ~metrics ~trace_out;
   match
@@ -39,25 +38,7 @@ let run input no_vsids no_restarts no_phase_saving jobs stats timeout_ms
     let solver =
       Trace.span "encode" (fun () -> Dimacs.load ~options ~proof:certify problem)
     in
-    let outcome =
-      Trace.span "solve" (fun () ->
-          Portfolio.solve_portfolio ~budget ~proof:certify ~jobs solver)
-    in
-    let result = outcome.Portfolio.verdict in
-    if jobs > 1 then
-      Printf.printf "c portfolio: %d seats raced, winner %s\n"
-        outcome.Portfolio.seats_run
-        (if outcome.Portfolio.winner < 0 then "none"
-         else "seat " ^ string_of_int outcome.Portfolio.winner);
-    (* The seat that produced the verdict carries the artifacts the
-       rest of the run inspects: the DRUP proof for UNSAT, the model
-       and the search counters otherwise. With --jobs 1 this is the
-       base solver itself. *)
-    let solver =
-      match outcome.Portfolio.winner_solver with
-      | Some s -> s
-      | None -> solver
-    in
+    let result = Trace.span "solve" (fun () -> Solver.solve ~budget solver) in
     (* Independent certification of the verdict: model evaluation for
        SAT, DRUP proof replay for UNSAT. The check runs under the same
        budget as the search, so it degrades to "unchecked" rather than
@@ -128,13 +109,6 @@ let no_phase_saving =
     & info [ "no-phase-saving" ]
         ~doc:"Disable phase saving (decisions use the fixed initial polarity).")
 
-let jobs_arg =
-  let doc =
-    "Race $(docv) diversified solver configurations on OCaml domains; the \
-     first decisive seat wins and cancels the rest. 1 = sequential \
-     (bit-identical to earlier releases). Defaults to $(b,QCA_JOBS) when set."
-  in
-  Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 let stats = Arg.(value & flag & info [ "s"; "stats" ] ~doc:"Print solver statistics.")
 
 let timeout_arg =
@@ -169,7 +143,7 @@ let cmd =
   Cmd.v (Cmd.info "qca-sat" ~doc)
     Term.(
       const run $ input_arg $ no_vsids $ no_restarts $ no_phase_saving
-      $ jobs_arg $ stats $ timeout_arg
+      $ stats $ timeout_arg
       $ conflicts_arg $ certify_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -227,9 +227,12 @@ let certify_adaptation hw ~original ~adapted ?claimed_makespan
     err "certify-width" "adapted circuit has %d qubits, original %d"
       (Circuit.num_qubits adapted)
       (Circuit.num_qubits original);
+  (* decoded once: the native check, the unitary and the metrics all
+     read this array *)
+  let gates = Circuit.gates adapted in
+  let num_qubits = Circuit.num_qubits adapted in
   let non_native =
-    Array.to_list (Circuit.gates adapted)
-    |> List.filter (fun g -> not (Hardware.is_native hw g))
+    Array.to_list gates |> List.filter (fun g -> not (Hardware.is_native hw g))
   in
   (match non_native with
   | [] -> ()
@@ -237,10 +240,14 @@ let certify_adaptation hw ~original ~adapted ?claimed_makespan
     err "certify-native" "%d non-native gate(s) remain (first: %a)"
       (List.length non_native) Qca_circuit.Gate.pp g);
   if !issues = [] then begin
-    if not (Circuit.equivalent ~up_to_phase:true original adapted) then
+    if
+      not
+        (Circuit.same_unitary ~up_to_phase:true (Circuit.unitary original)
+           (Circuit.unitary_of_gates num_qubits gates))
+    then
       err "certify-unitary"
         "adapted circuit is not unitary-equivalent to the original";
-    let s = Metrics.summarize hw adapted in
+    let s = Metrics.summarize_gates hw ~num_qubits gates in
     (match claimed_makespan with
     | Some claimed when s.Metrics.duration > claimed ->
       (* Eq. 3 approximates a block's duration as its reference

@@ -12,12 +12,12 @@ type summary = {
   two_qubit_gates : int;
 }
 
-let summarize hw circuit =
-  let sch = Schedule.schedule ~dur:(Hardware.duration hw) circuit in
+let summarize_gates hw ~num_qubits gates =
+  let sch = Schedule.schedule_gates ~dur:(Hardware.duration hw) ~num_qubits gates in
   let log_fidelity =
     Array.fold_left
       (fun acc g -> acc +. log (Hardware.fidelity hw g))
-      0.0 (Circuit.gates circuit)
+      0.0 gates
   in
   {
     duration = sch.Schedule.makespan;
@@ -25,9 +25,16 @@ let summarize hw circuit =
     log_fidelity;
     idle_total = Schedule.total_idle sch;
     idle_per_qubit = sch.Schedule.idle;
-    gates = Circuit.length circuit;
-    two_qubit_gates = Circuit.count_two_qubit circuit;
+    gates = Array.length gates;
+    two_qubit_gates =
+      Array.fold_left
+        (fun acc g -> match g with Gate.Two _ -> acc + 1 | Gate.Single _ -> acc)
+        0 gates;
   }
+
+let summarize hw circuit =
+  summarize_gates hw ~num_qubits:(Circuit.num_qubits circuit)
+    (Circuit.gates circuit)
 
 let fidelity_change_pct ~baseline s =
   Qca_util.Numeric.percent_change ~baseline:baseline.fidelity s.fidelity

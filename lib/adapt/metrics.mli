@@ -15,7 +15,12 @@ type summary = {
 }
 
 val summarize : Hardware.t -> Circuit.t -> summary
-(** The circuit must contain only native gates. *)
+(** The circuit must contain only native gates. Decodes it once. *)
+
+val summarize_gates :
+  Hardware.t -> num_qubits:int -> Qca_circuit.Gate.t array -> summary
+(** {!summarize} of the circuit with these gates, for callers that
+    already hold the decoded array. *)
 
 val fidelity_change_pct : baseline:summary -> summary -> float
 (** Percentage change in circuit fidelity vs the baseline (Fig. 5's

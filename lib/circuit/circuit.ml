@@ -229,10 +229,9 @@ let embed m wires n =
   Mat.init dim dim (fun i j ->
       if rest i = rest j then Mat.get m (sub i) (sub j) else Cx.zero)
 
-let unitary c =
-  if c.num_qubits > max_unitary_qubits then
+let unitary_of_gates n gates =
+  if n > max_unitary_qubits then
     invalid_arg "Circuit.unitary: too many qubits";
-  let n = c.num_qubits in
   let acc = ref (Mat.identity (1 lsl n)) in
   let apply g =
     let m, wires =
@@ -242,13 +241,17 @@ let unitary c =
     in
     acc := Mat.mul (embed m wires n) !acc
   in
-  iter apply c;
+  Array.iter apply gates;
   !acc
 
-let equivalent ?(up_to_phase = true) c1 c2 =
-  let u1 = unitary c1 and u2 = unitary c2 in
+let unitary c = unitary_of_gates c.num_qubits (gates c)
+
+let same_unitary ?(up_to_phase = true) u1 u2 =
   if up_to_phase then Mat.equal_up_to_global_phase ~tol:1e-7 u1 u2
   else Mat.approx_equal ~tol:1e-7 u1 u2
+
+let equivalent ?up_to_phase c1 c2 =
+  same_unitary ?up_to_phase (unitary c1) (unitary c2)
 
 let count_two_qubit c =
   Array.fold_left

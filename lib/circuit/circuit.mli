@@ -54,8 +54,16 @@ val unitary : t -> Mat.t
 (** Full circuit unitary. Raises [Invalid_argument] beyond
     {!max_unitary_qubits} qubits. *)
 
+val unitary_of_gates : int -> Gate.t array -> Mat.t
+(** [unitary_of_gates n gates] is {!unitary} of the [n]-qubit circuit
+    with these gates, for callers that already hold the decoded array. *)
+
 val equivalent : ?up_to_phase:bool -> t -> t -> bool
 (** Unitary equivalence (default up to global phase). *)
+
+val same_unitary : ?up_to_phase:bool -> Mat.t -> Mat.t -> bool
+(** The comparison {!equivalent} makes on two unitaries (tolerance
+    1e-7, default up to global phase). *)
 
 val count_two_qubit : t -> int
 val count_single_qubit : t -> int

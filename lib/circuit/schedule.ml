@@ -6,9 +6,7 @@ type t = {
   idle : int array;
 }
 
-let schedule ~dur circuit =
-  let gates = Circuit.gates circuit in
-  let n = Circuit.num_qubits circuit in
+let schedule_gates ~dur ~num_qubits:n gates =
   let avail = Array.make n 0 in
   let busy = Array.make n 0 in
   let starts = Array.make (Array.length gates) 0 in
@@ -30,6 +28,10 @@ let schedule ~dur circuit =
   let makespan = Array.fold_left max 0 avail in
   let idle = Array.map (fun b -> makespan - b) busy in
   { starts; finishes; makespan; busy; idle }
+
+let schedule ~dur circuit =
+  schedule_gates ~dur ~num_qubits:(Circuit.num_qubits circuit)
+    (Circuit.gates circuit)
 
 let total_idle t = Array.fold_left ( + ) 0 t.idle
 

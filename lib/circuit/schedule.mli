@@ -16,6 +16,11 @@ type t = {
 
 val schedule : dur:(Gate.t -> int) -> Circuit.t -> t
 
+val schedule_gates : dur:(Gate.t -> int) -> num_qubits:int -> Gate.t array -> t
+(** {!schedule} of the circuit with these gates, for callers that
+    already hold the decoded array ({!Circuit.gates} decodes afresh on
+    every call). *)
+
 val total_idle : t -> int
 (** Sum of per-qubit idle times. *)
 

@@ -4,8 +4,8 @@ type kind = Counter | Gauge | Histogram
 
 let num_buckets = 32
 
-(* Every cell is an [Atomic.t] so concurrent domains (portfolio seats,
-   pool workers) never lose updates: int cells use fetch-and-add, float
+(* Every cell is an [Atomic.t] so concurrent domains (pool and serve
+   workers) never lose updates: int cells use fetch-and-add, float
    cells a CAS retry loop. The per-update cost with the registry off is
    still a single boolean load. *)
 type metric = {

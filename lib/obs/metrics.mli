@@ -14,8 +14,8 @@
 
     Updates are domain-safe: every cell is an [Atomic.t] (int cells
     use fetch-and-add, float cells a CAS retry loop) and interning is
-    mutex-guarded, so concurrent portfolio seats and pool workers never
-    lose increments. Reads ({!export}, {!summarize}) take no global
+    mutex-guarded, so concurrent pool and serve workers never lose
+    increments. Reads ({!export}, {!summarize}) take no global
     snapshot — a histogram exported mid-update may be off by the
     in-flight sample, which is fine for reporting. {!set_enabled} and
     {!reset} are management operations: call them from one domain while

@@ -28,7 +28,7 @@ let enabled () = Atomic.get live
 let t0 = Atomic.make (Clock.now ())
 
 (* Completed events, in completion order, guarded by [rec_m] (several
-   domains — pool workers, portfolio seats — record concurrently). The
+   domains — pool workers, serve workers — record concurrently). The
    open-span stack is per-domain state in DLS: spans nest within one
    domain and never migrate across domains. *)
 let rec_m = Mutex.create ()

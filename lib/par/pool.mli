@@ -17,8 +17,8 @@
 
     One batch at a time: {!parallel_map} raises [Invalid_argument] if
     the pool is already running a batch (the pool parallelises the
-    outermost loop; nested parallelism belongs to
-    {!Portfolio.solve_portfolio}'s own domains). *)
+    outermost loop only, e.g. the case batch of [qca-experiments
+    --jobs]; each task solves on its own domain alone). *)
 
 type t
 

@@ -40,7 +40,6 @@ type options = {
   clause_decay : float;
   restart_base : int;
   phase_init : bool;  (* polarity of fresh vars / fixed polarity *)
-  seed : int;  (* <> 0: occasional random decision polarity *)
 }
 
 let default_options =
@@ -54,7 +53,6 @@ let default_options =
     clause_decay = 0.999;
     restart_base = 64;
     phase_init = false;
-    seed = 0;
   }
 
 type stop_reason =
@@ -206,7 +204,6 @@ type t = {
   mutable lbd_tick : int;
   mutable var_inc : float;
   mutable cla_inc : float;
-  mutable rnd : int;  (* xorshift state; only advanced when seed <> 0 *)
   (* DRUP proof log (off by default): a flat int stream of events, each
      a header word [n lsl 1 lor is_delete] followed by n literals in the
      internal encoding. Grown amortized; never read by the solver
@@ -217,15 +214,6 @@ type t = {
   mutable ok : bool;
   mutable has_model : bool;
   mutable core : Lit.t list;
-  (* The original-clause journal keeps every clause handed to
-     {!add_clause} verbatim, as flat literals [orig_lits] plus
-     per-clause end offsets [orig_ends] (ints only, so the journal
-     holds no list cells alive and is written without the write
-     barrier); {!export_problem} rebuilds the lists from it. *)
-  mutable orig_lits : int array;
-  mutable orig_nlits : int;
-  mutable orig_ends : int array;  (* clause i = orig_lits[ends(i-1), ends(i)) *)
-  mutable orig_n : int;
   mutable n_conflicts : int;
   mutable n_decisions : int;
   mutable n_propagations : int;
@@ -275,17 +263,12 @@ let create ?(options = default_options) () =
     lbd_tick = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
-    rnd = (if options.seed = 0 then 1 else options.seed land max_int lor 1);
     proof_on = false;
     proof_buf = [||];
     proof_len = 0;
     ok = true;
     has_model = false;
     core = [];
-    orig_lits = Array.make 256 0;
-    orig_nlits = 0;
-    orig_ends = Array.make 64 0;
-    orig_n = 0;
     n_conflicts = 0;
     n_decisions = 0;
     n_propagations = 0;
@@ -299,7 +282,6 @@ let create ?(options = default_options) () =
 
 let num_vars t = t.nvars
 let num_clauses t = Vec.length t.clauses
-let okay t = t.ok
 
 (* --- DRUP proof logging --- *)
 
@@ -351,9 +333,10 @@ let proof_fold ~init ~f proof =
    the solver); the solver only exposes the hook and invokes it every
    [QCA_AUDIT] conflicts. QCA_AUDIT unset/0 disables, a value > 1 is
    the period in conflicts, any other value means the default period.
-   Read once at module initialization, not lazily: portfolio seats on
-   several domains would otherwise race to force it, and a lazy value
-   forced concurrently raises [CamlinternalLazy.Undefined]. *)
+   Read once at module initialization, not lazily: solvers on several
+   domains (pool or serve workers) would otherwise race to force it,
+   and a lazy value forced concurrently raises
+   [CamlinternalLazy.Undefined]. *)
 
 let audit_period =
   match Sys.getenv_opt "QCA_AUDIT" with
@@ -963,33 +946,22 @@ let reduce_db t =
 let force_reduce_db t = reduce_db t
 let force_gc t = garbage_collect t
 
-(* Checks the variables and appends the pristine clause to the
-   journal, for export_problem. The new literals only count once the
-   whole clause has passed the check. A top-level recursion, so the
-   per-clause call allocates no closure. *)
-let rec journal_lits t n = function
-  | [] -> n
+(* Raises on a literal over a variable {!new_var} never made. Runs
+   before [add_clause] touches anything, so a rejected clause leaves the
+   solver as it was. A top-level recursion, so the per-clause call
+   allocates no closure. *)
+let rec check_vars t = function
+  | [] -> ()
   | l :: rest ->
     if Lit.var l >= t.nvars then
       invalid_arg "Solver.add_clause: unknown variable";
-    if n = Array.length t.orig_lits then
-      t.orig_lits <- grow_ints t.orig_lits (n + 1);
-    Array.unsafe_set t.orig_lits n l;
-    journal_lits t (n + 1) rest
-
-let journal_clause t lits =
-  let n = journal_lits t t.orig_nlits lits in
-  if t.orig_n = Array.length t.orig_ends then
-    t.orig_ends <- grow_ints t.orig_ends (t.orig_n + 1);
-  t.orig_ends.(t.orig_n) <- n;
-  t.orig_n <- t.orig_n + 1;
-  t.orig_nlits <- n
+    check_vars t rest
 
 (* One pass over the literals into [t.astack]: dedupe and detect
    tautologies with the per-literal mark [tick], drop root-false
    literals. Returns the number of literals kept, or -1 when the clause
    is a tautology or already satisfied at the root. A top-level
-   recursion, like [journal_lits], so the per-clause call allocates
+   recursion, like [check_vars], so the per-clause call allocates
    nothing. *)
 let rec dedup_lits t tick n = function
   | [] -> n
@@ -1031,10 +1003,10 @@ let promote_positive_aux t n =
     done
 
 let add_clause t lits =
+  check_vars t lits;
   backtrack_to t 0;
   t.has_model <- false;
   if t.ok then begin
-    journal_clause t lits;
     t.lmark_tick <- t.lmark_tick + 1;
     match dedup_lits t t.lmark_tick 0 lits with
     | -1 -> ()
@@ -1073,25 +1045,10 @@ let pick_branch_var t =
     scan 0
   end
 
-(* Decision polarity. Saved phase (progress saving) by default; fixed
-   [phase_init] when phase saving is ablated. With a nonzero [seed] the
-   portfolio seats additionally flip a random polarity about 1 decision
-   in 32 (xorshift, deterministic per seed). [seed = 0] never touches
-   [t.rnd], keeping the default path bit-identical. *)
-let[@inline] next_rand t =
-  let x = t.rnd in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  let x = x land max_int in
-  let x = if x = 0 then 1 else x in
-  t.rnd <- x;
-  x
-
+(* Decision polarity: the saved phase (progress saving) by default,
+   the fixed [phase_init] when phase saving is ablated. *)
 let[@inline] decide_polarity t v =
-  if t.opts.seed <> 0 && next_rand t land 31 = 0 then next_rand t land 1 = 0
-  else if t.opts.use_phase_saving then t.phase.(v)
-  else t.opts.phase_init
+  if t.opts.use_phase_saving then t.phase.(v) else t.opts.phase_init
 
 exception Answered of result
 
@@ -1280,48 +1237,6 @@ let lit_value t l = if Lit.sign l then value t (Lit.var l) else not (value t (Li
 let model t = Array.init t.nvars (fun v -> value t v)
 
 let unsat_core t = t.core
-
-let options t = t.opts
-
-(* Problem snapshot for portfolio cloning: exactly the clauses the
-   caller added, untouched by root-level rewriting
-   (the importing seat re-normalizes and re-derives root facts itself).
-   Learnt clauses are implied and deliberately not exported — each seat
-   re-learns under its own configuration. An already-refuted solver
-   exports one empty clause. *)
-type problem = {
-  p_nvars : int;
-  p_clauses : Lit.t list list;
-  p_decision : bool array;
-}
-
-(* Every journal clause, rebuilt as fresh lists in addition order
-   (each list back to front, so no reversal is needed). *)
-let originals t =
-  let cls = ref [] in
-  for i = t.orig_n - 1 downto 0 do
-    let lo = if i = 0 then 0 else t.orig_ends.(i - 1) in
-    let c = ref [] in
-    for k = t.orig_ends.(i) - 1 downto lo do
-      c := t.orig_lits.(k) :: !c
-    done;
-    cls := !c :: !cls
-  done;
-  !cls
-
-let export_problem t =
-  let p_decision = Array.sub t.decision 0 t.nvars in
-  if not t.ok then { p_nvars = t.nvars; p_clauses = [ [] ]; p_decision }
-  else { p_nvars = t.nvars; p_clauses = originals t; p_decision }
-
-let import_problem ?options ?(proof = false) p =
-  let s = create ?options () in
-  if proof then enable_proof s;
-  for v = 0 to p.p_nvars - 1 do
-    ignore (new_var ~decision:p.p_decision.(v) s)
-  done;
-  List.iter (fun c -> add_clause s c) p.p_clauses;
-  s
 
 (* Read-only snapshot of the internal state for the invariant auditor
    (lib/check). Scalar fields are copies; the arrays are shared with the

@@ -32,11 +32,6 @@ type options = {
   clause_decay : float;
   restart_base : int;  (** conflicts per Luby unit *)
   phase_init : bool;  (** initial / fixed decision polarity *)
-  seed : int;
-      (** [<> 0]: flip a pseudo-random decision polarity about 1 in 32
-          (deterministic xorshift keyed by the seed) — the portfolio
-          diversification knob. [0] (default) consults no RNG and is
-          bit-identical to the classic search. *)
 }
 
 val default_options : options
@@ -71,8 +66,10 @@ type budget = {
   max_propagations : int;
   deadline : float;  (** absolute {!Qca_util.Clock.now} seconds; [infinity] = none *)
   cancelled : unit -> bool;
-      (** polled cooperatively; must be domain-safe when the budget is
-          shared with portfolio seats *)
+      (** polled cooperatively at each budget check of the CDCL loop
+          and by every {!budget_status} poll; a caller stops a solve
+          from outside by making it return [true]. It must be
+          domain-safe if another domain flips it. *)
   fault : Qca_util.Fault.t;
   created : float;
   mutable conflicts_spent : int;
@@ -126,21 +123,16 @@ val is_decision : t -> Lit.var -> bool
 val num_vars : t -> int
 val num_clauses : t -> int
 
-val okay : t -> bool
-(** [false] once the clause database is known inconsistent at the root
-    level — an empty clause was added, or propagation derived one —
-    after which every {!solve} answers [Unsat]
-    immediately. Callers that clone solvers (e.g. the portfolio) use
-    this to avoid exporting a derived empty clause as if it were an
-    original. *)
-
 val add_clause : t -> Lit.t list -> unit
 (** Adds a clause (permanently). Tautologies are dropped; duplicate
     literals merged. Adding the empty clause (or deriving a root-level
     conflict) makes every future {!solve} return [Unsat]. When the
     kept literals include two or more positive literals over
     non-decision variables, those variables become decision variables
-    (see {!new_var}). *)
+    (see {!new_var}). The solver keeps no copy of the clause as given:
+    it stores only the simplified clause (or root unit) it derives.
+    Raises [Invalid_argument] when a literal's variable was never
+    created by {!new_var}; the solver is then left unchanged. *)
 
 val solve : ?assumptions:Lit.t list -> ?budget:budget -> t -> result
 (** Solves under the optional assumptions. With a [budget], may answer
@@ -163,36 +155,6 @@ val model : t -> bool array
 val unsat_core : t -> Lit.t list
 (** After [Unsat] under assumptions: a subset of the assumptions that is
     already unsatisfiable together with the clauses. *)
-
-val options : t -> options
-(** The options the solver was created with. *)
-
-(** {1 Problem export (portfolio cloning)}
-
-    {!export_problem} snapshots the problem a solver holds — variable
-    count plus exactly the clauses that were added, verbatim (same
-    literal order, duplicates and tautologies kept), untouched by
-    root-level rewriting (the importer re-normalizes and re-derives
-    root facts). The solver journals each added clause
-    as flat literals, not as the caller's list, so every export builds
-    fresh lists. Learnt clauses are
-    implied and not exported; a refuted solver exports one empty
-    clause. {!import_problem} rebuilds an equivalent fresh solver,
-    possibly under different {!options} — this is how
-    {!Qca_par.Portfolio} seats diversified clones without sharing any
-    mutable solver state. The decision flags (see {!new_var}) travel
-    with the problem. *)
-
-type problem = {
-  p_nvars : int;
-  p_clauses : Lit.t list list;
-  p_decision : bool array;  (** per variable, {!is_decision} at export *)
-}
-
-val export_problem : t -> problem
-val import_problem : ?options:options -> ?proof:bool -> problem -> t
-(** [proof] arms DRUP logging before any clause is added, so the
-    clone's log covers its whole derivation. *)
 
 (** {1 DRUP proof logging}
 

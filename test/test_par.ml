@@ -1,12 +1,9 @@
-(* Parallelism layer: work-stealing pool semantics, portfolio racing
-   (bit-identity at jobs = 1, model/proof validity at jobs > 1,
-   join-all on every exit path), domain-safety of the metrics
-   registry, and the phase-saving ablation. *)
+(* Parallelism layer: work-stealing pool semantics, domain-safety of
+   the metrics registry, governed adaptations on concurrent domains,
+   and the phase-saving ablation. *)
 
 open Qca_sat
 module Pool = Qca_par.Pool
-module Portfolio = Qca_par.Portfolio
-module Drup = Qca_check.Drup
 module Obs = Qca_obs.Metrics
 module Rng = Qca_util.Rng
 
@@ -98,7 +95,7 @@ let test_pool_shutdown () =
   Pool.shutdown pool;
   checki "workers joined" 0 (Pool.live_workers pool)
 
-(* {1 Portfolio: sequential bit-identity} *)
+(* {1 Random instances} *)
 
 let random_instance seed nvars nclauses =
   let rng = Rng.create seed in
@@ -122,123 +119,6 @@ let model_satisfies s clauses =
           else not (Solver.value s (Lit.var l)))
         clause)
     clauses
-
-(* jobs = 1 must be the sequential solver, bit for bit: same verdict,
-   same search (every counter in [stats]), same model. *)
-let test_jobs1_bit_identity () =
-  List.iter
-    (fun seed ->
-      let nvars = 30 and nclauses = 120 in
-      let clauses = random_instance seed nvars nclauses in
-      let a = fresh_solver clauses nvars in
-      let b = fresh_solver clauses nvars in
-      let ra = Solver.solve a in
-      let o = Portfolio.solve_portfolio ~jobs:1 b in
-      Alcotest.check result "same verdict" ra o.Portfolio.verdict;
-      checki "winner is seat 0" 0 o.Portfolio.winner;
-      checkb "no clone consulted" true (o.Portfolio.winner_solver = None);
-      checkb "same search counters" true (Solver.stats a = Solver.stats b);
-      if ra = Solver.Sat then
-        for v = 0 to nvars - 1 do
-          checkb "same model" (Solver.value a v) (Solver.value b v)
-        done)
-    [ 3; 17; 42; 99; 123 ]
-
-(* {1 Portfolio: parallel verdict validity} *)
-
-let test_portfolio_sat_model_valid () =
-  let nvars = 40 in
-  (* under-constrained, so SAT with near-certainty at these seeds *)
-  let clauses = random_instance 7 nvars 80 in
-  let base = fresh_solver clauses nvars in
-  let o = Portfolio.solve_portfolio ~jobs:4 base in
-  Alcotest.check result "sat" Solver.Sat o.Portfolio.verdict;
-  checki "four seats raced" 4 o.Portfolio.seats_run;
-  checkb "a seat won" true (o.Portfolio.winner >= 0);
-  (* the winner's model was adopted into the base solver *)
-  checkb "base model satisfies every clause" true
-    (model_satisfies base clauses);
-  checki "all domains joined" 0 (Portfolio.live_domains ())
-
-let php_clauses pigeons holes =
-  let var i j = (i * holes) + j in
-  let place =
-    List.init pigeons (fun i -> List.init holes (fun j -> Lit.pos (var i j)))
-  in
-  let excl = ref [] in
-  for j = 0 to holes - 1 do
-    for i1 = 0 to pigeons - 1 do
-      for i2 = i1 + 1 to pigeons - 1 do
-        excl := [ Lit.neg_of_var (var i1 j); Lit.neg_of_var (var i2 j) ] :: !excl
-      done
-    done
-  done;
-  (pigeons * holes, place @ !excl)
-
-(* An UNSAT portfolio verdict is only as good as its certificate: the
-   winning seat logs DRUP, and the independent checker must replay it
-   against the original clauses. *)
-let test_portfolio_unsat_certified () =
-  let num_vars, clauses = php_clauses 6 5 in
-  let base = fresh_solver clauses num_vars in
-  let o = Portfolio.solve_portfolio ~proof:true ~jobs:4 base in
-  Alcotest.check result "unsat" Solver.Unsat o.Portfolio.verdict;
-  checkb "a seat won" true (o.Portfolio.winner >= 0);
-  let winner =
-    match o.Portfolio.winner_solver with
-    | Some s -> s
-    | None -> Alcotest.fail "winner solver missing"
-  in
-  let c = Drup.certify ~num_vars clauses ~solver:winner Solver.Unsat in
-  checkb "DRUP replay certifies the winner" true
-    (c.Drup.verdict = Drup.Certified);
-  checki "all domains joined" 0 (Portfolio.live_domains ())
-
-(* Seat configurations are a pure function of (base, index): the same
-   portfolio twice is the same race. *)
-let test_seats_deterministic () =
-  let base = Solver.default_options in
-  let a = Portfolio.seats ~base 6 and b = Portfolio.seats ~base 6 in
-  checkb "seat tables equal" true (a = b);
-  (match a with
-  | s0 :: _ -> checkb "seat 0 is the base config" true (s0.Portfolio.seat_options = base)
-  | [] -> Alcotest.fail "no seats");
-  (* diversified seats carry deterministic non-zero RNG seeds *)
-  List.iteri
-    (fun i s ->
-      if i > 0 then
-        checkb "seat seed set" true (s.Portfolio.seat_options.Solver.seed <> 0))
-    a
-
-(* {1 Portfolio: join-all on every exit path} *)
-
-let test_race_exception_joins_all () =
-  let raised =
-    try
-      ignore
-        (Portfolio.race
-           (fun i ~should_stop ->
-             ignore should_stop;
-             if i = 1 then failwith "boom" else None)
-           4);
-      false
-    with Failure msg ->
-      Alcotest.(check string) "racer exception" "boom" msg;
-      true
-  in
-  checkb "exception re-raised" true raised;
-  checki "all domains joined after exception" 0 (Portfolio.live_domains ())
-
-let test_portfolio_budget_exhaustion_joins_all () =
-  let num_vars, clauses = php_clauses 7 6 in
-  let base = fresh_solver clauses num_vars in
-  let budget = Solver.budget ~timeout_ms:0.0 () in
-  let o = Portfolio.solve_portfolio ~budget ~jobs:3 base in
-  (match o.Portfolio.verdict with
-  | Solver.Unknown _ -> ()
-  | r -> Alcotest.failf "expected Unknown, got %a" (Alcotest.pp result) r);
-  checki "no decisive seat" (-1) o.Portfolio.winner;
-  checki "all domains joined after exhaustion" 0 (Portfolio.live_domains ())
 
 (* {1 Governed adaptations on concurrent domains} *)
 
@@ -302,7 +182,6 @@ let test_phase_ablation_verdicts_agree () =
           Solver.default_options;
           { Solver.default_options with use_phase_saving = false };
           { Solver.default_options with phase_init = true };
-          { Solver.default_options with seed = 12345 };
         ]
       in
       let verdicts =
@@ -329,16 +208,6 @@ let suite =
     ("pool: jobs=1 is plain map", `Quick, test_pool_jobs1_is_map);
     ("pool: exception propagation", `Quick, test_pool_exception);
     ("pool: shutdown joins workers", `Quick, test_pool_shutdown);
-    ("portfolio: jobs=1 bit-identity", `Quick, test_jobs1_bit_identity);
-    ("portfolio: SAT model adopted and valid", `Quick,
-     test_portfolio_sat_model_valid);
-    ("portfolio: UNSAT winner DRUP-certified", `Quick,
-     test_portfolio_unsat_certified);
-    ("portfolio: seat table deterministic", `Quick, test_seats_deterministic);
-    ("portfolio: exception joins all domains", `Quick,
-     test_race_exception_joins_all);
-    ("portfolio: budget exhaustion joins all domains", `Quick,
-     test_portfolio_budget_exhaustion_joins_all);
     ("pipeline: concurrent governed ladder shape", `Quick,
      test_concurrent_governed_ladder_shape);
     ("sat: phase-saving ablations agree", `Quick,

@@ -124,13 +124,8 @@ let solve_with ?options clauses nvars =
   List.iter (Solver.add_clause s) clauses;
   (s, Solver.solve s)
 
-let model_satisfies model clauses =
-  List.for_all
-    (fun clause ->
-      List.exists
-        (fun l -> if Lit.sign l then model.(Lit.var l) else not model.(Lit.var l))
-        clause)
-    clauses
+let holds model l = if Lit.sign l then model.(Lit.var l) else not model.(Lit.var l)
+let model_satisfies model clauses = List.for_all (List.exists (holds model)) clauses
 
 let prop_models_are_valid =
   QCheck.Test.make ~name:"returned models satisfy all clauses" ~count:100
@@ -413,7 +408,7 @@ let test_stats_counted () =
   checkb "conflicts counted" true (st.Solver.conflicts > 0);
   checkb "propagations counted" true (st.Solver.propagations > 0)
 
-(* {1 Int copies and the clause journal} *)
+(* {1 Int copies} *)
 
 (* [Arena.blit_ints] against [Array.blit] on random ranges: distinct
    arrays, overlapping forward and backward copies within one array,
@@ -442,44 +437,36 @@ let test_blit_ints_matches_blit () =
     checkb "same source" true (a_src = b_src)
   done
 
-(* The journal hands back exactly what [add_clause] received: literal
-   order, duplicate literals, tautologies and root-satisfied clauses
-   included, after propagation has moved watches in the arena and after
-   a search. *)
-let test_journal_fidelity () =
+(* A literal over a variable [new_var] never made is refused before the
+   solver changes: the clause count, the verdict and the model stay what
+   they were, and the solver keeps solving. *)
+let test_unknown_variable_rejected () =
   let s = Solver.create () in
-  let v = Array.init 12 (fun _ -> Solver.new_var s) in
-  let p i = Lit.pos v.(i) and n i = Lit.neg_of_var v.(i) in
-  let first =
-    [
-      [ p 2; p 0; p 1 ];
-      [ n 3; p 1; n 3; p 4 ];  (* duplicate literal *)
-      [ p 5; n 5; p 6 ];  (* tautology *)
-      [ p 7 ];
-      [ p 8; p 7; n 9 ];  (* satisfied at the root *)
-      [ n 7; p 9; p 10; p 11 ];  (* root-false literal *)
-    ]
+  let a = Solver.new_var s and b = Solver.new_var s in
+  Solver.add_clause s [ Lit.pos a; Lit.pos b ];
+  Solver.add_clause s [ Lit.neg_of_var a ];
+  Alcotest.check result "sat before" Solver.Sat (Solver.solve s);
+  let clauses = Solver.num_clauses s in
+  let rejected lits =
+    match Solver.add_clause s lits with
+    | () -> false
+    | exception Invalid_argument _ -> true
   in
-  List.iter (Solver.add_clause s) first;
-  let second =
-    [
-      [ n 0; n 1; p 3 ];
-      [ n 2; p 4; p 5; p 6 ];
-      [ n 9 ];  (* forces watch moves in the clauses above *)
-      [ n 10; n 11 ];
-      [ p 0; p 2; p 0 ];
-      [ n 4; n 6; p 8; p 11 ];
-    ]
-  in
-  List.iter (Solver.add_clause s) second;
-  let check what =
-    checkb (what ^ ": export") true
-      ((Solver.export_problem s).Solver.p_clauses = first @ second)
-  in
-  check "after propagation";
-  Alcotest.check result "sat" Solver.Sat (Solver.solve s);
-  check "after search";
-  checki "p_nvars" 12 (Solver.export_problem s).Solver.p_nvars
+  checkb "unknown variable last" true (rejected [ Lit.neg_of_var a; Lit.pos 2 ]);
+  checkb "unknown variable first" true
+    (rejected [ Lit.neg_of_var 7; Lit.pos a ]);
+  checkb "behind a tautology" true
+    (rejected [ Lit.pos a; Lit.neg_of_var a; Lit.pos 2 ]);
+  checkb "negative literal" true (rejected [ -1 ]);
+  checki "no clause stored" clauses (Solver.num_clauses s);
+  checkb "model still readable" true (Solver.value s b);
+  Alcotest.check result "sat after" Solver.Sat (Solver.solve s);
+  checkb "b still forced" true (Solver.value s b);
+  let c = Solver.new_var s and d = Solver.new_var s in
+  Solver.add_clause s [ Lit.pos c; Lit.pos d ];
+  checki "later clauses stored" (clauses + 1) (Solver.num_clauses s);
+  Solver.add_clause s [ Lit.neg_of_var b ];
+  Alcotest.check result "unsat once refuted" Solver.Unsat (Solver.solve s)
 
 (* {1 Non-decision auxiliaries}
 
@@ -487,27 +474,48 @@ let test_journal_fidelity () =
    weighted at-most bound (totalizer), a cardinality bound (sequential
    counter), a selector queried for an assumption literal, then clauses
    over the encodings' auxiliaries (half of them with two positive
-   auxiliary literals) and more random 3-clauses. The same seed builds
-   the same instance in any solver. Returns the assumptions. *)
+   auxiliary literals) and more random 3-clauses. Returns the clauses it
+   added itself, the exact encoded bounds as a predicate on models, and
+   the assumptions. *)
+type aux_instance = {
+  added : Lit.t list list;  (** the clauses the instance adds itself *)
+  bounds : bool array -> bool;
+      (** the totalizer and counter bounds, evaluated on a model *)
+  assumptions : Lit.t list;
+}
+
 let aux_instance seed s =
   let rng = Rng.create seed in
   let n = 8 + Rng.int rng 5 in
   let x = Array.init n (fun _ -> Solver.new_var s) in
   let lit () = Lit.make x.(Rng.int rng n) (Rng.bool rng) in
+  let added = ref [] in
+  let add c =
+    added := c :: !added;
+    Solver.add_clause s c
+  in
   let clauses k =
     for _ = 1 to k do
-      Solver.add_clause s [ lit (); lit (); lit () ]
+      add [ lit (); lit (); lit () ]
     done
   in
   clauses (2 * n);
   let terms () =
     List.init (3 + Rng.int rng 5) (fun _ -> (lit (), 1 + Rng.int rng 9))
   in
-  Qca_pseudo_bool.Totalizer.enforce_at_most s (terms ()) (5 + Rng.int rng 15);
+  let sum model terms =
+    List.fold_left
+      (fun acc (l, w) -> if holds model l then acc + w else acc)
+      0 terms
+  in
+  let count model lits = List.length (List.filter (holds model) lits) in
+  let enforced = terms () and k_enforced = 5 + Rng.int rng 15 in
+  Qca_pseudo_bool.Totalizer.enforce_at_most s enforced k_enforced;
   let counted = List.init (4 + Rng.int rng 4) (fun _ -> lit ()) in
-  if Rng.bool rng then
-    Qca_pseudo_bool.Cardinality.at_most s counted (1 + Rng.int rng 3)
-  else Qca_pseudo_bool.Cardinality.at_least s counted (1 + Rng.int rng 3);
+  let k_counted = 1 + Rng.int rng 3 in
+  let at_most = Rng.bool rng in
+  if at_most then Qca_pseudo_bool.Cardinality.at_most s counted k_counted
+  else Qca_pseudo_bool.Cardinality.at_least s counted k_counted;
   let sel =
     Qca_pseudo_bool.Totalizer.at_most_selector s (terms ()) ~max:40
   in
@@ -515,6 +523,15 @@ let aux_instance seed s =
     match Qca_pseudo_bool.Totalizer.select sel (Rng.int rng 30) with
     | Some (Some a) -> [ a ]
     | Some None | None -> []
+  in
+  (* The totalizer and the counter are exact at these sizes (far below
+     the totalizer's resolution). A selector queried below its [max]
+     enforces only a relaxation of Σ ≤ k, which no model can be checked
+     against; its admissibility is tested in test_pseudo_bool. *)
+  let bounds model =
+    sum model enforced <= k_enforced
+    && if at_most then count model counted <= k_counted
+       else count model counted >= k_counted
   in
   let aux =
     List.init (Solver.num_vars s) Fun.id
@@ -525,48 +542,71 @@ let aux_instance seed s =
     for i = 1 to 4 do
       let a = aux.(Rng.int rng (Array.length aux))
       and b = aux.(Rng.int rng (Array.length aux)) in
-      Solver.add_clause s
-        [ Lit.pos a; Lit.make b (i mod 2 = 0); lit () ]
+      add [ Lit.pos a; Lit.make b (i mod 2 = 0); lit () ]
     done;
   clauses n;
-  assumptions
+  { added = List.rev !added; bounds; assumptions }
+
+(* The problem a solver holds, read back through [Solver.view]: its
+   root units plus its problem clauses as stored in the arena (root-false
+   literals dropped, root-satisfied clauses never stored), and the empty
+   clause when a clause came in with every literal false at the root —
+   the one root fact the arena does not show, found in the proof log
+   (armed before the first clause, no solve yet). Together they have
+   exactly the models of the clauses added. *)
+let stored_problem s =
+  let v = Solver.view s in
+  let arena =
+    {
+      Arena.data = v.Solver.v_arena_data;
+      used = v.Solver.v_arena_used;
+      wasted = v.Solver.v_arena_wasted;
+    }
+  in
+  let root =
+    if v.Solver.v_trail_lim_size = 0 then v.Solver.v_trail_size
+    else v.Solver.v_trail_lim.(0)
+  in
+  let units = List.init root (fun i -> [ v.Solver.v_trail.(i) ]) in
+  let stored =
+    Array.to_list
+      (Array.map
+         (fun cr -> List.init (Arena.size arena cr) (Arena.lit arena cr))
+         v.Solver.v_clauses)
+  in
+  let refuted =
+    Solver.proof_fold ~init:false
+      ~f:(fun acc ~delete lits -> acc || ((not delete) && Array.length lits = 0))
+      (Solver.proof_log s)
+  in
+  (v.Solver.v_nvars, (if refuted then [ [] ] else []) @ units @ stored)
 
 let prop_non_decision_aux =
   QCheck.Test.make
-    ~name:"non-decision auxiliaries: same verdicts, models satisfy originals"
+    ~name:"non-decision auxiliaries: same verdicts, models satisfy the encoding"
     ~count:60 QCheck.small_int (fun seed ->
       let s = Solver.create () in
-      let assumptions = aux_instance seed s in
-      let p = Solver.export_problem s in
-      let verdict solver = Solver.solve ~assumptions solver in
+      Solver.enable_proof s;
+      let inst = aux_instance seed s in
+      let nvars, stored = stored_problem s in
+      let all_decision = Solver.create () in
+      for _ = 1 to nvars do
+        ignore (Solver.new_var all_decision)
+      done;
+      List.iter (Solver.add_clause all_decision) stored;
+      let verdict solver = Solver.solve ~assumptions:inst.assumptions solver in
       let valid solver = function
         | Solver.Sat ->
-          model_satisfies (Solver.model solver) p.Solver.p_clauses
-          && List.for_all (Solver.lit_value solver) assumptions
+          let m = Solver.model solver in
+          model_satisfies m inst.added && model_satisfies m stored
+          && inst.bounds m
+          && List.for_all (holds m) inst.assumptions
         | Solver.Unsat -> true
         | Solver.Unknown _ -> false
       in
       let r = verdict s in
-      let all_decision =
-        Solver.import_problem
-          { p with Solver.p_decision = Array.make p.Solver.p_nvars true }
-      in
       let r_all = verdict all_decision in
-      let clone = Solver.import_problem p in
-      let same_flags =
-        List.for_all
-          (fun v -> Solver.is_decision clone v = p.Solver.p_decision.(v))
-          (List.init p.Solver.p_nvars Fun.id)
-      in
-      let r_clone = verdict clone in
-      let base = Solver.create () in
-      ignore (aux_instance seed base);
-      let r_par =
-        (Qca_par.Portfolio.solve_portfolio ~assumptions ~jobs:2 base)
-          .Qca_par.Portfolio.verdict
-      in
-      same_flags && r = r_all && r = r_clone && r = r_par && valid s r
-      && valid all_decision r && valid clone r && valid base r)
+      r = r_all && valid s r && valid all_decision r)
 
 (* The one-positive-auxiliary rule: a clause with two positive
    non-decision literals turns both into decision variables, one with a
@@ -578,20 +618,25 @@ let test_positive_aux_promoted () =
   let b = Solver.new_var ~decision:false s in
   let c = Solver.new_var ~decision:false s in
   let unused = Solver.new_var ~decision:false s in
+  let added = ref [] in
+  let add c =
+    added := c :: !added;
+    Solver.add_clause s c
+  in
   checkb "x decides" true (Solver.is_decision s x);
   checkb "a does not" false (Solver.is_decision s a);
-  Solver.add_clause s [ Lit.pos a; Lit.neg_of_var b; Lit.pos x ];
-  Solver.add_clause s [ Lit.neg_of_var a; Lit.neg_of_var c ];
+  add [ Lit.pos a; Lit.neg_of_var b; Lit.pos x ];
+  add [ Lit.neg_of_var a; Lit.neg_of_var c ];
   checkb "one positive: a kept" false (Solver.is_decision s a);
   checkb "negative: b kept" false (Solver.is_decision s b);
-  Solver.add_clause s [ Lit.pos b; Lit.pos c ];
+  add [ Lit.pos b; Lit.pos c ];
   checkb "two positive: b promoted" true (Solver.is_decision s b);
   checkb "two positive: c promoted" true (Solver.is_decision s c);
   checkb "a untouched" false (Solver.is_decision s a);
-  Solver.add_clause s [ Lit.neg_of_var x ];
+  add [ Lit.neg_of_var x ];
   Alcotest.check result "sat" Solver.Sat (Solver.solve s);
   checkb "model satisfies the originals" true
-    (model_satisfies (Solver.model s) (Solver.export_problem s).Solver.p_clauses);
+    (model_satisfies (Solver.model s) !added);
   checkb "unassigned auxiliary reads false" false (Solver.value s unused)
 
 let suite =
@@ -617,9 +662,9 @@ let suite =
     ("literal representation", `Quick, test_lit_representation);
     ("stats", `Quick, test_stats_counted);
     ("blit_ints matches Array.blit", `Quick, test_blit_ints_matches_blit);
-    ("journal fidelity", `Quick, test_journal_fidelity);
     QCheck_alcotest.to_alcotest prop_non_decision_aux;
     ("positive auxiliaries promoted", `Quick, test_positive_aux_promoted);
+    ("unknown variable rejected", `Quick, test_unknown_variable_rejected);
   ]
 
 (* Registered as the "simplify" group: these rounds once compared the
