@@ -23,7 +23,7 @@ let port_arg =
 (* {1 daemon} *)
 
 let daemon host port workers queue_capacity shed_fraction direct_fraction
-    cache_capacity template_capacity default_timeout_ms max_timeout_ms
+    cache_capacity default_timeout_ms max_timeout_ms
     max_request_bytes retries certify revalidate_period fault_spec dump_dir
     slow_ms watchdog_ms =
   match
@@ -45,7 +45,6 @@ let daemon host port workers queue_capacity shed_fraction direct_fraction
         shed_fraction;
         direct_fraction;
         cache_capacity;
-        template_capacity;
         default_timeout_ms;
         max_timeout_ms;
         max_request_bytes;
@@ -100,14 +99,6 @@ let daemon_cmd =
        method). 0 disables caching."
     in
     Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
-  in
-  let templates =
-    let doc =
-      "Entries in the encoded-template store (circuit x hardware, method \
-       omitted): repeat SMT traffic skips partition/match/encode and reuses \
-       everything the solver learnt."
-    in
-    Arg.(value & opt int 32 & info [ "templates" ] ~docv:"N" ~doc)
   in
   let default_timeout =
     let doc = "Deadline for requests that do not name one, in ms." in
@@ -181,7 +172,7 @@ let daemon_cmd =
   Cmd.v (Cmd.info "daemon" ~doc)
     Term.(
       const daemon $ host_arg $ port_arg $ workers $ queue $ shed_at
-      $ direct_at $ cache $ templates $ default_timeout $ max_timeout
+      $ direct_at $ cache $ default_timeout $ max_timeout
       $ max_bytes $ retries $ certify $ revalidate $ fault $ dump_dir
       $ slow_ms $ watchdog_ms)
 

@@ -38,10 +38,6 @@ type t = {
   span : (int * int) array;  (* first/last gate position in its block, by id *)
   false_lit : Lit.t;  (* a literal asserted false, for infeasible prunes *)
   mutable consumed : bool;
-  (* [selectors] memoizes the pruning totalizer per objective, so a
-     reused template never re-encodes a bound it has seen. *)
-  selectors : (objective, Totalizer.selector) Hashtbl.t;
-  bounds : (objective, int) Hashtbl.t;  (* memoized [lower_bound] *)
 }
 
 (* Longest path over the block dependency graph for given durations,
@@ -153,8 +149,6 @@ let build ?options hw part subs_list =
     span;
     false_lit = Lit.pos false_var;
     consumed = false;
-    selectors = Hashtbl.create 4;
-    bounds = Hashtbl.create 4;
   }
 
 let duration_terms t b =
@@ -242,25 +236,18 @@ let block_min t w b =
    substitutions of one block, so with d_weight = 0 (SAT F) it is the
    exact optimum. *)
 let lower_bound t obj =
-  match Hashtbl.find_opt t.bounds obj with
-  | Some lb -> lb
-  | None ->
-    let terms = objective_terms t obj in
-    let w (s : Rules.t) = terms.weights.(s.Rules.id) in
-    let dw (s : Rules.t) = w s + (terms.d_weight * s.Rules.delta_duration) in
-    let n = Array.length t.base_dur in
-    let min_w = Array.init n (block_min t w) in
-    let extra =
-      Array.init n (fun b ->
-          (terms.d_weight * t.base_dur.(b)) + block_min t dw b - min_w.(b))
-    in
-    let lb =
-      terms.constant
-      + Array.fold_left ( + ) 0 min_w
-      + longest_path t.part extra (Array.make n 0)
-    in
-    Hashtbl.replace t.bounds obj lb;
-    lb
+  let terms = objective_terms t obj in
+  let w (s : Rules.t) = terms.weights.(s.Rules.id) in
+  let dw (s : Rules.t) = w s + (terms.d_weight * s.Rules.delta_duration) in
+  let n = Array.length t.base_dur in
+  let min_w = Array.init n (block_min t w) in
+  let extra =
+    Array.init n (fun b ->
+        (terms.d_weight * t.base_dur.(b)) + block_min t dw b - min_w.(b))
+  in
+  terms.constant
+  + Array.fold_left ( + ) 0 min_w
+  + longest_path t.part extra (Array.make n 0)
 
 type solution = {
   chosen : Rules.t list;
@@ -387,27 +374,10 @@ let greedy ?(budget = Solver.no_budget) ~site t obj =
 
 let default_round_budget = 120
 
-let m_reuse_runs = Obs.counter "omt.reuse.runs"
-
-let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
-    obj =
+let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
   if t.consumed then Error `Already_consumed
   else begin
-  if reuse then Obs.incr m_reuse_runs else t.consumed <- true;
-  (* Reusable runs scope their incumbent-exclusion clauses and path
-     cuts under a fresh activation literal, assumed during this run's
-     solves and asserted false on every exit — so a later run with a
-     different objective is not poisoned by this run's blocking
-     clauses, while the learnt clauses, phases and activities survive
-     in the live solver. One-shot runs add them permanently (no guard
-     overhead on the common path). *)
-  let act =
-    if reuse then Some (Lit.pos (Solver.new_var t.sat)) else None
-  in
-  let run_assumptions = match act with None -> [] | Some a -> [ a ] in
-  let guard_clause lits =
-    match act with None -> lits | Some a -> Lit.negate a :: lits
-  in
+  t.consumed <- true;
   (* anytime budget scales inversely with instance size so that deep
      circuits stay tractable; small instances still close with a proof *)
   let round_budget =
@@ -426,16 +396,14 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
   let sat = t.sat in
   (* One totalizer serves every pruning bound of the optimization: the
      bound only shrinks as the incumbent improves, so it is built once
-     at the warm-start budget and queried per round. Memoized per
-     objective on the model so a reused template pays the encoding once
-     across runs (the warm start is deterministic, so the selector's
-     cap is reproduced exactly). *)
+     at the warm-start budget and queried per round. *)
+  let selector = ref None in
   let prune best =
     let budget = best - 1 - terms.constant - (terms.d_weight * t.d_lb) in
     if pb_terms = [] then if budget < 0 then [ t.false_lit ] else []
     else begin
       let selector =
-        match Hashtbl.find_opt t.selectors obj with
+        match !selector with
         | Some sel -> sel
         | None ->
           let sel =
@@ -443,7 +411,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
                 Totalizer.at_most_selector ~resolution:256 sat pb_terms
                   ~max:budget)
           in
-          Hashtbl.replace t.selectors obj sel;
+          selector := Some sel;
           sel
       in
       match Totalizer.select selector budget with
@@ -483,8 +451,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
       in
       let bound = best - 1 - terms.constant - (terms.d_weight * path_base) in
       Trace.span "omt.cut" (fun () ->
-          Totalizer.enforce_at_most ~resolution:8 ?guard:act sat cut_terms
-            bound)
+          Totalizer.enforce_at_most ~resolution:8 sat cut_terms bound)
     end
   in
   (* The round solver: one solver stays alive across every round, the
@@ -492,9 +459,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
      memoized totalizer outputs, so learnt clauses, saved phases and
      VSIDS activities carry over. *)
   let round_solve best =
-    let assumptions =
-      run_assumptions @ match best with None -> [] | Some (b, _, _) -> prune b
-    in
+    let assumptions = match best with None -> [] | Some (b, _, _) -> prune b in
     Solver.solve ~assumptions ~budget sat
   in
   let rounds = ref 0 and cuts = ref 0 in
@@ -549,24 +514,12 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
         incr cuts;
         add_path_cut b path
       | None -> ());
-      (* block this exact choice (under the run guard when reusable) *)
+      (* block this exact choice *)
       Solver.add_clause sat
-        (guard_clause
-           (Array.to_list
-              (Array.mapi
-                 (fun i c -> if mask.(i) then Lit.negate c else c)
-                 t.choice)));
+        (Array.to_list
+           (Array.mapi (fun i c -> if mask.(i) then Lit.negate c else c) t.choice));
       improve best'
     end
-  in
-  (* Retire a reusable run: asserting ¬act permanently satisfies every
-     clause this run guarded, so the next run (possibly a different
-     objective) starts from a clean constraint set while keeping the
-     solver's learnt clauses, phases and activities. *)
-  let retire () =
-    match act with
-    | None -> ()
-    | Some a -> Solver.add_clause sat [ Lit.negate a ]
   in
   (* Greedy warm start: a good incumbent keeps the first pruning
      encoding small and tight. An interruption here means no incumbent
@@ -576,16 +529,13 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(reuse = false) t
     Trace.span "omt.warm_start" (fun () ->
         greedy ~budget ~site:Fault.Warm_start t obj)
   with
-  | { interrupted = Some r; _ } ->
-    retire ();
-    Error (`Budget_exhausted r)
+  | { interrupted = Some r; _ } -> Error (`Budget_exhausted r)
   | { mask; value; makespan; interrupted = None } ->
     Obs.set m_omt_incumbent (float_of_int value);
     Trace.counter "omt.incumbent" (float_of_int value);
     (match improve (Some (value, mask, makespan)) with
     | None -> assert false (* the warm start is an incumbent *)
     | Some (v, mask, d) ->
-      retire ();
       if not (verify_schedule t mask d) then Error `Unverified_schedule
       else
         Ok

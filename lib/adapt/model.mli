@@ -95,7 +95,6 @@ val greedy :
 val optimize :
   ?round_budget:int ->
   ?budget:Solver.budget ->
-  ?reuse:bool ->
   t ->
   objective ->
   (solution, error) result
@@ -125,14 +124,10 @@ val optimize :
     Every round solves on the model's own solver, which stays alive
     across the rounds: the tightened bound enters as an assumption
     literal over the memoized totalizer outputs, so learnt clauses,
-    saved phases and VSIDS activities carry from round to round.
-
-    [reuse] (default [false]) makes the call non-consuming: the run's
-    incumbent-exclusion clauses and path cuts are scoped under a fresh
-    activation literal and retired on exit, so the same built model can
-    be optimized again — for any objective — reusing the encoded
-    template, the memoized pruning totalizers and everything the solver
-    learnt. The template-cache paths (batch, qca-serve) rely on this. *)
+    saved phases and VSIDS activities carry from round to round. The
+    incumbent-exclusion clauses and path cuts stay in that solver, so
+    the call consumes the model: a second call answers
+    [`Already_consumed]. *)
 
 val lower_bound : t -> objective -> int
 (** An admissible lower bound on the integer objective: every block at
@@ -140,8 +135,8 @@ val lower_bound : t -> objective -> int
     [d_weight] times the longest path over the block DAG where a block
     weighs what its duration can add on top of that least sum. Eq. 1
     only pairs substitutions of one block, so for SAT F ([d_weight = 0])
-    it is the exact optimum. Memoized per objective on the model; it
-    touches no solver state, so it also works on a consumed model. *)
+    it is the exact optimum. It touches no solver state, so it also
+    works on a consumed model. *)
 
 val block_min : t -> (Rules.t -> int) -> int -> int
 (** [block_min t w b]: the least Σ [w s] over the conflict-free subsets

@@ -192,34 +192,6 @@ let adapt_polynomial hw method_ circuit =
       } )
   | Sat _ | Greedy _ -> invalid_arg "Pipeline.adapt_polynomial"
 
-(* {1 Encoded templates} *)
-
-(* The expensive front half of an SMT adaptation — partition, template
-   matching, SMT encoding — depends only on (hardware, circuit), not on
-   the objective. A [template] captures it once; every optimization of
-   it runs through {!Model.optimize}'s non-consuming [~reuse] path, so
-   the batch pipeline and qca-serve amortize one encoding (and
-   everything the solver learns about it) across objectives and
-   repeated requests. *)
-type template = {
-  t_hw : Hardware.t;
-  t_part : Block.t;
-  t_subs : Rules.t list;
-  t_model : Model.t;
-}
-
-let m_template_builds = Obs.counter "pipeline.template.builds"
-let m_template_reuses = Obs.counter "pipeline.template.reuses"
-
-let prepare ?options hw circuit =
-  Obs.incr m_template_builds;
-  let part = Trace.span "partition" (fun () -> Block.partition circuit) in
-  let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-  let model = Trace.span "encode" (fun () -> Model.build ?options hw part subs) in
-  { t_hw = hw; t_part = part; t_subs = subs; t_model = model }
-
-let template_circuit tm = tm.t_part.Block.circuit
-
 (* {1 Resource-governed adaptation} *)
 
 type tier = Full | Incumbent | Greedy_fallback | Direct_fallback
@@ -251,24 +223,16 @@ let degraded o = o.tier <> Full || o.reason <> None
    Every rung always terminates (the lower rungs are polynomial), so a
    governed request never hangs and never raises: the worst case is the
    direct basis translation, which is always a valid adapted circuit. *)
-let adapt_governed ?options ?budget ?(jobs = 1) ?template hw method_ circuit =
+let adapt_governed ?options ?budget ?(jobs = 1) hw method_ circuit =
   if jobs <> 1 then invalid_arg "Pipeline.adapt_governed: jobs must be 1";
   let budget = match budget with Some b -> b | None -> Solver.budget () in
-  (* With a prebuilt template the partition/match/encode phases are
-     skipped and the optimization runs non-consuming ([~reuse]), leaving
-     the template valid for the next request sharing its key. *)
   let front () =
-    match template with
-    | Some tm ->
-      Obs.incr m_template_reuses;
-      (tm.t_part, tm.t_subs, tm.t_model, true)
-    | None ->
-      let part = Trace.span "partition" (fun () -> Block.partition circuit) in
-      let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-      let model =
-        Trace.span "encode" (fun () -> Model.build ?options hw part subs)
-      in
-      (part, subs, model, false)
+    let part = Trace.span "partition" (fun () -> Block.partition circuit) in
+    let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
+    let model =
+      Trace.span "encode" (fun () -> Model.build ?options hw part subs)
+    in
+    (part, subs, model)
   in
   let finish ?claimed_makespan ~tier ~reason ~info circuit =
     if tier <> Full || reason <> None then begin
@@ -323,7 +287,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?template hw method_ circuit =
      KAK included, the same code as the SMT warm start — served at
      [tier]; [reason] defaults to the greedy's own stop. An interruption
      keeps the (conflict-free) prefix; an empty one is no choice. *)
-  let greedy_tier ~span ~tier ?reason (part, subs, model, _) obj =
+  let greedy_tier ~span ~tier ?reason (part, subs, model) obj =
     let g =
       Trace.span span (fun () ->
           Model.greedy ~budget ~site:Fault.Greedy_step model obj)
@@ -350,7 +314,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?template hw method_ circuit =
     match Solver.budget_status budget with
     | Some r -> direct ~reason:(Some r)
     | None -> (
-      let ((part, subs, model, reuse) as front) = front () in
+      let ((part, subs, model) as front) = front () in
       (* No incumbent from the SMT tier: try the greedy heuristic if the
          budget still has headroom (a fault-injected stop leaves it
          intact, a real deadline does not). The greedy is pure, so the
@@ -363,7 +327,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?template hw method_ circuit =
       in
       match
         Trace.span "solve" (fun () ->
-            Model.optimize ~budget ~reuse model obj)
+            Model.optimize ~budget model obj)
       with
       | Ok sol ->
         let info =
@@ -390,10 +354,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?template hw method_ circuit =
         finish ~claimed_makespan:sol.Model.makespan ~tier ~reason ~info
           (Trace.span "apply" (fun () ->
                apply_substitutions part sol.Model.chosen))
-      | Error `Already_consumed ->
-        (* fresh models can't be consumed; template models only ever run
-           the non-consuming reuse path *)
-        assert false
+      | Error `Already_consumed -> assert false (* built just above *)
       | Error (`Budget_exhausted r) -> greedy_rung r
       | Error `Unverified_schedule -> greedy_rung Solver.Unverified_schedule))
   | Greedy obj -> (
@@ -419,6 +380,3 @@ let adapt_with_info ?options hw method_ circuit =
 
 let adapt ?options hw method_ circuit =
   fst (adapt_with_info ?options hw method_ circuit)
-
-let adapt_template ?budget tm method_ =
-  adapt_governed ?budget ~template:tm tm.t_hw method_ (template_circuit tm)

@@ -18,7 +18,12 @@ open Qca_sat
       selection over the same substitution space as {!Sat}. It runs
       {!Model.greedy}, the same code as the SMT warm start, with fault
       site [Greedy_step]; under {!adapt_governed} an interruption keeps
-      the conflict-free prefix chosen so far. *)
+      the conflict-free prefix chosen so far.
+
+    Every {!Sat} or {!Greedy} adaptation partitions, matches and encodes
+    its circuit afresh and builds one {!Model.t}, which the OMT search
+    consumes; nothing carries over between calls, so the same input
+    always gets the same answer. *)
 
 type method_ =
   | Direct
@@ -131,33 +136,10 @@ type outcome = {
 val degraded : outcome -> bool
 (** [true] when the request was not served at full fidelity. *)
 
-(** {1 Encoded templates}
-
-    The front half of an SMT adaptation — partition, template matching,
-    SMT encoding — depends only on (hardware, circuit), never on the
-    objective. {!prepare} runs it once; {!adapt_template} then serves
-    any number of requests (any method, any objective) from the same
-    encoded instance through {!Model.optimize}'s non-consuming reuse
-    path, carrying learnt clauses and memoized pruning totalizers from
-    request to request. The batch evaluator and qca-serve key these by
-    hardware × circuit. *)
-
-type template
-
-val prepare :
-  ?options:Solver.options -> Hardware.t -> Circuit.t -> template
-(** Partition, match and encode once. Counted in the
-    [pipeline.template.builds] metric; each reuse in
-    [pipeline.template.reuses]. *)
-
-val template_circuit : template -> Circuit.t
-(** The original circuit the template was prepared from. *)
-
 val adapt_governed :
   ?options:Solver.options ->
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?template:template ->
   Hardware.t ->
   method_ ->
   Circuit.t ->
@@ -168,16 +150,4 @@ val adapt_governed :
     but for a [jobs] other than 1 — see the ladder above. [jobs]
     (default 1) raises [Invalid_argument] at any other value: every
     OMT round runs on the model's one solver, and the label stays only
-    for callers that pass [~jobs:1].
-    With [template] (which must have been {!prepare}d for the same
-    hardware and circuit) the partition/match/encode phases are skipped
-    and the optimization runs non-consuming, leaving the template ready
-    for the next request. *)
-
-val adapt_template : ?budget:Solver.budget -> template -> method_ -> outcome
-(** [adapt_governed] on the template's own hardware and circuit,
-    skipping the prepared phases. Safe to call repeatedly; per-run
-    incumbent cuts are scoped under an activation literal and retired
-    between runs, so repeated optimizations return identical objective
-    values. Not thread-safe: callers serialize per template (qca-serve
-    holds a per-entry lock). *)
+    for callers that pass [~jobs:1]. *)

@@ -39,9 +39,9 @@ let methods = Pipeline.all_methods
 
 (* Each adaptation gets its own budget so one slow workload cannot
    starve the rest of the matrix. *)
-let governed ?options ?timeout_ms ?template hw m circuit =
+let governed ?options ?timeout_ms hw m circuit =
   let budget = Solver.budget ?timeout_ms () in
-  Pipeline.adapt_governed ?options ~budget ?template hw m circuit
+  Pipeline.adapt_governed ?options ~budget hw m circuit
 
 let notify on_progress ~case ~meth o =
   match on_progress with
@@ -55,8 +55,8 @@ let notify on_progress ~case ~meth o =
         p_elapsed_ms = o.Pipeline.spent.Pipeline.elapsed_ms;
       }
 
-let row_of ?options ?timeout_ms ?template ?on_progress hw kase ~baseline m =
-  let o = governed ?options ?timeout_ms ?template hw m kase.Workloads.circuit in
+let row_of ?options ?timeout_ms ?on_progress hw kase ~baseline m =
+  let o = governed ?options ?timeout_ms hw m kase.Workloads.circuit in
   let s = Metrics.summarize hw o.Pipeline.circuit in
   notify on_progress ~case:kase.Workloads.label
     ~meth:(Pipeline.method_name m) o;
@@ -83,37 +83,14 @@ let baseline_of hw kase =
   Metrics.summarize hw
     (Pipeline.adapt hw Pipeline.Direct kase.Workloads.circuit)
 
-let is_smt_method = function
-  | Pipeline.Sat _ | Pipeline.Greedy _ -> true
-  | Pipeline.Direct | Pipeline.Kak_only_cz | Pipeline.Kak_only_cz_db
-  | Pipeline.Template_f | Pipeline.Template_r -> false
-
 let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
     ?on_progress hw kase =
   let baseline = baseline_of hw kase in
   let row = row_of ?options ?timeout_ms ?on_progress hw kase ~baseline in
-  if jobs <= 1 then begin
-    (* Sequential case evaluation: the SMT methods of a case share one
-       encoded template (same hardware × circuit key), so SAT F/R/P pay
-       the partition/match/encode cost once and inherit each other's
-       learnt clauses. *)
-    let template =
-      if List.exists is_smt_method methods then
-        Some (Pipeline.prepare ?options hw kase.Workloads.circuit)
-      else None
-    in
-    List.map
-      (fun m ->
-        match template with
-        | Some _ when is_smt_method m ->
-          row_of ?options ?timeout_ms ?template ?on_progress hw kase ~baseline
-            m
-        | _ -> row m)
-      methods
-  end
+  if jobs <= 1 then List.map row methods
   else
-    (* Parallel methods run in separate domains and share nothing
-       mutable, so each builds its own model (no template). *)
+    (* Every adaptation builds its own model, so the methods share
+       nothing mutable and run in separate domains. *)
     Pool.with_pool ~jobs (fun pool ->
         Array.to_list
           (Pool.parallel_map pool ~f:row (Array.of_list methods)))

@@ -53,8 +53,8 @@ val evaluate_case :
     ablation). [timeout_ms] bounds each adaptation independently
     (degraded rows are flagged). [jobs > 1] adapts the methods
     concurrently on a {!Qca_par.Pool} of OCaml domains; rows keep
-    their order. On the sequential path the case's SMT methods share
-    one encoded {!Pipeline.prepare} template. *)
+    their order, and equal the sequential rows but for [elapsed_ms]
+    and [conflicts]. *)
 
 val fig5_fig6 :
   ?methods:Pipeline.method_ list ->

@@ -309,19 +309,13 @@ let assume_at_most s terms k = assume_at_most_sized ~max_out:max_int s terms k
 let assume_at_most_approx ?(resolution = 256) s terms k =
   assume_at_most_sized ~max_out:resolution s terms k
 
-let enforce_at_most ?resolution ?guard s terms k =
-  (* [guard]: the cut is only active while the guard literal is assumed
-     — the reusable-model path scopes its incumbent cuts to one
-     optimization run this way (guard ∧ cut, retired by asserting
-     ¬guard). Without a guard the selector is asserted permanently. *)
-  let g = match guard with None -> [] | Some a -> [ Lit.negate a ] in
+let enforce_at_most ?resolution s terms k =
   match assume_at_most_approx ?resolution s terms k with
   | None -> ()
-  | Some a -> Solver.add_clause s (g @ [ a ])
+  | Some a -> Solver.add_clause s [ a ]
   | exception Invalid_argument _ ->
-    (* even the all-false assignment violates the cut: unsatisfiable
-       (under the guard, when there is one) *)
-    Solver.add_clause s g
+    (* even the all-false assignment violates the cut: unsatisfiable *)
+    Solver.add_clause s []
 
 (* The root merge of a selector, held back for lazy emission. Root
    outputs carry no ladder clauses between them, so the clauses

@@ -65,10 +65,7 @@ val select : selector -> int -> Lit.t option option
     admissible (implied-by-exact) relaxation of [Σ ≤ k]. *)
 
 val enforce_at_most :
-  ?resolution:int -> ?guard:Lit.t -> Solver.t -> linear -> int -> unit
+  ?resolution:int -> Solver.t -> linear -> int -> unit
 (** Adds [Σ terms ≤ k] as a hard (approximate, implied-by-exact)
     constraint: an {!assume_at_most_approx} selector asserted as a unit
-    clause. Used for lazily generated objective cuts. With [guard] the
-    cut is only active while the guard literal is assumed
-    ([guard → Σ ≤ k]) — reusable models scope their per-run incumbent
-    cuts this way and retire them by asserting the guard's negation. *)
+    clause. Used for lazily generated objective cuts. *)

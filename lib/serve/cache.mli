@@ -2,9 +2,9 @@ module Circuit = Qca_circuit.Circuit
 
 (** Content-addressed result cache.
 
-    Repeat template traffic is the service's common case: the same
-    circuit, hardware table and objective arrive again and again. The
-    cache maps the {e content} of a request — canonical circuit text ×
+    Repeat traffic is the service's common case: the same circuit,
+    hardware table and objective arrive again and again. The cache
+    maps the {e content} of a request — canonical circuit text ×
     hardware name × effective method — to the adapted circuit and the
     solver's claimed makespan, so a repeat is served without touching
     the solver at all.

@@ -42,7 +42,6 @@ type config = {
   shed_fraction : float;
   direct_fraction : float;
   cache_capacity : int;
-  template_capacity : int;
   default_timeout_ms : float;
   max_timeout_ms : float;
   max_request_bytes : int;
@@ -70,7 +69,6 @@ let default_config =
     shed_fraction = 0.5;
     direct_fraction = 0.875;
     cache_capacity = 256;
-    template_capacity = 32;
     default_timeout_ms = 2_000.0;
     max_timeout_ms = 30_000.0;
     max_request_bytes = Wire.default_max_bytes;
@@ -97,7 +95,6 @@ type t = {
   queue : (Unix.file_descr * Protocol.shed * float) Chan.t;
       (** fd, admission decision, enqueue time (for queue-wait) *)
   cache : Cache.t;
-  templates : Template.t;
   shutdown : bool Atomic.t;
   cache_hits_seen : int Atomic.t;
   inflight : int Atomic.t;
@@ -132,14 +129,9 @@ let demote shed method_ =
    exhaustion (conflict/propagation caps — not the deadline, which a
    retry cannot outrun) is retried with exponential backoff while the
    deadline allows. *)
-let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
+let solve_with_retries t ~circuit ~eff_method ~deadline_at
     (r : Protocol.adapt_request) =
   let cfg = t.cfg in
-  let is_smt =
-    match eff_method with
-    | Pipeline.Sat _ | Pipeline.Greedy _ -> true
-    | _ -> false
-  in
   let backoff k = cfg.retry_backoff_ms *. Float.pow 2.0 (float_of_int k) in
   let rec attempt k =
     let injected =
@@ -171,22 +163,8 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
           Solver.budget ~timeout_ms:remaining_ms
             ?max_conflicts:r.Protocol.max_conflicts ()
         in
-        if is_smt then
-          (* SMT methods solve on the store's encoded template for this
-             hardware × circuit key: repeat traffic (any objective)
-             skips partition/match/encode and inherits learnt clauses *)
-          Template.with_template t.templates
-            ~key:
-              (Template.key ~hardware:r.Protocol.hardware.Hardware.name
-                 ~circuit:canonical)
-            ~build:(fun () ->
-              Pipeline.prepare ~options:cfg.options r.Protocol.hardware
-                circuit)
-            (fun tmpl ->
-              Pipeline.adapt_template ~budget tmpl eff_method)
-        else
-          Pipeline.adapt_governed ~options:cfg.options ~budget
-            r.Protocol.hardware eff_method circuit
+        Pipeline.adapt_governed ~options:cfg.options ~budget
+          r.Protocol.hardware eff_method circuit
     in
     let transient =
       match outcome.Pipeline.reason with
@@ -275,7 +253,7 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
     in
     let solve_fresh ~cache_status () =
       let outcome =
-        solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at r
+        solve_with_retries t ~circuit ~eff_method ~deadline_at r
       in
       let certified =
         if not cfg.certify then None
@@ -694,7 +672,6 @@ let start (cfg : config) =
       bound_port;
       queue = Chan.create ~capacity:cfg.queue_capacity;
       cache = Cache.create ~capacity:cfg.cache_capacity;
-      templates = Template.create ~capacity:cfg.template_capacity;
       shutdown = Atomic.make false;
       cache_hits_seen = Atomic.make 0;
       inflight = Atomic.make 0;

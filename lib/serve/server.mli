@@ -7,7 +7,10 @@ open Qca_sat
     connections by queue depth ({!Admission}), workers read one HTTP
     request ({!Protocol} maps it), solve under the request's deadline
     mapped onto a {!Solver.budget}, and answer — through the {!Cache}
-    when the content address matches.
+    when the content address matches. A cache miss runs
+    {!Qca_adapt.Pipeline.adapt_governed}, which builds and solves a
+    fresh model per request, so an unbudgeted SMT reply is the circuit
+    [qca-adapt] returns for the same input.
 
     Robustness invariants, each deterministically testable through
     {!Qca_util.Fault} injection at [Serve_accept]/[Serve_request]:
@@ -32,9 +35,6 @@ type config = {
   shed_fraction : float;  (** queue fill ratio demoting SAT → greedy *)
   direct_fraction : float;  (** queue fill ratio demoting to direct *)
   cache_capacity : int;  (** result-cache entries *)
-  template_capacity : int;
-      (** encoded-template store entries: SMT methods reuse one encoded
-          template across requests sharing a hardware × circuit key *)
   default_timeout_ms : float;  (** deadline when the request names none *)
   max_timeout_ms : float;  (** hard per-request deadline cap *)
   max_request_bytes : int;  (** request body byte cap *)

@@ -259,51 +259,38 @@ let test_polynomial_methods_never_degrade () =
 
 (* {1 The ladder and the jobs label}
 
-   Every OMT round runs on the model's own solver, built fresh or held
-   by a reused template. The same injected exhaustion lands the same
-   tier on both, and a stopped template run leaves the template serving
-   in full. [adapt_governed] keeps its [jobs] label for callers passing
-   1; any other value, which once picked a portfolio, is refused up
-   front under every fault plan and deadline, so no concurrency setting
-   can land a different rung. *)
+   Every OMT round runs on the model's own solver, built fresh for each
+   adaptation. Each injected exhaustion lands its own rung.
+   [adapt_governed] keeps its [jobs] label for callers passing 1; any
+   other value, which once picked a portfolio, is refused up front
+   under every fault plan and deadline, so no concurrency setting can
+   land a different rung. *)
 
 let raises_invalid_argument f =
   match f () with _ -> false | exception Invalid_argument _ -> true
 
 let test_ladder_parity_under_jobs () =
-  let tm = Pipeline.prepare hw paper_like_circuit in
   let meth = Pipeline.Sat Model.Sat_p in
-  let clean = governed_with Fault.none meth in
   List.iter
-    (fun plan ->
-      let fresh = governed_with (Fault.inject plan) meth in
-      let reused =
-        Pipeline.adapt_template
-          ~budget:(Solver.budget ~fault:(Fault.inject plan) ())
-          tm meth
-      in
-      checkb "same tier on the template" true (fresh.Pipeline.tier = reused.Pipeline.tier);
-      checkb "same stop reason shape" true
-        (Option.is_some fresh.Pipeline.reason = Option.is_some reused.Pipeline.reason);
-      checkb "same degradation verdict" true
-        (Pipeline.degraded fresh = Pipeline.degraded reused);
-      check_valid_outcome fresh;
-      check_valid_outcome reused;
+    (fun (plan, tier) ->
+      let o = governed_with (Fault.inject plan) meth in
+      checkb
+        ("lands on " ^ Pipeline.tier_name tier)
+        true (o.Pipeline.tier = tier);
+      checkb "stop reason iff degraded" true
+        (Option.is_some o.Pipeline.reason = (tier <> Pipeline.Full));
+      check_valid_outcome o;
       checkb "jobs=2 refused under the same plan" true
         (raises_invalid_argument (fun () ->
              Pipeline.adapt_governed
                ~budget:(Solver.budget ~fault:(Fault.inject plan) ())
-               ~jobs:2 hw meth paper_like_circuit));
-      let after = Pipeline.adapt_template tm meth in
-      checkb "template serves in full afterwards" true (after.Pipeline.tier = Pipeline.Full);
-      checkb "same makespan as a fresh model" true
-        (after.Pipeline.claimed_makespan = clean.Pipeline.claimed_makespan))
+               ~jobs:2 hw meth paper_like_circuit)))
     [
-      [];  (* full service *)
-      [ (Fault.Omt_round, 1, Fault.Exhaust) ];  (* incumbent *)
-      [ (Fault.Warm_start, 1, Fault.Exhaust) ];  (* greedy fallback *)
-      [ (Fault.Warm_start, 1, Fault.Exhaust); (Fault.Greedy_step, 1, Fault.Exhaust) ];
-      (* direct fallback *)
+      ([], Pipeline.Full);
+      ([ (Fault.Omt_round, 1, Fault.Exhaust) ], Pipeline.Incumbent);
+      ([ (Fault.Warm_start, 1, Fault.Exhaust) ], Pipeline.Greedy_fallback);
+      ( [ (Fault.Warm_start, 1, Fault.Exhaust); (Fault.Greedy_step, 1, Fault.Exhaust) ],
+        Pipeline.Direct_fallback );
     ]
 
 let test_ladder_deadline_parity_under_jobs () =

@@ -3,8 +3,8 @@
    conflict-free substitution subsets, takes their product over the
    blocks and scores every choice with [Model.evaluate_choice]; it
    shares no search code with [Model.optimize]. A proven result must
-   equal it, an anytime one may not beat it. Templates reused across
-   objectives meet the same oracle and still certify end to end. *)
+   equal it, an anytime one may not beat it. The pipeline's served
+   circuits meet the same oracle and still certify end to end. *)
 
 module Model = Qca_adapt.Model
 module Block = Qca_circuit.Block
@@ -94,47 +94,25 @@ let test_model_incremental_differential () =
   checkb "searches prove after many rounds" true (!long_proofs >= 2);
   checkb "the anytime branch runs" true (!anytime > 0)
 
-let test_model_reuse_identity () =
-  let c = List.hd corpus in
-  let part = Block.partition c in
-  let subs = Rules.find_all hw part in
-  let model = Model.build hw part subs in
-  (* repeated non-consuming runs of the same objective are identical *)
-  let a = Result.get_ok (Model.optimize ~reuse:true model Model.Sat_p) in
-  let b = Result.get_ok (Model.optimize ~reuse:true model Model.Sat_p) in
-  checki "repeated reuse is stable" a.Model.objective_value
-    b.Model.objective_value;
-  (* and the warmed template still closes every other objective on the
-     brute-force optimum *)
-  List.iter
-    (fun obj ->
-      let warm = Result.get_ok (Model.optimize ~reuse:true model obj) in
-      checkb "proven optimal on the warmed template" true
-        warm.Model.proven_optimal;
-      check_against_oracle ~what:"warmed template"
-        (brute_optimum model part subs obj) warm)
-    objectives
-
-(* A template run serves a proven optimum: its circuit is what applying
-   one of the oracle's optimal choices gives, and it certifies. *)
-let test_pipeline_template_certified () =
+(* A governed SMT adaptation serves a proven optimum: its circuit is what
+   applying one of the oracle's optimal choices gives, and it certifies. *)
+let test_pipeline_result_certified () =
   List.iter
     (fun c ->
-      let tm = Pipeline.prepare hw c in
       let part = Block.partition c in
       let subs = Rules.find_all hw part in
       let oracle = Model.build hw part subs in
       List.iter
         (fun obj ->
-          let o = Pipeline.adapt_template tm (Pipeline.Sat obj) in
-          checkb "template served full tier" true (o.Pipeline.tier = Pipeline.Full);
-          checkb "template result proven" true
+          let o = Pipeline.adapt_governed hw (Pipeline.Sat obj) c in
+          checkb "served full tier" true (o.Pipeline.tier = Pipeline.Full);
+          checkb "result proven" true
             o.Pipeline.info.Pipeline.proven_optimal;
           let issues =
             Lint.certify_adaptation hw ~original:c ~adapted:o.Pipeline.circuit
               ?claimed_makespan:o.Pipeline.claimed_makespan ()
           in
-          checkb "template certifies" true (Lint.errors issues = []);
+          checkb "result certifies" true (Lint.errors issues = []);
           let optimum = brute_optimum oracle part subs obj in
           let served = Circuit.to_string o.Pipeline.circuit in
           let found = ref false in
@@ -153,6 +131,5 @@ let suite =
   [
     ("model incremental differential", `Quick,
      test_model_incremental_differential);
-    ("model reuse identity", `Quick, test_model_reuse_identity);
-    ("pipeline template certified", `Quick, test_pipeline_template_certified);
+    ("pipeline result certified", `Quick, test_pipeline_result_certified);
   ]

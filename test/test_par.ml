@@ -1,6 +1,6 @@
 (* Parallelism layer: work-stealing pool semantics, domain-safety of
    the metrics registry, governed adaptations on concurrent domains,
-   and the phase-saving ablation. *)
+   the batch evaluator's jobs parity and the phase-saving ablation. *)
 
 open Qca_sat
 module Pool = Qca_par.Pool
@@ -201,6 +201,24 @@ let test_phase_ablation_verdicts_agree () =
       | [] -> ())
     [ 1; 2; 3; 4 ]
 
+(* {1 Batch evaluation: jobs parity}
+
+   Every adaptation builds its own model, so spreading a case's methods
+   over domains changes nothing but the timing columns: the rows of
+   [evaluate_case ~jobs:2] equal those of [~jobs:1]. *)
+
+let test_evaluate_case_jobs_parity () =
+  let module E = Qca_experiments.Experiments in
+  let hw = Qca_adapt.Hardware.d0 in
+  let strip (r : E.row) = { r with E.elapsed_ms = 0.0; conflicts = 0 } in
+  List.iter
+    (fun (kase : Qca_workloads.Workloads.case) ->
+      let rows jobs = List.map strip (E.evaluate_case ~jobs hw kase) in
+      checkb (kase.Qca_workloads.Workloads.label ^ ": jobs 2 rows equal jobs 1")
+        true
+        (rows 1 = rows 2))
+    (Qca_workloads.Workloads.simulation_suite ())
+
 let suite =
   [
     ("metrics: 4-domain hammer is exact", `Quick, test_metrics_hammer);
@@ -212,4 +230,6 @@ let suite =
      test_concurrent_governed_ladder_shape);
     ("sat: phase-saving ablations agree", `Quick,
      test_phase_ablation_verdicts_agree);
+    ("experiments: jobs 2 rows equal jobs 1", `Quick,
+     test_evaluate_case_jobs_parity);
   ]

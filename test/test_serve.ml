@@ -14,6 +14,7 @@ module Chan = Qca_par.Chan
 module Obs = Qca_obs.Metrics
 module Tracectx = Qca_obs.Tracectx
 module J = Qca_obs.Json
+module Workloads = Qca_workloads.Workloads
 open Qca_adapt
 open Qca_serve
 
@@ -475,6 +476,41 @@ let test_cli_names_match_serve () =
           cases)
   end
 
+(* Flags whose subject was deleted are cmdliner usage errors (exit
+   124), not silently ignored options. An invalid bind address keeps a
+   daemon that did accept its flag from listening: it fails fast. *)
+let test_cli_removed_flags () =
+  let exe name = Filename.concat bin_dir name in
+  let cases =
+    [
+      ("qca_serve_cli.exe", [ "daemon"; "--templates"; "4" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--jobs"; "2" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--no-incremental" ]);
+      ("qca_adapt_cli.exe", [ "--jobs"; "2" ]);
+      ("qca_adapt_cli.exe", [ "--no-incremental" ]);
+      ("qca_lint_cli.exe", [ "--jobs"; "2" ]);
+      ("qca_sat_cli.exe", [ "--jobs"; "2" ]);
+    ]
+  in
+  if not (List.for_all (fun (e, _) -> Sys.file_exists (exe e)) cases) then
+    Alcotest.skip ()  (* built by `dune runtest`, not by `dune exec` *)
+  else begin
+    let file = Filename.temp_file "qca-flags" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Out_channel.with_open_text file (fun oc -> output_string oc sample_text);
+        List.iter
+          (fun (e, args) ->
+            let args =
+              if e = "qca_serve_cli.exe" then
+                args @ [ "--port"; "0"; "--host"; "not-an-address" ]
+              else args @ [ file ]
+            in
+            checki (String.concat " " (e :: args)) 124 (exit_code (exe e) args))
+          cases)
+  end
+
 (* {1 Live daemon} *)
 
 let with_server ?(cfg = Server.default_config) f =
@@ -577,6 +613,26 @@ let test_server_deadline_degrades () =
   (* degraded responses are still valid circuits *)
   checkb "fallback is equivalent" true
     (Circuit.equivalent (circ_of sample_text) (circ_of p.Protocol.adapted_text))
+
+(* An SMT reply is the circuit qca-adapt returns for the same input,
+   whatever the daemon served before: SAT R right after SAT P on the
+   same circuit gets the fresh answer. *)
+let test_server_smt_parity () =
+  let text =
+    Parse.to_text (Workloads.quantum_volume ~seed:7 ~num_qubits:4 ~layers:3)
+  in
+  let c = circ_of text in
+  with_server @@ fun port ->
+  List.iter
+    (fun meth ->
+      let p =
+        expect_result (call port (adapt_req ~method_:meth ~timeout_ms:30_000.0 text))
+      in
+      checks
+        (Pipeline.method_name meth ^ " reply equals qca-adapt's")
+        (Parse.to_text (Pipeline.adapt Hardware.d0 meth c))
+        p.Protocol.adapted_text)
+    [ Pipeline.Sat Model.Sat_p; Pipeline.Sat Model.Sat_r ]
 
 let raw_exchange port bytes n_reply =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1017,6 +1073,7 @@ let suite =
     ("cache: LRU eviction", `Quick, test_cache_lru_eviction);
     ("http: parsing", `Quick, test_http_parsing);
     ("names: CLIs accept exactly serve's set", `Quick, test_cli_names_match_serve);
+    ("names: removed flags are usage errors", `Quick, test_cli_removed_flags);
     ("protocol: request roundtrip", `Quick, test_protocol_request_roundtrip);
     ("protocol: response roundtrip", `Quick, test_protocol_response_roundtrip);
     ("protocol: rejects garbage", `Quick, test_protocol_rejects_garbage);
@@ -1024,6 +1081,7 @@ let suite =
     ("server: adapt and cache", `Quick, test_server_adapt_and_cache);
     ("server: qasm and invalid input", `Quick, test_server_qasm_and_invalid);
     ("server: deadline degrades", `Quick, test_server_deadline_degrades);
+    ("server: SMT replies equal qca-adapt", `Quick, test_server_smt_parity);
     ("server: raw garbage and length bomb", `Quick, test_server_rejects_raw_garbage);
     ("server: oversize head answered", `Quick, test_server_oversize_head);
     ("server: http shim", `Quick, test_server_http_shim);
