@@ -32,11 +32,9 @@ type t = {
   choice : Lit.t array;  (* c_s per substitution id *)
   base_dur : int array;  (* D(b) *)
   base_fid : int array;  (* log F(b), fixed point *)
-  d_lb : int;  (* admissible lower bound on the makespan *)
   excludes : int list array;  (* Eq. 1 partners, by substitution id *)
   by_block : Rules.t list array;  (* substitutions of each block *)
   span : (int * int) array;  (* first/last gate position in its block, by id *)
-  false_lit : Lit.t;  (* a literal asserted false, for infeasible prunes *)
   mutable consumed : bool;
 }
 
@@ -123,18 +121,6 @@ let build ?options hw part subs_list =
   let base_fid =
     Array.init n_blocks (fun b -> Rules.block_reference_log_fid hw part b)
   in
-  (* Admissible makespan lower bound: all duration-reducing
-     substitutions applied at once (even if mutually exclusive). *)
-  let min_dur =
-    Array.init n_blocks (fun b ->
-        List.fold_left
-          (fun acc s -> acc + min 0 s.Rules.delta_duration)
-          base_dur.(b) by_block.(b)
-        |> max 0)
-  in
-  let d_lb = longest_path part min_dur (Array.make n_blocks 0) in
-  let false_var = Solver.new_var sat in
-  Solver.add_clause sat [ Lit.neg_of_var false_var ];
   {
     hw;
     part;
@@ -143,11 +129,9 @@ let build ?options hw part subs_list =
     choice;
     base_dur;
     base_fid;
-    d_lb;
     excludes;
     by_block;
     span;
-    false_lit = Lit.pos false_var;
     consumed = false;
   }
 
@@ -214,40 +198,79 @@ let exact_objective t terms chosen_mask =
 
 (* Weighted interval scheduling over block [b]'s gate positions:
    best.(p) is the least Σ w over conflict-free choices inside the first
-   p positions, so the whole minimum costs O(k+S) for k gates. *)
+   p positions and last.(p) the substitution ending one such choice
+   (none when position p−1 is left alone), so the minimum costs O(k+S)
+   for k gates and one walk back from k recovers a choice attaining it. *)
 let block_min t w b =
   let k = List.length t.part.Block.blocks.(b).Block.gate_ids in
   let ending = Array.make k [] in
   List.iter
     (fun (s : Rules.t) ->
-      let lo, hi = t.span.(s.Rules.id) in
-      ending.(hi) <- (lo, w s) :: ending.(hi))
+      let hi = snd t.span.(s.Rules.id) in
+      ending.(hi) <- s :: ending.(hi))
     t.by_block.(b);
-  let best = Array.make (k + 1) 0 in
+  let best = Array.make (k + 1) 0 and last = Array.make (k + 1) None in
   for p = 0 to k - 1 do
-    best.(p + 1) <-
-      List.fold_left (fun m (lo, ws) -> min m (best.(lo) + ws)) best.(p) ending.(p)
+    best.(p + 1) <- best.(p);
+    List.iter
+      (fun (s : Rules.t) ->
+        let v = best.(fst t.span.(s.Rules.id)) + w s in
+        if v < best.(p + 1) then begin
+          best.(p + 1) <- v;
+          last.(p + 1) <- Some s
+        end)
+      ending.(p)
   done;
-  best.(k)
+  let rec walk p acc =
+    if p = 0 then acc
+    else
+      match last.(p) with
+      | None -> walk (p - 1) acc
+      | Some s -> walk (fst t.span.(s.Rules.id)) (s :: acc)
+  in
+  (best.(k), walk k [])
 
 (* Admissible bound: each block at its least Σ w, plus the longest path
    whose block weights are what the makespan term can add on top of
    that, min(d_weight·dur_b + Σ w) − min(Σ w). Eq. 1 only pairs
    substitutions of one block, so with d_weight = 0 (SAT F) it is the
-   exact optimum. *)
+   exact optimum.
+
+   It stays admissible when Eq. 3 durations go negative (a block's
+   serial deltas can exceed its scheduled reference duration). For any
+   choice, [longest_path] starts every block at 0 or later and after
+   each predecessor's finish, so the makespan is at least 0 and at least
+   the duration sum along every chain of dependent blocks, whatever
+   their signs. With d_weight ≥ 0, bounding the chain's blocks by
+   min(d_weight·dur_b + Σ w) and the others by min(Σ w) gives a value
+   no choice can beat, and [longest_path] over [extra] (which may be
+   negative too) is the largest of these values over all chains,
+   the empty one included. So an incumbent at the bound is optimal. *)
 let lower_bound t obj =
   let terms = objective_terms t obj in
   let w (s : Rules.t) = terms.weights.(s.Rules.id) in
   let dw (s : Rules.t) = w s + (terms.d_weight * s.Rules.delta_duration) in
   let n = Array.length t.base_dur in
-  let min_w = Array.init n (block_min t w) in
+  let min_w = Array.init n (fun b -> fst (block_min t w b)) in
   let extra =
     Array.init n (fun b ->
-        (terms.d_weight * t.base_dur.(b)) + block_min t dw b - min_w.(b))
+        (terms.d_weight * t.base_dur.(b)) + fst (block_min t dw b) - min_w.(b))
   in
   terms.constant
   + Array.fold_left ( + ) 0 min_w
   + longest_path t.part extra (Array.make n 0)
+
+(* A choice at every block's least Σ w, and its exact value: with
+   d_weight = 0 that value is [lower_bound], the optimum. *)
+let separable_argmin t terms =
+  let mask = Array.make (Array.length t.subs) false in
+  let w (s : Rules.t) = terms.weights.(s.Rules.id) in
+  Array.iteri
+    (fun b _ ->
+      List.iter (fun (s : Rules.t) -> mask.(s.Rules.id) <- true) (snd (block_min t w b)))
+    t.by_block;
+  let v, d, _ = exact_objective t terms mask in
+  (v, mask, d)
 
 type solution = {
   chosen : Rules.t list;
@@ -389,37 +412,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
   let terms = objective_terms t obj in
   let lb = lower_bound t obj in
   let n = Array.length t.subs in
-  let pb_terms =
-    Array.to_list (Array.mapi (fun i w -> (t.choice.(i), w)) terms.weights)
-    |> List.filter (fun (_, w) -> w <> 0)
-  in
   let sat = t.sat in
-  (* One totalizer serves every pruning bound of the optimization: the
-     bound only shrinks as the incumbent improves, so it is built once
-     at the warm-start budget and queried per round. *)
-  let selector = ref None in
-  let prune best =
-    let budget = best - 1 - terms.constant - (terms.d_weight * t.d_lb) in
-    if pb_terms = [] then if budget < 0 then [ t.false_lit ] else []
-    else begin
-      let selector =
-        match !selector with
-        | Some sel -> sel
-        | None ->
-          let sel =
-            Trace.span "omt.selector.build" (fun () ->
-                Totalizer.at_most_selector ~resolution:256 sat pb_terms
-                  ~max:budget)
-          in
-          selector := Some sel;
-          sel
-      in
-      match Totalizer.select selector budget with
-      | None -> []
-      | Some None -> [ t.false_lit ]
-      | Some (Some a) -> [ a ]
-    end
-  in
   (* Lazy scheduling lemma: for the critical path P of the incumbent's
      schedule, every assignment satisfies
        obj ≥ d_weight·Σ_{b∈P} d_b(c) + Σ w_s·c_s + constant,
@@ -454,25 +447,15 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
           Totalizer.enforce_at_most ~resolution:8 sat cut_terms bound)
     end
   in
-  (* The round solver: one solver stays alive across every round, the
-     tightened bound entering as an assumption literal over the
-     memoized totalizer outputs, so learnt clauses, saved phases and
-     VSIDS activities carry over. *)
-  let round_solve best =
-    let assumptions = match best with None -> [] | Some (b, _, _) -> prune b in
-    Solver.solve ~assumptions ~budget sat
-  in
   let rounds = ref 0 and cuts = ref 0 in
   let proven = ref true in
   let stopped = ref None in
-  let rec improve best =
+  let rec improve ((b, _, _) as best) =
     incr rounds;
     Obs.incr m_omt_rounds;
-    Ring.record k_omt_round !rounds
-      (match best with None -> -1 | Some (b, _, _) -> b)
-      !cuts;
+    Ring.record k_omt_round !rounds b !cuts;
     (* An incumbent at the admissible bound is optimal. *)
-    let at_bound = match best with Some (b, _, _) -> b <= lb | None -> false in
+    let at_bound = b <= lb in
     if !rounds > round_budget then begin
       (* anytime behaviour: keep the incumbent, proven only at the bound *)
       proven := at_bound;
@@ -484,12 +467,12 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
       proven := false;
       stopped := Some r;
       best
-    | None when at_bound -> best (* no selector build, no CDCL call *)
+    | None when at_bound -> best (* no CDCL call *)
     | None ->
     match
       Trace.span "omt.round"
         ~args:[ ("round", string_of_int !rounds) ]
-        (fun () -> round_solve best)
+        (fun () -> Solver.solve ~budget sat)
     with
     | Solver.Unsat -> best
     | Solver.Unknown r ->
@@ -499,21 +482,18 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
     | Solver.Sat ->
       let mask = Array.init n (fun i -> Solver.lit_value sat t.choice.(i)) in
       let v, d, path = exact_objective t terms mask in
-      let best' =
-        match best with
-        | Some (b, _, _) when b <= v -> best
-        | Some _ | None ->
+      let ((b', _, _) as best') =
+        if b <= v then best
+        else begin
           Obs.incr m_omt_incumbent_updates;
           Obs.set m_omt_incumbent (float_of_int v);
           Trace.counter "omt.incumbent" (float_of_int v);
           Ring.record k_omt_incumbent v !rounds d;
-          Some (v, mask, d)
+          (v, mask, d)
+        end
       in
-      (match best' with
-      | Some (b, _, _) ->
-        incr cuts;
-        add_path_cut b path
-      | None -> ());
+      incr cuts;
+      add_path_cut b' path;
       (* block this exact choice *)
       Solver.add_clause sat
         (Array.to_list
@@ -521,8 +501,11 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
       improve best'
     end
   in
-  (* Greedy warm start: a good incumbent keeps the first pruning
-     encoding small and tight. An interruption here means no incumbent
+  (* Greedy warm start. With d_weight = 0 (SAT F) the bound is exact
+     and the per-block DP attains it, so when the greedy misses it the
+     DP's choice replaces it and round 1 stops at the bound; the greedy's
+     choice stays wherever it already meets the bound (the DP may pick
+     another of equal value). An interruption here means no incumbent
      exists yet, which the pipeline's degradation ladder turns into the
      greedy fallback. *)
   match
@@ -531,25 +514,27 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
   with
   | { interrupted = Some r; _ } -> Error (`Budget_exhausted r)
   | { mask; value; makespan; interrupted = None } ->
+    let ((value, _, _) as incumbent) =
+      if terms.d_weight = 0 && value > lb then separable_argmin t terms
+      else (value, mask, makespan)
+    in
     Obs.set m_omt_incumbent (float_of_int value);
     Trace.counter "omt.incumbent" (float_of_int value);
-    (match improve (Some (value, mask, makespan)) with
-    | None -> assert false (* the warm start is an incumbent *)
-    | Some (v, mask, d) ->
-      if not (verify_schedule t mask d) then Error `Unverified_schedule
-      else
-        Ok
-          {
-            chosen =
-              Array.to_list t.subs |> List.filter (fun s -> mask.(s.Rules.id));
-            objective_value = v;
-            makespan = d;
-            rounds = !rounds;
-            path_cuts = !cuts;
-            proven_optimal = !proven;
-            lower_bound = lb;
-            stopped = !stopped;
-          })
+    let v, mask, d = improve incumbent in
+    if not (verify_schedule t mask d) then Error `Unverified_schedule
+    else
+      Ok
+        {
+          chosen =
+            Array.to_list t.subs |> List.filter (fun s -> mask.(s.Rules.id));
+          objective_value = v;
+          makespan = d;
+          rounds = !rounds;
+          path_cuts = !cuts;
+          proven_optimal = !proven;
+          lower_bound = lb;
+          stopped = !stopped;
+        }
   end
 
 let evaluate_choice t obj chosen =

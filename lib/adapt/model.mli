@@ -11,9 +11,9 @@ open Qca_sat
     [c_s] and the Eq. 1 clauses live in the CDCL solver: for any choice
     the start times and [D] are a longest path over the block DAG.
     {!optimize} minimizes Eq. 8–10 by branch and bound over that solver,
-    with admissible totalizer pruning and lazily added critical-path
-    cuts; {!verify_schedule} checks the final schedule with the
-    difference-logic solver. *)
+    pruned by lazily added critical-path cuts and stopped at the
+    separable {!lower_bound}; {!verify_schedule} checks the final
+    schedule with the difference-logic solver. *)
 
 type objective =
   | Sat_f  (** fidelity objective, Eq. 8 *)
@@ -99,35 +99,35 @@ val optimize :
   objective ->
   (solution, error) result
 (** Optimizes the objective: {!greedy} warm start, then branch-and-bound
-    over the CDCL solver with admissible pseudo-Boolean pruning and
-    lazily generated critical-path lemmas. Before each CDCL call the
-    incumbent is compared with {!lower_bound}: once it reaches the bound
-    it is optimal, and the search stops there with
-    [proven_optimal = true], without building a pruning selector or
-    calling the solver (the round cap and the budget poll still come
-    first, as without the bound). For
-    SAT F the bound is the exact optimum, so SAT F closes as soon as an
-    incumbent attains it (at round 1 when the warm start does). Rounds
-    before the stop, and so every returned choice, are the same as
-    without the bound. Otherwise the search runs to an UNSAT proof
-    unless the anytime round cap runs out first, in which case the
-    incumbent is returned with [proven_optimal = false]. The cap is
-    [round_budget], by default [max 16 (min 120 (4000 / S))] for S
-    substitutions, so deep circuits can stop at the cap. A resource
-    [budget] governs the warm start, the OMT rounds and every CDCL call
-    (fault sites {!Qca_util.Fault.Warm_start}, [Omt_round] and
-    [Sat_step]); when it trips after an incumbent exists the incumbent
-    is returned with [stopped] set, before one exists the typed
-    [`Budget_exhausted] error is returned; a schedule that
-    {!verify_schedule} rejects, [`Unverified_schedule]. Never raises.
+    over the CDCL solver. Each round is a plain {!Solver.solve}; its
+    model becomes the incumbent when it is better, its exact choice is
+    excluded by a no-good clause, and while the objective weighs the
+    makespan, the critical path of the incumbent's schedule enters as a
+    pseudo-Boolean cut that every better choice must satisfy. Before
+    each CDCL call the incumbent is compared with {!lower_bound}: once
+    it reaches the bound it is optimal, and the search stops there with
+    [proven_optimal = true] without calling the solver (the round cap
+    and the budget poll still come first). For SAT F the bound is the
+    exact optimum and {!block_min}'s per-block choices attain it: when
+    the greedy misses the bound, that choice replaces the greedy's, so
+    SAT F always closes at round 1 without a CDCL call. Otherwise the
+    search runs to an UNSAT proof unless the anytime round cap runs out
+    first, in which case the incumbent is returned with
+    [proven_optimal = false]. The cap is [round_budget], by default
+    [max 16 (min 120 (4000 / S))] for S substitutions, so deep circuits
+    can stop at the cap. A resource [budget] governs the warm start,
+    the OMT rounds and every CDCL call (fault sites
+    {!Qca_util.Fault.Warm_start}, [Omt_round] and [Sat_step]); when it
+    trips after an incumbent exists the incumbent is returned with
+    [stopped] set, before one exists the typed [`Budget_exhausted]
+    error is returned; a schedule that {!verify_schedule} rejects,
+    [`Unverified_schedule]. Never raises.
 
     Every round solves on the model's own solver, which stays alive
-    across the rounds: the tightened bound enters as an assumption
-    literal over the memoized totalizer outputs, so learnt clauses,
-    saved phases and VSIDS activities carry from round to round. The
-    incumbent-exclusion clauses and path cuts stay in that solver, so
-    the call consumes the model: a second call answers
-    [`Already_consumed]. *)
+    across the rounds, so learnt clauses, saved phases and VSIDS
+    activities carry from round to round. The no-goods and path cuts
+    stay in that solver, so the call consumes the model: a second call
+    answers [`Already_consumed]. *)
 
 val lower_bound : t -> objective -> int
 (** An admissible lower bound on the integer objective: every block at
@@ -138,12 +138,13 @@ val lower_bound : t -> objective -> int
     it is the exact optimum. It touches no solver state, so it also
     works on a consumed model. *)
 
-val block_min : t -> (Rules.t -> int) -> int -> int
+val block_min : t -> (Rules.t -> int) -> int -> int * Rules.t list
 (** [block_min t w b]: the least Σ [w s] over the conflict-free subsets
     of block [b]'s substitutions (the empty set included, so never
-    positive). Every substitution covers a contiguous run of its block's
-    gates ({!build} asserts it), so this is weighted interval scheduling
-    over gate positions, O(k+S) for k gates and S substitutions. *)
+    positive), and one such subset attaining it, in gate order. Every
+    substitution covers a contiguous run of its block's gates ({!build}
+    asserts it), so this is weighted interval scheduling over gate
+    positions, O(k+S) for k gates and S substitutions. *)
 
 val evaluate_choice : t -> objective -> Rules.t list -> int
 (** Exact integer objective of an arbitrary conflict-free choice of

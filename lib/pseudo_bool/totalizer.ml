@@ -14,7 +14,7 @@ let normalize terms =
   (List.rev acc, offset)
 
 (* Every variable an encoding introduces (node outputs, counter
-   registers, assumption selectors) is a non-decision variable: its
+   registers, assumption literals) is a non-decision variable: its
    value follows from the inputs by propagation, and the clauses below
    hold at most one positive auxiliary literal each, so the solver's
    false completion of the ones left unassigned is a model. The search
@@ -251,23 +251,21 @@ let rec build_nodes s ~cap ~max_out ?(root_keep = 1) = function
       (build_nodes s ~cap ~max_out left)
       (build_nodes s ~cap ~max_out right)
 
-(* Group equal weights (a unary counter per group is linear-size). *)
-let group_nodes s ~cap ~max_out terms =
+(* Group equal weights (a unary counter per group is linear-size), then
+   totalizer-merge the group nodes. *)
+let build s ~cap ~max_out ?root_keep terms =
   let groups = Hashtbl.create 8 in
   List.iter
     (fun (l, w) ->
       let prev = Option.value ~default:[] (Hashtbl.find_opt groups w) in
       Hashtbl.replace groups w (l :: prev))
     terms;
-  Hashtbl.fold
-    (fun w lits acc -> group_node s ~cap ~max_out (w, lits) :: acc)
-    groups []
+  build_nodes s ~cap ~max_out ?root_keep
+    (Hashtbl.fold
+       (fun w lits acc -> group_node s ~cap ~max_out (w, lits) :: acc)
+       groups [])
 
-(* Group equal weights, then totalizer-merge the group nodes. *)
-let build s ~cap ~max_out ?root_keep terms =
-  build_nodes s ~cap ~max_out ?root_keep (group_nodes s ~cap ~max_out terms)
-
-let marker_geq_sized s ~max_out terms bound =
+let marker_geq s ~max_out terms bound =
   if bound <= 0 then invalid_arg "Totalizer.marker_geq: bound must be ≥ 1";
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 terms in
   if total < bound then None
@@ -284,8 +282,6 @@ let marker_geq_sized s ~max_out terms bound =
     find outs
   end
 
-let marker_geq s terms bound = marker_geq_sized s ~max_out:max_int terms bound
-
 let assume_at_most_sized ~max_out s terms k =
   let pos_terms, offset = normalize terms in
   let k' = k - offset in
@@ -295,7 +291,7 @@ let assume_at_most_sized ~max_out s terms k =
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 pos_terms in
   if total <= k' then None
   else begin
-    match marker_geq_sized s ~max_out pos_terms (k' + 1) with
+    match marker_geq s ~max_out pos_terms (k' + 1) with
     | None -> None
     | Some marker ->
       let a = Lit.pos (aux s) in
@@ -316,133 +312,3 @@ let enforce_at_most ?resolution s terms k =
   | exception Invalid_argument _ ->
     (* even the all-false assignment violates the cut: unsatisfiable *)
     Solver.add_clause s []
-
-(* The root merge of a selector, held back for lazy emission. Root
-   outputs carry no ladder clauses between them, so the clauses
-   concluding at one output are invisible to queries against any other
-   — each bucket can be materialized on its first query. The OMT loop
-   touches a handful of the root's outputs over a whole optimization,
-   so most buckets are never encoded at all. *)
-type pending_root = {
-  r_cap : int;
-  r_left : node;
-  r_right : node;
-  r_emitted : bool array;  (* per root-output index *)
-}
-
-type selector = {
-  sel_solver : Solver.t;
-  offset : int;  (* Σ original = Σ positive + offset *)
-  total : int;  (* maximum possible positive sum *)
-  outputs : (int * Lit.t) array;  (* root outputs, ascending weights *)
-  root : pending_root option;  (* when the tree has a root merge *)
-  negations : (int, Lit.t) Hashtbl.t;  (* memo: weight -> assumption *)
-}
-
-let at_most_selector ?(resolution = 256) s terms ~max =
-  let pos_terms, offset = normalize terms in
-  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 pos_terms in
-  let cap = min total (Stdlib.max 1 (max - offset + 1)) in
-  let outputs, root =
-    if pos_terms = [] then ([||], None)
-    else begin
-      match group_nodes s ~cap ~max_out:resolution pos_terms with
-      | [] -> ([||], None)
-      | [ n ] -> (Array.of_list n, None)
-      | nodes ->
-        (* children are built eagerly (their outputs feed the root from
-           every direction); only the root merge's own clauses wait *)
-        let rec split i left = function
-          | rest when i = 0 -> (List.rev left, rest)
-          | [] -> (List.rev left, [])
-          | t :: rest -> split (i - 1) (t :: left) rest
-        in
-        let ln, rn = split (List.length nodes / 2) [] nodes in
-        let a = build_nodes s ~cap ~max_out:resolution ln in
-        let b = build_nodes s ~cap ~max_out:resolution rn in
-        let kept =
-          thin ~max_out:resolution (merge_candidates ~cap ~keep_below:1 a b)
-        in
-        let outs =
-          Array.of_list
-            (List.map (fun w -> (w, Lit.pos (aux s))) kept)
-        in
-        ( outs,
-          Some
-            {
-              r_cap = cap;
-              r_left = a;
-              r_right = b;
-              r_emitted = Array.make (Array.length outs) false;
-            } )
-    end
-  in
-  { sel_solver = s; offset; total; outputs; root; negations = Hashtbl.create 8 }
-
-(* Emit the root-merge clauses concluding at output [idx] — the bucket
-   of sums that round down to its weight — on first query. *)
-let materialize_root sel idx =
-  match sel.root with
-  | None -> ()
-  | Some r ->
-    if not r.r_emitted.(idx) then begin
-      r.r_emitted.(idx) <- true;
-      let s = sel.sel_solver in
-      let w = fst sel.outputs.(idx) in
-      let target = snd sel.outputs.(idx) in
-      let hi =
-        if idx + 1 < Array.length sel.outputs then fst sel.outputs.(idx + 1)
-        else max_int
-      in
-      let in_bucket x =
-        let x = min x r.r_cap in
-        x >= w && x < hi
-      in
-      List.iter
-        (fun (wa, la) ->
-          if in_bucket wa then Solver.add_clause s [ Lit.negate la; target ])
-        r.r_left;
-      List.iter
-        (fun (wb, lb) ->
-          if in_bucket wb then Solver.add_clause s [ Lit.negate lb; target ])
-        r.r_right;
-      List.iter
-        (fun (wa, la) ->
-          List.iter
-            (fun (wb, lb) ->
-              if in_bucket (wa + wb) then
-                Solver.add_clause s [ Lit.negate la; Lit.negate lb; target ])
-            r.r_right)
-        r.r_left
-    end
-
-let select sel k =
-  let k' = k - sel.offset in
-  if k' >= sel.total then None (* vacuous *)
-  else if k' < 0 then Some None (* infeasible *)
-  else begin
-    (* smallest root output with weight ≥ k'+1; outputs are ascending *)
-    let n = Array.length sel.outputs in
-    let rec find lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if fst sel.outputs.(mid) >= k' + 1 then find lo mid else find (mid + 1) hi
-    in
-    if n = 0 then None
-    else begin
-      let idx = find 0 n in
-      if idx >= n then None (* no output can witness the violation: vacuous *)
-      else begin
-        materialize_root sel idx;
-        let w, marker = sel.outputs.(idx) in
-        match Hashtbl.find_opt sel.negations w with
-        | Some a -> Some (Some a)
-        | None ->
-          let a = Lit.pos (aux sel.sel_solver) in
-          Solver.add_clause sel.sel_solver [ Lit.negate a; Lit.negate marker ];
-          Hashtbl.replace sel.negations w a;
-          Some (Some a)
-      end
-    end
-  end

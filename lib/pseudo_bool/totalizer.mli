@@ -7,11 +7,11 @@
     at the bound of interest, which keeps the per-node weight sets small
     on the instances of this repository.
 
-    The OMT drivers use {!assume_at_most} to perform objective
-    strengthening with a fresh removable selector per bound.
+    The OMT driver asserts its critical-path cuts with
+    {!enforce_at_most}.
 
     Every variable an encoding creates (node outputs, counter registers,
-    assumption selectors) is a non-decision variable
+    assumption literals) is a non-decision variable
     ({!Qca_sat.Solver.new_var}): the search branches only on the
     caller's literals. *)
 
@@ -25,12 +25,6 @@ val normalize : linear -> (Lit.t * int) list * int
     literals as needed), returning the added constant offset:
     [Σ old = Σ new + offset]. Zero-weight terms are dropped. *)
 
-val marker_geq : Solver.t -> (Lit.t * int) list -> int -> Lit.t option
-(** [marker_geq s terms bound] (positive weights, bound ≥ 1) adds
-    clauses such that whenever [Σ ≥ bound] in a model, the returned
-    marker literal is forced true. Returns [None] when the sum can
-    never reach [bound] (marker would be constant-false). *)
-
 val assume_at_most : Solver.t -> linear -> int -> Lit.t option
 (** [assume_at_most s terms k] returns an assumption literal [a] such
     that assuming [a] enforces [Σ terms ≤ k]. Returns [None] when the
@@ -39,33 +33,16 @@ val assume_at_most : Solver.t -> linear -> int -> Lit.t option
 
 val assume_at_most_approx :
   ?resolution:int -> Solver.t -> linear -> int -> Lit.t option
-(** Like {!assume_at_most} but with weights divided by a granularity
-    chosen so the clamped totalizer stays below [resolution] (default
-    256) distinct levels. The encoded constraint
-    [Σ ⌊wᵢ/g⌋·ℓᵢ ≤ ⌊k/g⌋] is implied by the exact one, so using it as a
-    branch-and-bound prune never cuts off a feasible improving solution
-    — it is merely (boundedly) weaker. Keeps encodings small when
-    weights are large and heterogeneous. *)
-
-type selector
-(** A reusable upper-bound structure: one totalizer whose root outputs
-    can be turned into assumption literals for {e any} bound below the
-    construction maximum — the OMT driver's pruning bound shrinks every
-    round, so one build serves the whole optimization. *)
-
-val at_most_selector :
-  ?resolution:int -> Solver.t -> linear -> max:int -> selector
-(** Builds the structure able to enforce [Σ terms ≤ k] for any
-    [k ≤ max]. *)
-
-val select : selector -> int -> Lit.t option option
-(** [select sel k]: [None] when the bound is vacuous (always true);
-    [Some None] when it is infeasible (even the minimum sum exceeds
-    [k]); [Some (Some a)] an assumption literal enforcing an
-    admissible (implied-by-exact) relaxation of [Σ ≤ k]. *)
+(** Like {!assume_at_most} but every totalizer node keeps at most
+    [resolution] (default 256) output weights, evenly spaced; an
+    implication whose target weight was dropped concludes at the
+    nearest kept weight below it. The encoded constraint is therefore
+    implied by the exact one: used as a branch-and-bound prune it never
+    cuts off a feasible improving solution, it is merely weaker. Keeps
+    encodings small when weights are large and heterogeneous. *)
 
 val enforce_at_most :
   ?resolution:int -> Solver.t -> linear -> int -> unit
 (** Adds [Σ terms ≤ k] as a hard (approximate, implied-by-exact)
-    constraint: an {!assume_at_most_approx} selector asserted as a unit
+    constraint: an {!assume_at_most_approx} literal asserted as a unit
     clause. Used for lazily generated objective cuts. *)

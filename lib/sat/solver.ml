@@ -527,9 +527,9 @@ let propagate t =
     let p = Array.unsafe_get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
     incr nprops;
-    let false_lit = p lxor 1 in
-    let wd = Array.unsafe_get t.wdata false_lit in
-    let n = Array.unsafe_get t.wsize false_lit in
+    let not_p = p lxor 1 in
+    let wd = Array.unsafe_get t.wdata not_p in
+    let n = Array.unsafe_get t.wsize not_p in
     let i = ref 0 in
     let j = ref 0 in
     while !i < n do
@@ -558,9 +558,9 @@ let propagate t =
       else begin
         let cr = word lsr 1 in
         (* ensure the false literal is at position 1 *)
-        if Array.unsafe_get ad (cr + hdr) = false_lit then begin
+        if Array.unsafe_get ad (cr + hdr) = not_p then begin
           Array.unsafe_set ad (cr + hdr) (Array.unsafe_get ad (cr + hdr + 1));
-          Array.unsafe_set ad (cr + hdr + 1) false_lit
+          Array.unsafe_set ad (cr + hdr + 1) not_p
         end;
         let first = Array.unsafe_get ad (cr + hdr) in
         if first <> blocker && lit_value_raw t first = 1 then begin
@@ -580,7 +580,7 @@ let propagate t =
                blocker on the new list *)
             let lk = Array.unsafe_get ad !k in
             Array.unsafe_set ad (cr + hdr + 1) lk;
-            Array.unsafe_set ad !k false_lit;
+            Array.unsafe_set ad !k not_p;
             push_watch t lk first word
           end
           else begin
@@ -599,7 +599,7 @@ let propagate t =
         end
       end
     done;
-    Array.unsafe_set t.wsize false_lit !j
+    Array.unsafe_set t.wsize not_p !j
   done;
   t.n_propagations <- t.n_propagations + !nprops;
   if Atomic.get Obs.live then Obs.add m_propagations !nprops;

@@ -108,7 +108,7 @@ val new_var : ?decision:bool -> t -> Lit.var
     VSIDS order: it is only ever assigned by propagation or as an
     assumption, {!solve} answers [Sat] while it is still unassigned, and
     {!value} reads it as [false] then. Encodings use it for auxiliary
-    variables (totalizer and counter outputs, assumption selectors)
+    variables (totalizer and counter outputs, assumption literals)
     whose value any model of the inputs determines.
 
     That false completion is a model of every original clause as long

@@ -259,7 +259,8 @@ let test_lower_bound_oracle () =
 
 (* The interval DP behind [Model.block_min] against exhaustive
    enumeration of each block's conflict-free subsets, for the
-   objectives' own weights and for seeded weights of either sign. *)
+   objectives' own weights and for seeded weights of either sign; the
+   choice it returns must be conflict-free and attain the minimum. *)
 let test_block_min_oracle () =
   let rng = Rng.create 77 in
   let blocks = ref 0 in
@@ -285,7 +286,13 @@ let test_block_min_oracle () =
                     (fun m x -> min m (List.fold_left (fun a s -> a + w s) 0 x))
                     max_int subsets
                 in
-                Alcotest.(check int) "block minimum" brute (Model.block_min model w b))
+                let least, argmin = Model.block_min model w b in
+                Alcotest.(check int) "block minimum" brute least;
+                Alcotest.(check int) "argmin attains it" least
+                  (List.fold_left (fun a s -> a + w s) 0 argmin);
+                checkb "argmin conflict-free, in the block" true
+                  (Rules.conflicts argmin = []
+                  && List.for_all (fun s -> List.memq s mine) argmin))
               [
                 (fun (s : Rules.t) -> -s.Rules.delta_log_fid);
                 (fun (s : Rules.t) -> -s.Rules.delta_duration);

@@ -201,6 +201,10 @@ let prop_totalizer_exact =
         done;
         !ok && !best = brute_force_max_under terms k)
 
+(* Even seeds draw small weights, which take the dense (bitmap) path of
+   the merge; odd seeds weights of 10^6 and more, which take the sparse
+   (row-merge) path, as SAT P's path cuts do. Resolution 4 thins nearly
+   every merge. *)
 let prop_totalizer_approx_admissible =
   QCheck.Test.make
     ~name:"approximate totalizer never blocks a satisfying assignment" ~count:40
@@ -209,7 +213,11 @@ let prop_totalizer_approx_admissible =
       let n = 3 + Rng.int rng 4 in
       let s = Solver.create () in
       let vars = List.init n (fun _ -> Solver.new_var s) in
-      let weights = List.init n (fun _ -> 50 + Rng.int rng 500) in
+      let weight () =
+        if seed land 1 = 0 then 50 + Rng.int rng 500
+        else (1_000_000 * (1 + Rng.int rng 40)) + Rng.int rng 5000
+      in
+      let weights = List.init n (fun _ -> weight ()) in
       let terms = List.map2 (fun v w -> (Lit.pos v, w)) vars weights in
       let total = List.fold_left ( + ) 0 weights in
       let k = Rng.int rng (total + 1) in
@@ -247,113 +255,6 @@ let test_enforce_at_most_hard () =
   let models = all_models s vars in
   List.iter (fun m -> checkb "≤ 1 true" true (count_true m <= 1)) models
 
-(* {1 Selector: admissibility in both merge regimes, pinned CNF} *)
-
-(* Random terms over fresh variables, about one in six negative. *)
-let random_terms rng s n weight =
-  List.init n (fun _ ->
-      let v = Solver.new_var s in
-      let w = weight rng in
-      (Lit.pos v, if Rng.int rng 6 = 0 then -w else w))
-
-let small_weight rng = 1 + Rng.int rng 24
-let scaled_weight rng = (1_000_000 * (1 + Rng.int rng 40)) + Rng.int rng 5000
-
-let term_sum terms assignment =
-  List.fold_left2
-    (fun acc (_, w) on -> if on then acc + w else acc)
-    0 terms assignment
-
-(* Small weights take the dense (bitmap) path of the merge; weights of
-   10^6 and more take the sparse (row-merge) path. Resolution 4 thins
-   nearly every merge. For every bound the selector answers, no
-   assignment with Σ ≤ k may be cut off, and an infeasible answer
-   means no assignment reaches Σ ≤ k. *)
-let prop_selector_admissible =
-  QCheck.Test.make ~name:"selector never cuts off Σ ≤ k (both regimes)"
-    ~count:40 QCheck.small_int (fun seed ->
-      let rng = Rng.create (seed + 4242) in
-      let weight = if seed land 1 = 0 then small_weight else scaled_weight in
-      let n = 3 + Rng.int rng 5 in
-      let s = Solver.create () in
-      let terms = random_terms rng s n weight in
-      let vars = List.map (fun (l, _) -> Lit.var l) terms in
-      let assignments =
-        List.init (1 lsl n) (fun mask ->
-            List.init n (fun i -> mask land (1 lsl i) <> 0))
-      in
-      let sums = List.map (term_sum terms) assignments in
-      let lo = List.fold_left min max_int sums
-      and hi = List.fold_left max min_int sums in
-      let max = lo + Rng.int rng (hi - lo + 1) in
-      let sel = Totalizer.at_most_selector ~resolution:4 s terms ~max in
-      List.for_all
-        (fun k ->
-          match Totalizer.select sel k with
-          | None -> true
-          | Some None -> List.for_all (fun sum -> sum > k) sums
-          | Some (Some a) ->
-            List.for_all2
-              (fun assignment sum ->
-                sum > k
-                || Solver.solve
-                     ~assumptions:
-                       (a
-                       :: List.map2
-                            (fun v on ->
-                              if on then Lit.pos v else Lit.neg_of_var v)
-                            vars assignment)
-                     s
-                   = Solver.Sat)
-              assignments sums)
-        [ max; lo + ((max - lo) / 2); lo; lo - 1 ])
-
-(* Everything a selector build leaves in a fresh solver: the variable
-   count, the root trail (units in propagation order) and the arena
-   words (every kept clause, literal order as stored, after root
-   propagation). *)
-let cnf_digest s =
-  let b = Buffer.create 65536 in
-  let v = Solver.view s in
-  Buffer.add_string b (string_of_int v.Solver.v_nvars);
-  let root =
-    if v.Solver.v_trail_lim_size = 0 then v.Solver.v_trail_size
-    else v.Solver.v_trail_lim.(0)
-  in
-  Buffer.add_char b '|';
-  for i = 0 to root - 1 do
-    Buffer.add_string b (string_of_int v.Solver.v_trail.(i) ^ ",")
-  done;
-  Buffer.add_char b '#';
-  for i = 0 to v.Solver.v_arena_used - 1 do
-    Buffer.add_string b (string_of_int v.Solver.v_arena_data.(i) ^ ",")
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* The selector's CNF is pinned: the same variables, the same clauses in
-   the same order, the same literal order. The values were computed
-   with the original clause-insertion path and the sort-based sparse
-   merge; any change to the emitted encoding shows here. *)
-let test_selector_cnf_pinned () =
-  let pinned name ~seed ~n weight (digest, nvars, nclauses) =
-    let rng = Rng.create seed in
-    let s = Solver.create () in
-    let terms = random_terms rng s n weight in
-    let total = List.fold_left (fun acc (_, w) -> acc + abs w) 0 terms in
-    let max = total / 3 in
-    let sel = Totalizer.at_most_selector ~resolution:256 s terms ~max in
-    List.iter
-      (fun k -> ignore (Totalizer.select sel k))
-      [ max; max * 3 / 4; max / 2 ];
-    Alcotest.(check string) (name ^ " digest") digest (cnf_digest s);
-    checki (name ^ " vars") nvars (Solver.num_vars s);
-    checki (name ^ " clauses") nclauses (Solver.num_clauses s)
-  in
-  pinned "dense (SAT R-like)" ~seed:19 ~n:40 small_weight
-    ("14315daabaf0a448c0cdf4ccebc05786", 1491, 52599);
-  pinned "sparse (SAT P-like)" ~seed:23 ~n:28 scaled_weight
-    ("59d9605b1d68397a0f5b0e79dd37b4cc", 1459, 60500)
-
 let suite =
   [
     ("at_most model count", `Quick, test_at_most_exact_model_count);
@@ -369,6 +270,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_totalizer_exact;
     QCheck_alcotest.to_alcotest prop_totalizer_approx_admissible;
     ("enforce_at_most", `Quick, test_enforce_at_most_hard);
-    QCheck_alcotest.to_alcotest prop_selector_admissible;
-    ("selector CNF pinned", `Quick, test_selector_cnf_pinned);
   ]

@@ -472,15 +472,16 @@ let test_unknown_variable_rejected () =
 
    A random instance over 8-12 decision inputs: random 3-clauses, a
    weighted at-most bound (totalizer), a cardinality bound (sequential
-   counter), a selector queried for an assumption literal, then clauses
-   over the encodings' auxiliaries (half of them with two positive
-   auxiliary literals) and more random 3-clauses. Returns the clauses it
-   added itself, the exact encoded bounds as a predicate on models, and
-   the assumptions. *)
+   counter), a weighted at-most bound behind an assumption literal,
+   then clauses over the encodings' auxiliaries (half of them with two
+   positive auxiliary literals) and more random 3-clauses. Returns the
+   clauses it added itself, the exact encoded bounds as a predicate on
+   models, and the assumptions. *)
 type aux_instance = {
   added : Lit.t list list;  (** the clauses the instance adds itself *)
   bounds : bool array -> bool;
-      (** the totalizer and counter bounds, evaluated on a model *)
+      (** the totalizer and counter bounds, evaluated on a model found
+          under [assumptions] *)
   assumptions : Lit.t list;
 }
 
@@ -516,20 +517,16 @@ let aux_instance seed s =
   let at_most = Rng.bool rng in
   if at_most then Qca_pseudo_bool.Cardinality.at_most s counted k_counted
   else Qca_pseudo_bool.Cardinality.at_least s counted k_counted;
-  let sel =
-    Qca_pseudo_bool.Totalizer.at_most_selector s (terms ()) ~max:40
-  in
+  let assumed = terms () and k_assumed = Rng.int rng 30 in
   let assumptions =
-    match Qca_pseudo_bool.Totalizer.select sel (Rng.int rng 30) with
-    | Some (Some a) -> [ a ]
-    | Some None | None -> []
+    Option.to_list
+      (Qca_pseudo_bool.Totalizer.assume_at_most s assumed k_assumed)
   in
-  (* The totalizer and the counter are exact at these sizes (far below
-     the totalizer's resolution). A selector queried below its [max]
-     enforces only a relaxation of Σ ≤ k, which no model can be checked
-     against; its admissibility is tested in test_pseudo_bool. *)
+  (* The totalizers and the counter are exact at these sizes (far below
+     the totalizer's resolution). *)
   let bounds model =
     sum model enforced <= k_enforced
+    && sum model assumed <= k_assumed
     && if at_most then count model counted <= k_counted
        else count model counted >= k_counted
   in
