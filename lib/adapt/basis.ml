@@ -59,6 +59,7 @@ let single_as_zsx q m =
 let lower_single q m = single_as_zsx q m
 
 let to_ibm circuit =
+  let hint = Synth.hint () in
   let rec lower gate =
     match gate with
     | Gate.Single (Gate.Rz _, _) | Gate.Single (Gate.Sx, _) | Gate.Single (Gate.X, _)
@@ -71,7 +72,7 @@ let to_ibm circuit =
       |> List.concat_map lower
     | Gate.Two ((Gate.Swap | Gate.Swap_d | Gate.Swap_c), a, b) -> swap_as_cx a b
     | Gate.Two (g, a, b) ->
-      Synth.two_qubit_on Synth.Use_cx (Gate.two_matrix g) ~a ~b
+      Synth.two_qubit_on ~hint Synth.Use_cx (Gate.two_matrix g) ~a ~b
       |> List.concat_map lower
   in
   Circuit.map_gates lower circuit

@@ -16,6 +16,7 @@ let adapt _hw ent input =
   let n = Circuit.num_qubits input in
   let perm = Array.init n Fun.id in
   let gates = part.Block.gates in
+  let hint = Synth.hint () in
   let out = ref [] in
   let mirrors = ref 0 in
   let emit g = out := g :: !out in
@@ -38,13 +39,13 @@ let adapt _hw ent input =
         let pa = perm.(a) and pb = perm.(b) in
         if cost_mirror < cost_plain then begin
           incr mirrors;
-          List.iter emit (Synth.two_qubit_on ent mirrored ~a:pa ~b:pb);
+          List.iter emit (Synth.two_qubit_on ~hint ent mirrored ~a:pa ~b:pb);
           (* the block now ends with a virtual swap: logical a sits on
              pb and logical b on pa from here on *)
           perm.(a) <- pb;
           perm.(b) <- pa
         end
-        else List.iter emit (Synth.two_qubit_on ent u ~a:pa ~b:pb))
+        else List.iter emit (Synth.two_qubit_on ~hint ent u ~a:pa ~b:pb))
     (Block.topological_order part);
   let circuit = Circuit.merge_single_qubit_runs (Circuit.of_gates n (List.rev !out)) in
   { circuit; permutation = perm; mirrors_used = !mirrors }

@@ -125,6 +125,7 @@ let apply_substitutions part chosen =
     (Circuit.of_gates (Circuit.num_qubits part.Block.circuit) (List.rev !out))
 
 let kak_only ent part =
+  let hint = Synth.hint () in
   let out = ref [] in
   List.iter
     (fun bid ->
@@ -141,7 +142,7 @@ let kak_only ent part =
         let u = Block.block_unitary part blk in
         List.iter
           (fun g -> out := g :: !out)
-          (Synth.two_qubit_on ent u ~a ~b))
+          (Synth.two_qubit_on ~hint ent u ~a ~b))
     (Block.topological_order part);
   Circuit.merge_single_qubit_runs
     (Circuit.of_gates (Circuit.num_qubits part.Block.circuit) (List.rev !out))

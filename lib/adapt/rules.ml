@@ -99,7 +99,7 @@ let find_in_block hw gates (blk : Block.block) ~fresh =
   done;
   !subs
 
-let kak_substitutions hw part (blk : Block.block) ~fresh =
+let kak_substitutions hw part (blk : Block.block) ~hint ~fresh =
   match blk.Block.wires with
   | Block.Solo _ -> []
   | Block.Pair (a, b) ->
@@ -127,12 +127,15 @@ let kak_substitutions hw part (blk : Block.block) ~fresh =
         delta_log_fid = gates_log_fid hw replacement - ref_fid;
       }
     in
-    (match Synth.two_qubit_on_each [ Synth.Use_cz; Synth.Use_cz_db ] u ~a ~b with
+    (match
+       Synth.two_qubit_on_each ~hint [ Synth.Use_cz; Synth.Use_cz_db ] u ~a ~b
+     with
     | [ r_cz; r_cz_db ] -> [ make Kak_cz r_cz; make Kak_cz_db r_cz_db ]
     | _ -> assert false)
 
 let find_all hw part =
   let gates = part.Block.gates in
+  let hint = Synth.hint () in
   let counter = ref 0 in
   let fresh () =
     let v = !counter in
@@ -142,7 +145,7 @@ let find_all hw part =
   Array.to_list part.Block.blocks
   |> List.concat_map (fun blk ->
          let local = find_in_block hw gates blk ~fresh in
-         let kak = kak_substitutions hw part blk ~fresh in
+         let kak = kak_substitutions hw part blk ~hint ~fresh in
          List.rev local @ kak)
 
 (* Substituted gates never leave their block, so only substitutions of

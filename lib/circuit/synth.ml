@@ -66,10 +66,12 @@ let template_four_cx (x, y, z) =
     Gate.Two (Gate.Cx, 0, 1);
   ]
 
-(* Last successful template variant. Atomic: worker domains adapt
-   circuits concurrently; the cache is a hint, so a racy overwrite only
-   costs a re-search. *)
-let cached_variant = Atomic.make None
+(* The last three-CX template variant that aligned, tried first on the
+   next block. One circuit's synthesis owns it, so a circuit's result
+   never depends on what was synthesised before it. *)
+type hint = { mutable variant : int option }
+
+let hint () = { variant = None }
 
 type aligned = { t_gates : Gate.t list; t_kak : Kak.t; t_canon : Kak.canonical }
 
@@ -86,12 +88,12 @@ let try_align t_gates vc =
     Some { t_gates; t_kak = d; t_canon = c }
   else None
 
-let find_three_cx_core vc =
+let find_three_cx_core hint vc =
   let try_variant variant = try_align (template_three_cx ~variant vc) vc in
-  let from_cache =
-    match Atomic.get cached_variant with None -> None | Some v -> try_variant v
+  let from_hint =
+    match hint.variant with None -> None | Some v -> try_variant v
   in
-  match from_cache with
+  match from_hint with
   | Some a -> Some a
   | None ->
     let rec search variant =
@@ -99,13 +101,13 @@ let find_three_cx_core vc =
       else
         match try_variant variant with
         | Some a ->
-          Atomic.set cached_variant (Some variant);
+          hint.variant <- Some variant;
           Some a
         | None -> search (variant + 1)
     in
     search 0
 
-let select_core vc =
+let select_core hint vc =
   let x, y, z = vc in
   let zero v = Float.abs v < 1e-9 in
   let candidates =
@@ -124,7 +126,7 @@ let select_core vc =
   | None ->
     if candidates <> [] then None
     else begin
-      match find_three_cx_core vc with
+      match find_three_cx_core hint vc with
       | Some a -> Some a
       | None -> try_align (template_four_cx vc) vc
     end
@@ -152,13 +154,13 @@ let lower_entangler ent gate_list =
    (but not including) entangler lowering. Shared across entanglers by
    {!two_qubit_each}: the decomposition is the dominant cost and the
    result is the same CX-basis gate list for every target entangler. *)
-let two_qubit_core u =
+let two_qubit_core hint u =
   if Mat.rows u <> 4 || Mat.cols u <> 4 then invalid_arg "Synth.two_qubit: not 4x4";
   let d = Kak.decompose u in
   let c = Kak.canonicalize d.Kak.x d.Kak.y d.Kak.z in
   let vc = (c.Kak.cx, c.Kak.cy, c.Kak.cz) in
   let aligned =
-    match select_core vc with
+    match select_core hint vc with
     | Some a -> a
     | None -> invalid_arg "Synth.two_qubit: no template aligns (template bug)"
   in
@@ -196,10 +198,11 @@ let lower_and_verify ent u core_gates =
     invalid_arg "Synth.two_qubit: verification failed";
   Array.to_list (Circuit.gates circ)
 
-let two_qubit ent u = lower_and_verify ent u (two_qubit_core u)
+let two_qubit ?(hint = hint ()) ent u =
+  lower_and_verify ent u (two_qubit_core hint u)
 
-let two_qubit_each ents u =
-  let core = two_qubit_core u in
+let two_qubit_each ?(hint = hint ()) ents u =
+  let core = two_qubit_core hint u in
   List.map (fun ent -> lower_and_verify ent u core) ents
 
 let remap_local ~a ~b = function
@@ -212,10 +215,11 @@ let remap_local ~a ~b = function
       (Printf.sprintf "Synth.two_qubit_on: unexpected local gate %s"
          (Gate.to_string g))
 
-let two_qubit_on ent u ~a ~b = List.map (remap_local ~a ~b) (two_qubit ent u)
+let two_qubit_on ?hint ent u ~a ~b =
+  List.map (remap_local ~a ~b) (two_qubit ?hint ent u)
 
-let two_qubit_on_each ents u ~a ~b =
-  List.map (List.map (remap_local ~a ~b)) (two_qubit_each ents u)
+let two_qubit_on_each ?hint ents u ~a ~b =
+  List.map (List.map (remap_local ~a ~b)) (two_qubit_each ?hint ents u)
 
 let entangler_count u = Kak.cnot_cost u
 

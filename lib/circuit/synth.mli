@@ -7,7 +7,8 @@
 
     The entangler core for the generic (3-gate) case is the
     Vatan-Williams template; its parameter convention is calibrated
-    on first use by checking canonical coordinates, and every synthesis
+    by checking canonical coordinates (the variant found is kept in a
+    {!hint} for the next block of the circuit), and every synthesis
     result is verified against the input unitary before being returned,
     so a wrong template can never produce an incorrect circuit. *)
 
@@ -17,15 +18,28 @@ type entangler = Use_cx | Use_cz | Use_cz_db
 
 val entangler_gate : entangler -> Gate.two
 
-val two_qubit : entangler -> Mat.t -> Gate.t list
+type hint
+(** The three-CX template variant that aligned last. Several variants
+    can align with one block, and they give different (equally correct)
+    circuits, so the variant tried first decides the result. A
+    synthesis that passes one hint to every block of a circuit searches
+    the 48 variants about once per circuit instead of once per block,
+    and its result depends on that circuit alone. *)
+
+val hint : unit -> hint
+(** A fresh hint: the first three-CX block searches from variant 0. *)
+
+val two_qubit : ?hint:hint -> entangler -> Mat.t -> Gate.t list
 (** [two_qubit ent u] synthesizes [u] on local wires 0 (most
     significant) and 1. Single-qubit gates come out merged as [Su2].
-    Raises [Invalid_argument] if the final verification fails. *)
+    Without [hint], a fresh one. Raises [Invalid_argument] if the final
+    verification fails. *)
 
-val two_qubit_on : entangler -> Mat.t -> a:int -> b:int -> Gate.t list
+val two_qubit_on :
+  ?hint:hint -> entangler -> Mat.t -> a:int -> b:int -> Gate.t list
 (** Same, with local wires mapped to circuit wires [a] (msb) and [b]. *)
 
-val two_qubit_each : entangler list -> Mat.t -> Gate.t list list
+val two_qubit_each : ?hint:hint -> entangler list -> Mat.t -> Gate.t list list
 (** One synthesis per entangler, sharing a single KAK decomposition
     and template alignment (the entangler only affects the final
     lowering). Each result is verified independently; equivalent to
@@ -33,7 +47,7 @@ val two_qubit_each : entangler list -> Mat.t -> Gate.t list list
     for two entanglers. *)
 
 val two_qubit_on_each :
-  entangler list -> Mat.t -> a:int -> b:int -> Gate.t list list
+  ?hint:hint -> entangler list -> Mat.t -> a:int -> b:int -> Gate.t list list
 (** {!two_qubit_each} with local wires mapped to circuit wires [a]
     (msb) and [b]. *)
 

@@ -22,6 +22,7 @@ let random_matching rng n =
 let quantum_volume ~seed ~num_qubits ~layers =
   if num_qubits < 2 then invalid_arg "Workloads.quantum_volume: need ≥ 2 qubits";
   let rng = Rng.create seed in
+  let hint = Synth.hint () in
   let gates = ref [] in
   for _ = 1 to layers do
     let matching = random_matching rng num_qubits in
@@ -30,7 +31,7 @@ let quantum_volume ~seed ~num_qubits ~layers =
         let u = Random_unitary.su4 rng in
         List.iter
           (fun g -> gates := g :: !gates)
-          (Synth.two_qubit_on Synth.Use_cx u ~a ~b))
+          (Synth.two_qubit_on ~hint Synth.Use_cx u ~a ~b))
       matching
   done;
   Basis.to_ibm (Circuit.of_gates num_qubits (List.rev !gates))
