@@ -413,19 +413,24 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
   let lb = lower_bound t obj in
   let n = Array.length t.subs in
   let sat = t.sat in
-  (* Lazy scheduling lemma: for the critical path P of the incumbent's
+  (* Lazy scheduling lemma: for the critical path P of a round's
      schedule, every assignment satisfies
        obj ≥ d_weight·Σ_{b∈P} d_b(c) + Σ w_s·c_s + constant,
-     which is linear in c — add it as a hard cut against the incumbent. *)
-  let seen_cuts : (int list, unit) Hashtbl.t = Hashtbl.create 32 in
+     which is linear in c — add it as a hard cut against the incumbent.
+     At most [max_cuts] paths are cut, each again whenever the incumbent
+     has improved since its last cut, so the cuts follow the incumbent. *)
+  let cut_at : (int list, int) Hashtbl.t = Hashtbl.create 32 in
+  let cuts = ref 0 in
   let max_cuts = 8 in
   let add_path_cut best path =
-    if
-      terms.d_weight > 0
-      && Hashtbl.length seen_cuts < max_cuts
-      && not (Hashtbl.mem seen_cuts path)
-    then begin
-      Hashtbl.replace seen_cuts path ();
+    let fresh =
+      match Hashtbl.find_opt cut_at path with
+      | Some b -> best < b
+      | None -> Hashtbl.length cut_at < max_cuts
+    in
+    if terms.d_weight > 0 && fresh then begin
+      Hashtbl.replace cut_at path best;
+      incr cuts;
       let on_path = Array.make (Array.length t.part.Block.blocks) false in
       List.iter (fun b -> on_path.(b) <- true) path;
       let cut_terms =
@@ -447,7 +452,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
           Totalizer.enforce_at_most ~resolution:8 sat cut_terms bound)
     end
   in
-  let rounds = ref 0 and cuts = ref 0 in
+  let rounds = ref 0 in
   let proven = ref true in
   let stopped = ref None in
   let rec improve ((b, _, _) as best) =
@@ -492,7 +497,6 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
           (v, mask, d)
         end
       in
-      incr cuts;
       add_path_cut b' path;
       (* block this exact choice *)
       Solver.add_clause sat
