@@ -9,6 +9,12 @@ let cx_as_cz a b =
 let swap_as_cx a b =
   [ Gate.Two (Gate.Cx, a, b); Gate.Two (Gate.Cx, b, a); Gate.Two (Gate.Cx, a, b) ]
 
+(* Each synthesised gate gets a fresh hint, so a gate's translation, and
+   with it the reference cost {!Rules} and {!Lint} read from it, is a
+   function of that gate alone. Only [U4] reaches the three-CX variant
+   search: iswap and cphase align a one- or two-CX core. *)
+let synth u ~a ~b = Synth.two_qubit_on ~hint:(Synth.hint ()) Synth.Use_cz u ~a ~b
+
 let rec translate_gate gate =
   match gate with
   | Gate.Single _ -> [ gate ]
@@ -19,9 +25,9 @@ let rec translate_gate gate =
       [ gate ]
     | Gate.Cx -> cx_as_cz a b
     | Gate.Swap -> List.concat_map translate_gate (swap_as_cx a b)
-    | Gate.Iswap -> Synth.two_qubit_on Synth.Use_cz Gates.iswap ~a ~b
-    | Gate.Cphase theta -> Synth.two_qubit_on Synth.Use_cz (Gates.cphase theta) ~a ~b
-    | Gate.U4 m -> Synth.two_qubit_on Synth.Use_cz m ~a ~b)
+    | Gate.Iswap -> synth Gates.iswap ~a ~b
+    | Gate.Cphase theta -> synth (Gates.cphase theta) ~a ~b
+    | Gate.U4 m -> synth m ~a ~b)
 
 let direct circuit =
   Circuit.merge_single_qubit_runs (Circuit.map_gates translate_gate circuit)

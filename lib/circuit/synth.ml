@@ -198,10 +198,10 @@ let lower_and_verify ent u core_gates =
     invalid_arg "Synth.two_qubit: verification failed";
   Array.to_list (Circuit.gates circ)
 
-let two_qubit ?(hint = hint ()) ent u =
+let two_qubit ~hint ent u =
   lower_and_verify ent u (two_qubit_core hint u)
 
-let two_qubit_each ?(hint = hint ()) ents u =
+let two_qubit_each ~hint ents u =
   let core = two_qubit_core hint u in
   List.map (fun ent -> lower_and_verify ent u core) ents
 
@@ -215,11 +215,11 @@ let remap_local ~a ~b = function
       (Printf.sprintf "Synth.two_qubit_on: unexpected local gate %s"
          (Gate.to_string g))
 
-let two_qubit_on ?hint ent u ~a ~b =
-  List.map (remap_local ~a ~b) (two_qubit ?hint ent u)
+let two_qubit_on ~hint ent u ~a ~b =
+  List.map (remap_local ~a ~b) (two_qubit ~hint ent u)
 
-let two_qubit_on_each ?hint ents u ~a ~b =
-  List.map (List.map (remap_local ~a ~b)) (two_qubit_each ?hint ents u)
+let two_qubit_on_each ~hint ents u ~a ~b =
+  List.map (List.map (remap_local ~a ~b)) (two_qubit_each ~hint ents u)
 
 let entangler_count u = Kak.cnot_cost u
 
@@ -235,7 +235,7 @@ let project_coords budget (x, y, z) =
   | 1 -> quarter_pi_point
   | _ -> (0.0, 0.0, 0.0)
 
-let two_qubit_approx ent ~max_entanglers u =
+let two_qubit_approx ~hint ent ~max_entanglers u =
   let d = Kak.decompose u in
   let c = Kak.canonicalize d.Kak.x d.Kak.y d.Kak.z in
   let budget = Stdlib.max 0 max_entanglers in
@@ -251,7 +251,7 @@ let two_qubit_approx ent ~max_entanglers u =
             (Qca_quantum.Gates.canonical tx ty tz)
             (Mat.mul c.Kak.cr (Mat.kron d.Kak.k2l d.Kak.k2r))))
   in
-  let gates = two_qubit ent target in
+  let gates = two_qubit ~hint ent target in
   let used = List.length (List.filter Gate.is_two_qubit gates) in
   if used > budget && budget < 3 then
     invalid_arg "Synth.two_qubit_approx: projection exceeded the budget (bug)";

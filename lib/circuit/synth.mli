@@ -29,25 +29,24 @@ type hint
 val hint : unit -> hint
 (** A fresh hint: the first three-CX block searches from variant 0. *)
 
-val two_qubit : ?hint:hint -> entangler -> Mat.t -> Gate.t list
+val two_qubit : hint:hint -> entangler -> Mat.t -> Gate.t list
 (** [two_qubit ent u] synthesizes [u] on local wires 0 (most
     significant) and 1. Single-qubit gates come out merged as [Su2].
-    Without [hint], a fresh one. Raises [Invalid_argument] if the final
-    verification fails. *)
+    Raises [Invalid_argument] if the final verification fails. *)
 
 val two_qubit_on :
-  ?hint:hint -> entangler -> Mat.t -> a:int -> b:int -> Gate.t list
+  hint:hint -> entangler -> Mat.t -> a:int -> b:int -> Gate.t list
 (** Same, with local wires mapped to circuit wires [a] (msb) and [b]. *)
 
-val two_qubit_each : ?hint:hint -> entangler list -> Mat.t -> Gate.t list list
+val two_qubit_each : hint:hint -> entangler list -> Mat.t -> Gate.t list list
 (** One synthesis per entangler, sharing a single KAK decomposition
     and template alignment (the entangler only affects the final
     lowering). Each result is verified independently; equivalent to
-    [List.map (fun e -> two_qubit e u) ents] but roughly half the cost
+    [List.map (fun e -> two_qubit ~hint e u) ents] but roughly half the cost
     for two entanglers. *)
 
 val two_qubit_on_each :
-  ?hint:hint -> entangler list -> Mat.t -> a:int -> b:int -> Gate.t list list
+  hint:hint -> entangler list -> Mat.t -> a:int -> b:int -> Gate.t list list
 (** {!two_qubit_each} with local wires mapped to circuit wires [a]
     (msb) and [b]. *)
 
@@ -55,7 +54,7 @@ val entangler_count : Mat.t -> int
 (** Number of entangling gates {!two_qubit} will use (= KAK CNOT cost). *)
 
 val two_qubit_approx :
-  entangler -> max_entanglers:int -> Mat.t -> Gate.t list * float
+  hint:hint -> entangler -> max_entanglers:int -> Mat.t -> Gate.t list * float
 (** Approximate synthesis under an entangler budget: the canonical
     interaction coefficients are projected onto the nearest class
     implementable with at most [max_entanglers] two-qubit gates

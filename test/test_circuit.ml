@@ -274,7 +274,7 @@ let test_idle_windows () =
 let test_synth_named () =
   List.iter
     (fun (name, u, expect_count) ->
-      let gates = Synth.two_qubit Synth.Use_cz u in
+      let gates = Synth.two_qubit ~hint:(Synth.hint ()) Synth.Use_cz u in
       let count = List.length (List.filter Gate.is_two_qubit gates) in
       checki (name ^ " entangler count") expect_count count;
       let c = Circuit.of_gates 2 gates in
@@ -292,7 +292,7 @@ let test_synth_named () =
     ]
 
 let test_synth_uses_requested_entangler () =
-  let gates = Synth.two_qubit Synth.Use_cz_db Gates.swap in
+  let gates = Synth.two_qubit ~hint:(Synth.hint ()) Synth.Use_cz_db Gates.swap in
   let ok =
     List.for_all
       (function
@@ -307,7 +307,7 @@ let prop_synth_random =
     ~count:60 QCheck.int (fun seed ->
       let rng = Rng.create (seed + 11) in
       let u = random_u4 rng in
-      let gates = Synth.two_qubit Synth.Use_cz u in
+      let gates = Synth.two_qubit ~hint:(Synth.hint ()) Synth.Use_cz u in
       let count = List.length (List.filter Gate.is_two_qubit gates) in
       count <= 3
       && Mat.equal_up_to_global_phase ~tol:1e-6
@@ -316,7 +316,7 @@ let prop_synth_random =
 
 let test_synth_on_wires () =
   let u = Gates.canonical 0.4 0.3 0.2 in
-  let gates = Synth.two_qubit_on Synth.Use_cz u ~a:2 ~b:0 in
+  let gates = Synth.two_qubit_on ~hint:(Synth.hint ()) Synth.Use_cz u ~a:2 ~b:0 in
   let c = Circuit.of_gates 3 gates in
   let expect = Circuit.embed u [ 2; 0 ] 3 in
   checkb "synth on arbitrary wires" true

@@ -54,11 +54,13 @@ let test_avg_vs_process_relation () =
 (* {1 Approximate synthesis} *)
 
 let count2 gates = List.length (List.filter Gate.is_two_qubit gates)
+let approx_cz ~max_entanglers u =
+  Synth.two_qubit_approx ~hint:(Synth.hint ()) Synth.Use_cz ~max_entanglers u
 
 let test_approx_exact_when_budget_suffices () =
   let rng = Rng.create 7 in
   let u = random_u4 rng in
-  let gates, f = Synth.two_qubit_approx Synth.Use_cz ~max_entanglers:3 u in
+  let gates, f = approx_cz ~max_entanglers:3 u in
   checkf 1e-9 "budget 3 is exact" 1.0 f;
   checkb "equivalent" true
     (Mat.equal_up_to_global_phase ~tol:1e-6
@@ -69,7 +71,7 @@ let test_approx_budgets_monotone () =
   let rng = Rng.create 8 in
   for _ = 1 to 5 do
     let u = random_u4 rng in
-    let fid k = snd (Synth.two_qubit_approx Synth.Use_cz ~max_entanglers:k u) in
+    let fid k = snd (approx_cz ~max_entanglers:k u) in
     let f0 = fid 0 and f1 = fid 1 and f2 = fid 2 and f3 = fid 3 in
     checkb "budget 3 exact" true (f3 > 1.0 -. 1e-9);
     checkb "budget 2 ≥ budget 0" true (f2 >= f0 -. 1e-9);
@@ -83,19 +85,19 @@ let test_approx_respects_budget () =
     let u = random_u4 rng in
     List.iter
       (fun k ->
-        let gates, _ = Synth.two_qubit_approx Synth.Use_cz ~max_entanglers:k u in
+        let gates, _ = approx_cz ~max_entanglers:k u in
         checkb "within budget" true (count2 gates <= k))
       [ 0; 1; 2 ]
   done;
   (* a CNOT-class gate is reproduced exactly with budget 1 *)
-  let gates, f = Synth.two_qubit_approx Synth.Use_cz ~max_entanglers:1 Gates.cx in
+  let gates, f = approx_cz ~max_entanglers:1 Gates.cx in
   checkf 1e-9 "cx exact at budget 1" 1.0 f;
   checkb "one entangler" true (count2 gates = 1)
 
 let test_approx_two_cz_on_z_light_gate () =
   (* a gate with small cz coordinate approximates well with 2 CZ *)
   let u = Gates.canonical 0.5 0.3 0.05 in
-  let _, f2 = Synth.two_qubit_approx Synth.Use_cz ~max_entanglers:2 u in
+  let _, f2 = approx_cz ~max_entanglers:2 u in
   checkb "good 2-CZ approximation" true (f2 > 0.99)
 
 let suite =

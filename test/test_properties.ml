@@ -84,7 +84,7 @@ let prop_kak_cost_bound =
           (Mat.kron (u3 ()) (u3 ()))
       in
       let cost = Kak.cnot_cost u in
-      let gates = Synth.two_qubit Synth.Use_cz u in
+      let gates = Synth.two_qubit ~hint:(Synth.hint ()) Synth.Use_cz u in
       let used = List.length (List.filter Gate.is_two_qubit gates) in
       cost <= 3 && used = cost)
 
