@@ -32,17 +32,17 @@ let corpus =
    probe (QV and random templates on 2-4 qubits, seeds 1-4) whose every
    instance fits the brute force, at most 27,648 choices. That is QV at
    2 layers, QV on 2-3 qubits at 4, and random templates at depth 5
-   and 10. Among them is random n=4 depth 10 seed 3 on D1 (4 blocks, 22
-   substitutions, 8,064 choices), where SAT R once claimed 354 and
-   SAT P 528,754,000 as proven, against optima of 324 and 431,755,300:
-   the pruning bound assumed every block's duration to be at least 0,
-   which Eq. 3 durations need not be. *)
+   and 10, plus QV on 3 qubits at 3 layers. Among them is random n=4
+   depth 10 seed 3 on D1 (4 blocks, 22 substitutions, 8,064 choices), with optima 324
+   (SAT R) and 431,755,300 (SAT P) below what a bound that takes every
+   block's duration to be at least 0 admits: Eq. 3 durations can be
+   negative. *)
 let search_corpus =
   List.concat_map
     (fun seed ->
       List.map
         (fun (n, layers) -> Workloads.quantum_volume ~seed ~num_qubits:n ~layers)
-        [ (2, 2); (3, 2); (4, 2); (2, 4); (3, 4) ]
+        [ (2, 2); (3, 2); (4, 2); (3, 3); (2, 4); (3, 4) ]
       @ List.concat_map
           (fun n ->
             List.map
