@@ -437,16 +437,8 @@ let test_sat_f_closes_at_bound () =
     ]
 
 (* Two depth-100 R/P searches are pinned end to end: objective, rounds
-   and the CDCL counters. They move only when the encoding (path cuts)
-   or the solver's search changes; values computed with the original
-   clause-insertion path and the sort-based sparse merge. Decisions and
-   propagations were re-pinned (193591/320203 and 169240/288823 before)
-   when the encodings' auxiliaries became non-decision variables, and
-   again (3842/126366 and 3819/116063) when the pruning selector went;
-   objective, rounds and conflicts held both times. SAT P's
-   propagations read 15229 in the full suite and 15211 alone until KAK
-   synthesis stopped depending on earlier circuits; 15211 is the value
-   now, wherever the test runs. *)
+   and the CDCL counters. They move only when the path cuts or the
+   solver's search changes. *)
 let test_deep_search_pinned () =
   List.iter
     (fun (name, seed, obj, (value, rounds, conflicts, decisions, props)) ->
@@ -468,10 +460,11 @@ let test_deep_search_pinned () =
     ]
 
 (* Rule matching depends on its circuit alone: the KAK template variant
-   that aligned last is remembered per circuit, not per process. One
-   small circuit matched in between used to move blocks 14 and 66 of
-   this one from a kak/cz 𝔻 of −30 to −60 ns and its SAT F optimum
-   from 216216 to 215215; the pinned values are a fresh process's. *)
+   that aligned last is remembered per circuit, not per process. A small
+   circuit matched in between leaves this one's substitutions as a
+   fresh process computes them; carrying its variant over would move
+   blocks 14 and 66 from a kak/cz 𝔻 of −30 to −60 ns and the SAT F
+   optimum from 216216 to 215215. *)
 let test_find_all_history_free () =
   let module W = Qca_workloads.Workloads in
   let deep = W.random_template ~seed:8 ~num_qubits:3 ~depth:160 in
