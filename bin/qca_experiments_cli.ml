@@ -111,9 +111,8 @@ let timeout_arg =
 let jobs_arg =
   let doc =
     "Spread the (case × method) adaptation matrix over $(docv) OCaml \
-     domains with a work-stealing pool. Row order is unchanged; progress \
-     lines may interleave. 1 = sequential. Defaults to $(b,QCA_JOBS) \
-     when set."
+     domains. Row order is unchanged; progress lines may interleave. \
+     1 = sequential. Defaults to $(b,QCA_JOBS) when set."
   in
   Arg.(value & opt int Cli.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -115,12 +115,8 @@ let build ?options hw part subs_list =
   List.iter
     (fun s -> by_block.(s.Rules.block_id) <- s :: by_block.(s.Rules.block_id))
     (List.rev subs_list);
-  let base_dur =
-    Array.init n_blocks (fun b -> Rules.block_reference_duration hw part b)
-  in
-  let base_fid =
-    Array.init n_blocks (fun b -> Rules.block_reference_log_fid hw part b)
-  in
+  let base = Array.init n_blocks (Rules.block_reference hw part) in
+  let base_dur = Array.map fst base and base_fid = Array.map snd base in
   {
     hw;
     part;

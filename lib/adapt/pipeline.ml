@@ -227,13 +227,19 @@ let degraded o = o.tier <> Full || o.reason <> None
 let adapt_governed ?options ?budget ?(jobs = 1) hw method_ circuit =
   if jobs <> 1 then invalid_arg "Pipeline.adapt_governed: jobs must be 1";
   let budget = match budget with Some b -> b | None -> Solver.budget () in
+  (* Partition, match and encode, or the budget stop that came first. *)
   let front () =
-    let part = Trace.span "partition" (fun () -> Block.partition circuit) in
-    let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-    let model =
-      Trace.span "encode" (fun () -> Model.build ?options hw part subs)
-    in
-    (part, subs, model)
+    match Solver.budget_status budget with
+    | Some r -> Error r
+    | None -> (
+      let part = Trace.span "partition" (fun () -> Block.partition circuit) in
+      match Trace.span "match" (fun () -> Rules.find_all ~budget hw part) with
+      | exception Rules.Stopped r -> Error r
+      | subs ->
+        let model =
+          Trace.span "encode" (fun () -> Model.build ?options hw part subs)
+        in
+        Ok (part, subs, model))
   in
   let finish ?claimed_makespan ~tier ~reason ~info circuit =
     if tier <> Full || reason <> None then begin
@@ -312,10 +318,9 @@ let adapt_governed ?options ?budget ?(jobs = 1) hw method_ circuit =
   match method_ with
   | Sat obj -> (
     Obs.incr m_adaptations;
-    match Solver.budget_status budget with
-    | Some r -> direct ~reason:(Some r)
-    | None -> (
-      let ((part, subs, model) as front) = front () in
+    match front () with
+    | Error r -> direct ~reason:(Some r)
+    | Ok ((part, subs, model) as front) -> (
       (* No incumbent from the SMT tier: try the greedy heuristic if the
          budget still has headroom (a fault-injected stop leaves it
          intact, a real deadline does not). The greedy is pure, so the
@@ -360,9 +365,9 @@ let adapt_governed ?options ?budget ?(jobs = 1) hw method_ circuit =
       | Error `Unverified_schedule -> greedy_rung Solver.Unverified_schedule))
   | Greedy obj -> (
     Obs.incr m_adaptations;
-    match Solver.budget_status budget with
-    | Some r -> direct ~reason:(Some r)
-    | None -> greedy_tier ~span:"solve" ~tier:Full (front ()) obj)
+    match front () with
+    | Error r -> direct ~reason:(Some r)
+    | Ok front -> greedy_tier ~span:"solve" ~tier:Full front obj)
   | Direct | Kak_only_cz | Kak_only_cz_db | Template_f | Template_r ->
     let c, info = adapt_polynomial hw method_ circuit in
     finish ~tier:Full ~reason:None ~info c

@@ -95,7 +95,9 @@ val apply_substitutions :
     {!adapt_governed} wraps adaptation in a degradation ladder so a
     request under a {!Solver.budget} never hangs and never raises:
 
-    - [Sat obj] is attempted first (budget-governed OMT);
+    - [Sat obj] is attempted first (budget-governed OMT); a budget
+      stop before the model exists (at entry, or while
+      {!Rules.find_all} matches) goes straight to the direct rung;
     - if the budget stops the search after an incumbent exists, the
       incumbent is served ({!Incumbent});
     - if it stops before any incumbent exists, the greedy heuristic

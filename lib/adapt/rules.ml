@@ -4,6 +4,7 @@ module Block = Qca_circuit.Block
 module Schedule = Qca_circuit.Schedule
 module Synth = Qca_circuit.Synth
 module Numeric = Qca_util.Numeric
+module Solver = Qca_sat.Solver
 
 type kind = Cond_rot | Swap_native_d | Swap_native_c | Kak_cz | Kak_cz_db
 
@@ -133,7 +134,11 @@ let kak_substitutions hw part (blk : Block.block) ~hint ~fresh =
     | [ r_cz; r_cz_db ] -> [ make Kak_cz r_cz; make Kak_cz_db r_cz_db ]
     | _ -> assert false)
 
-let find_all hw part =
+exception Stopped of Solver.stop_reason
+
+(* One poll per block: a block's matching (a KAK synthesis for a pair
+   block) costs far more than a poll. *)
+let find_all ?(budget = Solver.no_budget) hw part =
   let gates = part.Block.gates in
   let hint = Synth.hint () in
   let counter = ref 0 in
@@ -144,6 +149,7 @@ let find_all hw part =
   in
   Array.to_list part.Block.blocks
   |> List.concat_map (fun blk ->
+         Option.iter (fun r -> raise (Stopped r)) (Solver.budget_status budget);
          let local = find_in_block hw gates blk ~fresh in
          let kak = kak_substitutions hw part blk ~hint ~fresh in
          List.rev local @ kak)
@@ -174,16 +180,13 @@ let conflicts subs =
     arr;
   List.rev !pairs
 
-let block_translated_circuit _hw part bid =
+let block_reference hw part bid =
   let blk = part.Block.blocks.(bid) in
-  Basis.direct (Block.block_circuit part blk)
-
-let block_reference_duration hw part bid =
-  let c = block_translated_circuit hw part bid in
-  (Schedule.schedule ~dur:(Hardware.duration hw) c).Schedule.makespan
-
-let block_reference_log_fid hw part bid =
-  let c = block_translated_circuit hw part bid in
-  Array.fold_left
-    (fun acc g -> acc + Numeric.log_fidelity_fixed (Hardware.fidelity hw g))
-    0 (Circuit.gates c)
+  let c = Basis.direct (Block.block_circuit part blk) in
+  let gates = Circuit.gates c in
+  ( (Schedule.schedule_gates ~dur:(Hardware.duration hw)
+       ~num_qubits:(Circuit.num_qubits c) gates)
+      .Schedule.makespan,
+    Array.fold_left
+      (fun acc g -> acc + Numeric.log_fidelity_fixed (Hardware.fidelity hw g))
+      0 gates )

@@ -34,20 +34,24 @@ val reference_duration : Hardware.t -> Gate.t -> int
 
 val reference_log_fid : Hardware.t -> Gate.t -> int
 
-val find_all : Hardware.t -> Block.t -> t list
+exception Stopped of Qca_sat.Solver.stop_reason
+(** Raised by {!find_all} when its budget runs out. *)
+
+val find_all : ?budget:Qca_sat.Solver.budget -> Hardware.t -> Block.t -> t list
 (** All rule matches on the partitioned circuit, with fresh ids
     [0..n-1]. KAK substitutions are only generated for two-qubit blocks
     whose KAK circuit actually differs from the reference cost profile
-    is well-defined (i.e. every [Pair] block). *)
+    is well-defined (i.e. every [Pair] block). [budget] (default
+    {!Qca_sat.Solver.no_budget}) is polled before each block; when
+    {!Qca_sat.Solver.budget_status} reports a stop, [find_all] raises
+    {!Stopped} with its reason. *)
 
 val conflicts : t list -> (int * int) list
 (** Pairs of substitution ids with overlapping [substituted] sets
     (Eq. 1). *)
 
-val block_reference_duration : Hardware.t -> Block.t -> int -> int
-(** [block_reference_duration hw part b] — critical path of block [b]'s
-    direct basis translation, the paper's reference block duration
-    [D(b)]. *)
-
-val block_reference_log_fid : Hardware.t -> Block.t -> int -> int
-(** Σ log-fidelities of the reference translation of block [b]. *)
+val block_reference : Hardware.t -> Block.t -> int -> int * int
+(** [block_reference hw part b] translates block [b] directly once and
+    returns [(D(b), log F(b))]: the critical path of that translation
+    (the paper's reference block duration) and the Σ of its gates'
+    fixed-point log-fidelities. *)

@@ -87,18 +87,13 @@ let evaluate_case ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
     ?on_progress hw kase =
   let baseline = baseline_of hw kase in
   let row = row_of ?options ?timeout_ms ?on_progress hw kase ~baseline in
-  if jobs <= 1 then List.map row methods
-  else
-    (* Every adaptation builds its own model, so the methods share
-       nothing mutable and run in separate domains. *)
-    Pool.with_pool ~jobs (fun pool ->
-        Array.to_list
-          (Pool.parallel_map pool ~f:row (Array.of_list methods)))
+  (* Every adaptation builds its own model, so the methods share
+     nothing mutable and run in separate domains. *)
+  Array.to_list (Pool.parallel_map ~jobs ~f:row (Array.of_list methods))
 
 (* Batch adaptation. [jobs > 1] spreads the whole (case × method)
-   matrix over a domain pool — every adaptation is independent, which
-   is exactly the divide-and-conquer axis the pool exploits; rows come
-   back in the same order as the sequential path. Each worker task
+   matrix over [Pool.parallel_map] — every adaptation is independent;
+   rows come back in the same order as the sequential path. Each task
    recomputes its case's (cheap, deterministic) direct baseline rather
    than sharing one, so tasks share nothing mutable. *)
 let fig5_fig6 ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
@@ -115,13 +110,12 @@ let fig5_fig6 ?(methods = methods) ?options ?timeout_ms ?(jobs = 1)
            (fun kase -> List.map (fun m -> (kase, m)) methods)
            cases)
     in
-    Pool.with_pool ~jobs (fun pool ->
-        Array.to_list
-          (Pool.parallel_map pool
-             ~f:(fun (kase, m) ->
-               row_of ?options ?timeout_ms ?on_progress hw kase
-                 ~baseline:(baseline_of hw kase) m)
-             tasks))
+    Array.to_list
+      (Pool.parallel_map ~jobs
+         ~f:(fun (kase, m) ->
+           row_of ?options ?timeout_ms ?on_progress hw kase
+             ~baseline:(baseline_of hw kase) m)
+         tasks)
 
 type sim_row = {
   sim_case : string;
@@ -174,15 +168,11 @@ let fig7 ?(methods = methods) ?options ?timeout_ms ?(jobs = 1) ?on_progress hw
           })
         methods
   in
-  if jobs <= 1 then List.concat_map sim_case cases
-  else
-    (* One task per case: the ideal-state simulation and the direct
-       baseline are shared across that case's methods, so the case is
-       the natural grain here. *)
-    Pool.with_pool ~jobs (fun pool ->
-        List.concat
-          (Array.to_list
-             (Pool.parallel_map pool ~f:sim_case (Array.of_list cases))))
+  (* One task per case: the ideal-state simulation and the direct
+     baseline are shared across that case's methods, so the case is the
+     natural grain here. *)
+  List.concat
+    (Array.to_list (Pool.parallel_map ~jobs ~f:sim_case (Array.of_list cases)))
 
 type headline = {
   max_fidelity_change : float;

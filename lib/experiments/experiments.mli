@@ -52,9 +52,9 @@ val evaluate_case :
     forwarded to every solver the pipeline builds (e.g. for a heuristic
     ablation). [timeout_ms] bounds each adaptation independently
     (degraded rows are flagged). [jobs > 1] adapts the methods
-    concurrently on a {!Qca_par.Pool} of OCaml domains; rows keep
-    their order, and equal the sequential rows but for [elapsed_ms]
-    and [conflicts]. *)
+    concurrently with {!Qca_par.Pool.parallel_map}; rows keep their
+    order, and equal the sequential rows but for [elapsed_ms] and
+    [conflicts]. *)
 
 val fig5_fig6 :
   ?methods:Pipeline.method_ list ->
@@ -66,8 +66,8 @@ val fig5_fig6 :
   Workloads.case list ->
   row list
 (** The full Fig. 5 + Fig. 6 matrix for a gate-timing variant.
-    [jobs > 1] spreads the whole (case × method) matrix over a
-    work-stealing domain pool — each adaptation is an independent
+    [jobs > 1] spreads the whole (case × method) matrix over
+    {!Qca_par.Pool.parallel_map} — each adaptation is an independent
     task; row order matches the sequential run. [on_progress]
     callbacks may then fire from worker domains (and out of matrix
     order); the built-in CLI progress printer tolerates this. *)
@@ -93,8 +93,8 @@ val fig7 :
 (** Noisy density-matrix simulation (depolarizing per gate + thermal
     relaxation on idle windows, T2 = 2900 ns, T1 = 1000·T2): Hellinger
     fidelity change and idle-time decrease per method. [jobs > 1] runs
-    one pool task per case (the ideal-state simulation is shared by
-    that case's methods). *)
+    one {!Qca_par.Pool.parallel_map} task per case (the ideal-state
+    simulation is shared by that case's methods). *)
 
 type headline = {
   max_fidelity_change : float;  (** paper: up to +15 % (Fig. 5) *)

@@ -1,223 +1,28 @@
-module Obs = Qca_obs.Metrics
-module Trace = Qca_obs.Trace
-
-let m_tasks = Obs.counter "par.tasks"
-let m_steals = Obs.counter "par.steals"
-
-type task = unit -> unit
-
-(* Lock-guarded work-stealing deque. The owner pushes and pops at the
-   tail, thieves take from the head; a mutex per deque keeps both ends
-   trivially correct (contention is one lock per task, far below the
-   cost of a solve). Indices only move forward; both rewind to 0
-   whenever the deque empties. *)
-type deque = {
-  dm : Lockcheck.t;
-  mutable buf : task array;
-  mutable head : int;
-  mutable tail : int;
-}
-
-let deque_create () =
-  { dm = Lockcheck.create ~name:"pool.deque" (); buf = Array.make 16 ignore; head = 0; tail = 0 }
-
-let deque_push d t =
-  Lockcheck.lock d.dm;
-  if d.tail = Array.length d.buf then begin
-    let n = d.tail - d.head in
-    let cap = max 16 (2 * n) in
-    let fresh = Array.make cap ignore in
-    Array.blit d.buf d.head fresh 0 n;
-    d.buf <- fresh;
-    d.head <- 0;
-    d.tail <- n
-  end;
-  d.buf.(d.tail) <- t;
-  d.tail <- d.tail + 1;
-  Lockcheck.unlock d.dm
-
-let deque_take d ~from_head =
-  Lockcheck.lock d.dm;
-  let r =
-    if d.head = d.tail then None
-    else if from_head then begin
-      let t = d.buf.(d.head) in
-      d.buf.(d.head) <- ignore;
-      d.head <- d.head + 1;
-      Some t
-    end
-    else begin
-      d.tail <- d.tail - 1;
-      let t = d.buf.(d.tail) in
-      d.buf.(d.tail) <- ignore;
-      Some t
-    end
-  in
-  if d.head = d.tail then begin
-    d.head <- 0;
-    d.tail <- 0
-  end;
-  Lockcheck.unlock d.dm;
-  r
-
-type t = {
-  jobs : int;
-  deques : deque array;
-  m : Lockcheck.t;  (* guards batch_gen and stop *)
-  cv : Condition.t;  (* new batch posted, or shutdown *)
-  mutable batch_gen : int;
-  mutable stop : bool;
-  remaining : int Atomic.t;  (* unfinished tasks of the current batch *)
-  done_m : Lockcheck.t;
-  done_cv : Condition.t;  (* remaining hit 0 *)
-  mutable domains : unit Domain.t array;
-  live : int Atomic.t;
-  busy : bool Atomic.t;
-}
-
-let jobs t = t.jobs
-let live_workers t = Atomic.get t.live
-
-(* Grab work: own deque from the tail, then round-robin steal from the
-   other deques' heads. *)
-let find_task t w =
-  match deque_take t.deques.(w) ~from_head:false with
-  | Some _ as r -> r
-  | None ->
-    let rec scan i =
-      if i >= t.jobs then None
-      else
-        let victim = (w + i) mod t.jobs in
-        match deque_take t.deques.(victim) ~from_head:true with
-        | Some _ as r ->
-          Obs.incr m_steals;
-          r
-        | None -> scan (i + 1)
-    in
-    scan 1
-
-let drain t w =
-  let rec go () =
-    match find_task t w with
-    | None -> ()
-    | Some task ->
-      Obs.incr m_tasks;
-      task ();
-      go ()
-  in
-  go ()
-  [@@qca.hot]
-
-(* Workers sleep between batches; a batch-generation counter (rather
-   than a queue flag) means a worker that was still draining an old
-   batch when the next was posted simply finds the new tasks in the
-   deques, finishes them, and only then sleeps. *)
-let worker t w () =
-  (* [live] was incremented by the spawner, so [live_workers] is exact
-     from the moment [create] returns; the worker only decrements. *)
-  Fun.protect
-    ~finally:(fun () -> Atomic.decr t.live)
-    (fun () ->
-      let seen = ref 0 in
-      let running = ref true in
-      while !running do
-        Lockcheck.lock t.m;
-        while (not t.stop) && t.batch_gen = !seen do
-          Lockcheck.wait t.cv t.m
-        done;
-        let stopping = t.stop in
-        seen := t.batch_gen;
-        Lockcheck.unlock t.m;
-        if stopping then running := false
-        else
-          Trace.span "par.worker"
-            ~args:[ ("worker", string_of_int w) ]
-            (fun () -> drain t w)
-      done)
-
-let create ~jobs =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let t =
-    {
-      jobs;
-      deques = Array.init jobs (fun _ -> deque_create ());
-      m = Lockcheck.create ~name:"pool.batch" ();
-      cv = Condition.create ();
-      batch_gen = 0;
-      stop = false;
-      remaining = Atomic.make 0;
-      done_m = Lockcheck.create ~name:"pool.done" ();
-      done_cv = Condition.create ();
-      domains = [||];
-      live = Atomic.make 0;
-      busy = Atomic.make false;
-    }
-  in
-  if jobs > 1 then
-    t.domains <-
-      Array.init (jobs - 1) (fun w ->
-          Atomic.incr t.live;
-          Domain.spawn (worker t (w + 1)));
-  t
-
-let shutdown t =
-  Lockcheck.lock t.m;
-  t.stop <- true;
-  Condition.broadcast t.cv;
-  Lockcheck.unlock t.m;
-  Array.iter Domain.join t.domains
-
-let parallel_map t ~f arr =
+let parallel_map ~jobs ~f arr =
   let n = Array.length arr in
-  if t.jobs = 1 || n <= 1 then Array.map f arr
+  if jobs <= 1 || n <= 1 then Array.map f arr
   else begin
-    if not (Atomic.compare_and_set t.busy false true) then
-      invalid_arg "Pool.parallel_map: pool already running a batch";
-    Fun.protect
-      ~finally:(fun () -> Atomic.set t.busy false)
-      (fun () ->
-        let results = Array.make n None in
-        let exn_m = Lockcheck.create ~name:"pool.exn" () in
-        let first_exn = ref None in
-        Atomic.set t.remaining n;
-        let finish_one () =
-          if Atomic.fetch_and_add t.remaining (-1) = 1 then begin
-            Lockcheck.lock t.done_m;
-            Condition.broadcast t.done_cv;
-            Lockcheck.unlock t.done_m
-          end
-        in
-        let task i () =
-          (try results.(i) <- Some (f arr.(i))
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             Lockcheck.lock exn_m;
-             if !first_exn = None then first_exn := Some (e, bt);
-             Lockcheck.unlock exn_m);
-          finish_one ()
-        in
-        for i = 0 to n - 1 do
-          deque_push t.deques.(i mod t.jobs) (task i)
-        done;
-        Lockcheck.lock t.m;
-        t.batch_gen <- t.batch_gen + 1;
-        Condition.broadcast t.cv;
-        Lockcheck.unlock t.m;
-        (* The caller is worker 0. *)
-        Trace.span "par.worker"
-          ~args:[ ("worker", "0") ]
-          (fun () -> drain t 0);
-        Lockcheck.lock t.done_m;
-        while Atomic.get t.remaining > 0 do
-          Lockcheck.wait t.done_cv t.done_m
-        done;
-        Lockcheck.unlock t.done_m;
-        (match !first_exn with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ());
-        Array.map (function Some v -> v | None -> assert false) results)
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let first_exn = Atomic.make None in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match f arr.(i) with
+        | v -> results.(i) <- Some v
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          ignore (Atomic.compare_and_set first_exn None (Some (e, bt))));
+        work ()
+      end
+    in
+    let domains = Array.init (min jobs n - 1) (fun _ -> Domain.spawn work) in
+    work ();
+    (* Each slot of [results] is written by one domain only; joining
+       orders those writes before the reads below. *)
+    Array.iter Domain.join domains;
+    (match Atomic.get first_exn with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ());
+    Array.map (function Some v -> v | None -> assert false) results
   end
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -348,17 +348,30 @@ let test_budgeted_verdicts_sound () =
 
 (* {1 Acceptance: deep workload under a 1 ms deadline} *)
 
+(* Matching polls the budget before each block, so the deadline is
+   noticed within one block's matching; what follows is the direct
+   translation of the whole circuit (about 1 ms). Matching and encoding
+   the whole circuit take over 10 ms, so a request that ignores the
+   deadline until the model exists cannot meet the bound. *)
 let test_deep_workload_1ms_deadline () =
   let deep =
     Qca_workloads.Workloads.random_template ~seed:160 ~num_qubits:3 ~depth:160
   in
-  let budget = Solver.budget ~timeout_ms:1.0 () in
-  let o = Pipeline.adapt_governed ~budget hw (Pipeline.Sat Model.Sat_p) deep in
-  (* never hangs, never raises; some tier always serves the request *)
-  checkb "all gates native" true
-    (Array.for_all (Hardware.is_native hw) (Circuit.gates o.Pipeline.circuit));
-  checkb "unitary preserved" true (Circuit.equivalent deep o.Pipeline.circuit);
-  checkb "spent is reported" true (o.Pipeline.spent.Pipeline.elapsed_ms >= 0.0)
+  List.iter
+    (fun meth ->
+      let budget = Solver.budget ~timeout_ms:1.0 () in
+      let o = Pipeline.adapt_governed ~budget hw meth deep in
+      (* never hangs, never raises; some tier always serves the request *)
+      checkb "all gates native" true
+        (Array.for_all (Hardware.is_native hw) (Circuit.gates o.Pipeline.circuit));
+      checkb "unitary preserved" true (Circuit.equivalent deep o.Pipeline.circuit);
+      checkb "direct rung" true (o.Pipeline.tier = Pipeline.Direct_fallback);
+      checkb "reason deadline" true (o.Pipeline.reason = Some Solver.Deadline);
+      let elapsed = o.Pipeline.spent.Pipeline.elapsed_ms in
+      if not (elapsed >= 0.0 && elapsed <= 1.0 +. 5.0) then
+        Alcotest.failf "%s: %.1f ms spent under a 1 ms deadline"
+          (Pipeline.method_name meth) elapsed)
+    [ Pipeline.Sat Model.Sat_p; Pipeline.Greedy Model.Sat_p ]
 
 let suite =
   [

@@ -1,4 +1,4 @@
-(* Parallelism layer: work-stealing pool semantics, domain-safety of
+(* Parallelism layer: parallel_map semantics, domain-safety of
    the metrics registry, governed adaptations on concurrent domains,
    the batch evaluator's jobs parity and the phase-saving ablation. *)
 
@@ -53,33 +53,39 @@ let test_metrics_hammer () =
 (* {1 Pool} *)
 
 let test_pool_map_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      checki "live workers" 3 (Pool.live_workers pool);
-      let out =
-        Pool.parallel_map pool ~f:(fun i -> i * i) (Array.init 100 Fun.id)
-      in
-      Alcotest.(check (array int))
-        "squares in order"
-        (Array.init 100 (fun i -> i * i))
-        out)
+  let out =
+    Pool.parallel_map ~jobs:4 ~f:(fun i -> i * i) (Array.init 100 Fun.id)
+  in
+  Alcotest.(check (array int))
+    "squares in order"
+    (Array.init 100 (fun i -> i * i))
+    out
 
+(* Sequential means on the calling domain, in index order. *)
 let test_pool_jobs1_is_map () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      checki "no worker domains" 0 (Pool.live_workers pool);
-      let out = Pool.parallel_map pool ~f:succ (Array.init 10 Fun.id) in
-      Alcotest.(check (array int)) "plain map" (Array.init 10 succ) out)
+  let caller = Domain.self () in
+  let seen = ref [] in
+  let out =
+    Pool.parallel_map ~jobs:1
+      ~f:(fun i ->
+        checkb "on the caller" true (Domain.self () = caller);
+        seen := i :: !seen;
+        succ i)
+      (Array.init 10 Fun.id)
+  in
+  Alcotest.(check (array int)) "plain map" (Array.init 10 succ) out;
+  Alcotest.(check (list int)) "index order" (List.init 10 (fun i -> 9 - i)) !seen
 
 let test_pool_exception () =
   let ran = Atomic.make 0 in
   let raised =
     try
-      Pool.with_pool ~jobs:3 (fun pool ->
-          ignore
-            (Pool.parallel_map pool
-               ~f:(fun i ->
-                 Atomic.incr ran;
-                 if i = 17 then failwith "task 17")
-               (Array.init 40 Fun.id)));
+      ignore
+        (Pool.parallel_map ~jobs:3
+           ~f:(fun i ->
+             Atomic.incr ran;
+             if i = 17 then failwith "task 17")
+           (Array.init 40 Fun.id));
       false
     with Failure msg ->
       Alcotest.(check string) "first exception" "task 17" msg;
@@ -89,11 +95,38 @@ let test_pool_exception () =
   (* every task still ran: a failing batch must not strand work *)
   checki "all tasks ran" 40 (Atomic.get ran)
 
-let test_pool_shutdown () =
-  let pool = Pool.create ~jobs:3 in
-  checki "workers up" 2 (Pool.live_workers pool);
-  Pool.shutdown pool;
-  checki "workers joined" 0 (Pool.live_workers pool)
+(* Every spawned domain that ran a task has exited (its [Domain.at_exit]
+   hook has run) by the time [parallel_map] returns or raises. The first
+   task waits for a second one to start, so at least one spawned domain
+   takes part. *)
+let test_pool_no_domain_left () =
+  let started = Atomic.make 0 in
+  let workers = Atomic.make 0 and exited = Atomic.make 0 in
+  let registered = Domain.DLS.new_key (fun () -> false) in
+  let f i =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    if (not (Domain.is_main_domain ())) && not (Domain.DLS.get registered)
+    then begin
+      Domain.DLS.set registered true;
+      Atomic.incr workers;
+      Domain.at_exit (fun () -> Atomic.incr exited)
+    end;
+    if i = 5 then failwith "task 5";
+    i
+  in
+  List.iter
+    (fun fail ->
+      Atomic.set started 0;
+      let n = if fail then 8 else 5 in
+      (try ignore (Pool.parallel_map ~jobs:3 ~f (Array.init n Fun.id))
+       with Failure _ -> ());
+      checkb "a spawned domain ran tasks" true (Atomic.get workers > 0);
+      checki "every spawned domain exited" (Atomic.get workers)
+        (Atomic.get exited))
+    [ false; true ]
 
 (* {1 Random instances} *)
 
@@ -204,8 +237,9 @@ let test_phase_ablation_verdicts_agree () =
 (* {1 Batch evaluation: jobs parity}
 
    Every adaptation builds its own model, so spreading a case's methods
-   over domains changes nothing but the timing columns: the rows of
-   [evaluate_case ~jobs:2] equal those of [~jobs:1]. *)
+   (or fig7's cases) over domains changes nothing but the timing
+   columns: the rows at [~jobs:2] and [~jobs:4] equal those at
+   [~jobs:1]. *)
 
 let test_evaluate_case_jobs_parity () =
   let module E = Qca_experiments.Experiments in
@@ -214,10 +248,29 @@ let test_evaluate_case_jobs_parity () =
   List.iter
     (fun (kase : Qca_workloads.Workloads.case) ->
       let rows jobs = List.map strip (E.evaluate_case ~jobs hw kase) in
-      checkb (kase.Qca_workloads.Workloads.label ^ ": jobs 2 rows equal jobs 1")
-        true
-        (rows 1 = rows 2))
+      let seq = rows 1 in
+      List.iter
+        (fun jobs ->
+          checkb
+            (Printf.sprintf "%s: jobs %d rows equal jobs 1"
+               kase.Qca_workloads.Workloads.label jobs)
+            true
+            (rows jobs = seq))
+        [ 2; 4 ])
     (Qca_workloads.Workloads.simulation_suite ())
+
+let test_fig7_jobs_parity () =
+  let module E = Qca_experiments.Experiments in
+  let hw = Qca_adapt.Hardware.d0 in
+  let cases = Qca_workloads.Workloads.simulation_suite () in
+  let seq = E.fig7 ~jobs:1 hw cases in
+  List.iter
+    (fun jobs ->
+      checkb
+        (Printf.sprintf "fig7: jobs %d rows equal jobs 1" jobs)
+        true
+        (E.fig7 ~jobs hw cases = seq))
+    [ 2; 4 ]
 
 let suite =
   [
@@ -225,11 +278,13 @@ let suite =
     ("pool: parallel_map order", `Quick, test_pool_map_order);
     ("pool: jobs=1 is plain map", `Quick, test_pool_jobs1_is_map);
     ("pool: exception propagation", `Quick, test_pool_exception);
-    ("pool: shutdown joins workers", `Quick, test_pool_shutdown);
+    ("pool: no domain left alive", `Quick, test_pool_no_domain_left);
     ("pipeline: concurrent governed ladder shape", `Quick,
      test_concurrent_governed_ladder_shape);
     ("sat: phase-saving ablations agree", `Quick,
      test_phase_ablation_verdicts_agree);
     ("experiments: jobs 2 rows equal jobs 1", `Quick,
      test_evaluate_case_jobs_parity);
+    ("experiments: fig7 jobs rows equal jobs 1", `Quick,
+     test_fig7_jobs_parity);
   ]

@@ -1,5 +1,4 @@
 open Qca_sat
-module Cardinality = Qca_pseudo_bool.Cardinality
 module Totalizer = Qca_pseudo_bool.Totalizer
 module Rng = Qca_util.Rng
 
@@ -26,71 +25,6 @@ let all_models s vars =
   !models
 
 let count_true = List.fold_left (fun acc b -> if b then acc + 1 else acc) 0
-
-(* {1 Cardinality} *)
-
-let test_at_most_exact_model_count () =
-  (* with 4 free vars and Σ ≤ 2 there are C(4,0)+C(4,1)+C(4,2)=11 models *)
-  let s = Solver.create () in
-  let vars = List.init 4 (fun _ -> Solver.new_var s) in
-  Cardinality.at_most s (List.map Lit.pos vars) 2;
-  let models = all_models s vars in
-  checki "model count" 11 (List.length models);
-  List.iter (fun m -> checkb "≤ 2 true" true (count_true m <= 2)) models
-
-let test_at_least_model_count () =
-  let s = Solver.create () in
-  let vars = List.init 4 (fun _ -> Solver.new_var s) in
-  Cardinality.at_least s (List.map Lit.pos vars) 3;
-  let models = all_models s vars in
-  (* C(4,3)+C(4,4) = 5 *)
-  checki "model count" 5 (List.length models);
-  List.iter (fun m -> checkb "≥ 3 true" true (count_true m >= 3)) models
-
-let test_exactly_one () =
-  let s = Solver.create () in
-  let vars = List.init 5 (fun _ -> Solver.new_var s) in
-  Cardinality.exactly_one s (List.map Lit.pos vars);
-  let models = all_models s vars in
-  checki "5 models" 5 (List.length models);
-  List.iter (fun m -> checki "exactly one" 1 (count_true m)) models
-
-let test_at_most_zero () =
-  let s = Solver.create () in
-  let vars = List.init 3 (fun _ -> Solver.new_var s) in
-  Cardinality.at_most s (List.map Lit.pos vars) 0;
-  (match Solver.solve s with
-  | Solver.Sat -> List.iter (fun v -> checkb "all false" false (Solver.value s v)) vars
-  | Solver.Unsat | Solver.Unknown _ -> Alcotest.fail "should be satisfiable");
-  Cardinality.at_least s (List.map Lit.pos vars) 1;
-  checkb "contradiction" true (Solver.solve s = Solver.Unsat)
-
-let test_at_least_more_than_n () =
-  let s = Solver.create () in
-  let vars = List.init 3 (fun _ -> Solver.new_var s) in
-  Cardinality.at_least s (List.map Lit.pos vars) 4;
-  checkb "unsat" true (Solver.solve s = Solver.Unsat)
-
-let prop_cardinality_bounds =
-  QCheck.Test.make ~name:"sequential counter enforces the bound" ~count:60
-    QCheck.(pair (int_bound 6) small_int)
-    (fun (k, seed) ->
-      let rng = Rng.create (seed + 5) in
-      let n = 3 + Rng.int rng 5 in
-      let s = Solver.create () in
-      let vars = List.init n (fun _ -> Solver.new_var s) in
-      Cardinality.at_most s (List.map Lit.pos vars) k;
-      let models = all_models s vars in
-      let expected = ref 0 in
-      (* Σ_{j≤min(k,n)} C(n,j) *)
-      let rec choose n j =
-        if j = 0 then 1 else if j > n then 0 else choose (n - 1) (j - 1) * n / j
-      in
-      for j = 0 to min k n do
-        expected := !expected + choose n j
-      done;
-      List.length models = !expected
-      && List.for_all (fun m -> count_true m <= k) models)
 
 (* {1 Totalizer (weighted PB)} *)
 
@@ -257,12 +191,6 @@ let test_enforce_at_most_hard () =
 
 let suite =
   [
-    ("at_most model count", `Quick, test_at_most_exact_model_count);
-    ("at_least model count", `Quick, test_at_least_model_count);
-    ("exactly_one", `Quick, test_exactly_one);
-    ("at_most zero", `Quick, test_at_most_zero);
-    ("at_least beyond n", `Quick, test_at_least_more_than_n);
-    QCheck_alcotest.to_alcotest prop_cardinality_bounds;
     ("normalize", `Quick, test_normalize);
     ("assume_at_most blocks violations", `Quick, test_assume_at_most_blocks_violations);
     ("assume_at_most vacuous", `Quick, test_assume_at_most_vacuous);

@@ -471,8 +471,9 @@ let test_unknown_variable_rejected () =
 (* {1 Non-decision auxiliaries}
 
    A random instance over 8-12 decision inputs: random 3-clauses, a
-   weighted at-most bound (totalizer), a cardinality bound (sequential
-   counter), a weighted at-most bound behind an assumption literal,
+   weighted at-most bound (totalizer), a cardinality bound (an exact
+   totalizer over unit weights, asserted as a unit clause), a weighted
+   at-most bound behind an assumption literal,
    then clauses over the encodings' auxiliaries (half of them with two
    positive auxiliary literals) and more random 3-clauses. Returns the
    clauses it added itself, the exact encoded bounds as a predicate on
@@ -480,8 +481,8 @@ let test_unknown_variable_rejected () =
 type aux_instance = {
   added : Lit.t list list;  (** the clauses the instance adds itself *)
   bounds : bool array -> bool;
-      (** the totalizer and counter bounds, evaluated on a model found
-          under [assumptions] *)
+      (** the three totalizer bounds, evaluated on a model found under
+          [assumptions] *)
   assumptions : Lit.t list;
 }
 
@@ -515,15 +516,20 @@ let aux_instance seed s =
   let counted = List.init (4 + Rng.int rng 4) (fun _ -> lit ()) in
   let k_counted = 1 + Rng.int rng 3 in
   let at_most = Rng.bool rng in
-  if at_most then Qca_pseudo_bool.Cardinality.at_most s counted k_counted
-  else Qca_pseudo_bool.Cardinality.at_least s counted k_counted;
+  (* Σ counted ≥ k is Σ −counted ≤ −k *)
+  let sign = if at_most then 1 else -1 in
+  Option.iter
+    (fun a -> add [ a ])
+    (Qca_pseudo_bool.Totalizer.assume_at_most s
+       (List.map (fun l -> (l, sign)) counted)
+       (sign * k_counted));
   let assumed = terms () and k_assumed = Rng.int rng 30 in
   let assumptions =
     Option.to_list
       (Qca_pseudo_bool.Totalizer.assume_at_most s assumed k_assumed)
   in
-  (* The totalizers and the counter are exact at these sizes (far below
-     the totalizer's resolution). *)
+  (* [enforce_at_most] is exact at these sizes (far below the
+     totalizer's resolution). *)
   let bounds model =
     sum model enforced <= k_enforced
     && sum model assumed <= k_assumed
