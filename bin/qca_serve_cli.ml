@@ -22,10 +22,7 @@ let port_arg =
 
 (* {1 daemon} *)
 
-let daemon host port workers queue_capacity shed_fraction direct_fraction
-    cache_capacity default_timeout_ms max_timeout_ms
-    max_request_bytes retries certify revalidate_period fault_spec dump_dir
-    slow_ms watchdog_ms =
+let daemon host port workers certify fault_spec dump_dir watchdog_ms =
   match
     match fault_spec with
     | None -> Ok Fault.none
@@ -37,29 +34,15 @@ let daemon host port workers queue_capacity shed_fraction direct_fraction
   | Ok fault ->
     let cfg =
       {
-        Server.default_config with
-        host;
+        Server.host;
         port;
         workers;
-        queue_capacity;
-        shed_fraction;
-        direct_fraction;
-        cache_capacity;
-        default_timeout_ms;
-        max_timeout_ms;
-        max_request_bytes;
-        retries;
         certify;
-        revalidate_period;
         fault;
         dump_dir =
           (match dump_dir with
           | Some _ -> dump_dir
           | None -> Server.default_config.Server.dump_dir);
-        slow_ms =
-          (match slow_ms with
-          | Some _ -> slow_ms
-          | None -> Server.default_config.Server.slow_ms);
         watchdog_period_ms = watchdog_ms;
       }
     in
@@ -76,52 +59,6 @@ let daemon_cmd =
     let doc = "Request-handling worker domains." in
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
   in
-  let queue =
-    let doc =
-      "Admission bound: connections queued beyond the workers. Above \
-       --shed-at the daemon demotes SAT requests to the greedy tier, above \
-       --direct-at to direct adaptation, and at capacity it refuses with a \
-       typed overloaded response and a retry-after hint."
-    in
-    Arg.(value & opt int 16 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let shed_at =
-    let doc = "Queue fill fraction that starts shedding SAT to greedy." in
-    Arg.(value & opt float 0.5 & info [ "shed-at" ] ~docv:"FRAC" ~doc)
-  in
-  let direct_at =
-    let doc = "Queue fill fraction that sheds everything to direct." in
-    Arg.(value & opt float 0.875 & info [ "direct-at" ] ~docv:"FRAC" ~doc)
-  in
-  let cache =
-    let doc =
-      "Entries in the content-addressed result cache (circuit x hardware x \
-       method). 0 disables caching."
-    in
-    Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
-  in
-  let default_timeout =
-    let doc = "Deadline for requests that do not name one, in ms." in
-    Arg.(value & opt float 2000.0 & info [ "default-timeout-ms" ] ~docv:"MS" ~doc)
-  in
-  let max_timeout =
-    let doc = "Hard cap on any per-request deadline, in ms." in
-    Arg.(value & opt float 30000.0 & info [ "max-timeout-ms" ] ~docv:"MS" ~doc)
-  in
-  let max_bytes =
-    let doc = "Byte cap on request bodies." in
-    Arg.(
-      value
-      & opt int Qca_circuit.Wire.default_max_bytes
-      & info [ "max-request-bytes" ] ~docv:"N" ~doc)
-  in
-  let retries =
-    let doc =
-      "Bounded retries (exponential backoff) when a solve degrades on a \
-       transient conflict/propagation budget, deadline permitting."
-    in
-    Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N" ~doc)
-  in
   let certify =
     let doc =
       "Certify every successful response end to end before sending it; a \
@@ -129,13 +66,6 @@ let daemon_cmd =
        answer."
     in
     Arg.(value & flag & info [ "certify" ] ~doc)
-  in
-  let revalidate =
-    let doc =
-      "Re-certify every $(docv)th cache hit against the stored circuit \
-       (0 = never)."
-    in
-    Arg.(value & opt int 8 & info [ "revalidate-period" ] ~docv:"N" ~doc)
   in
   let fault =
     let doc =
@@ -146,19 +76,12 @@ let daemon_cmd =
   in
   let dump_dir =
     let doc =
-      "Arm anomaly auto-capture: degraded, deadline-breached, faulted or \
-       slow requests dump a forensic JSON (ring slice, span tree, metrics \
+      "Arm anomaly auto-capture: degraded, deadline-breached or faulted \
+       requests dump a forensic JSON (ring slice, span tree, metrics \
        delta) into $(docv); also the SIGUSR1 live-dump target. Defaults to \
        $(b,QCA_DUMP_DIR) when set."
     in
     Arg.(value & opt (some string) None & info [ "dump-dir" ] ~docv:"DIR" ~doc)
-  in
-  let slow_ms =
-    let doc =
-      "Latency threshold (ms) beyond which a served request counts as \
-       anomalous and is dumped. Defaults to $(b,QCA_SLOW_MS) when set."
-    in
-    Arg.(value & opt (some float) None & info [ "slow-ms" ] ~docv:"MS" ~doc)
   in
   let watchdog_ms =
     let doc =
@@ -168,13 +91,14 @@ let daemon_cmd =
     in
     Arg.(value & opt float 0.0 & info [ "watchdog-ms" ] ~docv:"MS" ~doc)
   in
-  let doc = "run the adaptation service" in
+  let doc =
+    "run the adaptation service (a queue of 16, a result cache of 256, a 2 s \
+     default and 30 s maximum request deadline)"
+  in
   Cmd.v (Cmd.info "daemon" ~doc)
     Term.(
-      const daemon $ host_arg $ port_arg $ workers $ queue $ shed_at
-      $ direct_at $ cache $ default_timeout $ max_timeout
-      $ max_bytes $ retries $ certify $ revalidate $ fault $ dump_dir
-      $ slow_ms $ watchdog_ms)
+      const daemon $ host_arg $ port_arg $ workers $ certify $ fault $ dump_dir
+      $ watchdog_ms)
 
 (* {1 client subcommands} *)
 

@@ -16,7 +16,9 @@ let parallel_map ~jobs ~f arr =
         work ()
       end
     in
-    let domains = Array.init (min jobs n - 1) (fun _ -> Domain.spawn work) in
+    (* domains beyond the cores only contend for them *)
+    let spawned = min (min jobs n) (Domain.recommended_domain_count ()) - 1 in
+    let domains = Array.init spawned (fun _ -> Domain.spawn work) in
     work ();
     (* Each slot of [results] is written by one domain only; joining
        orders those writes before the reads below. *)

@@ -8,7 +8,10 @@ val parallel_map : jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map ~jobs ~f arr] is [Array.map f arr], computed by the
     caller and [min jobs (Array.length arr) - 1] spawned domains that
     each take the next unclaimed index from one [Atomic] counter until
-    none is left. Every spawned domain is joined before it returns.
+    none is left. At most [Domain.recommended_domain_count () - 1]
+    domains are spawned, whatever [jobs] asks for: more would only
+    contend for the cores. Every spawned domain is joined before it
+    returns.
 
     With [jobs <= 1] (or at most one element) no domain is spawned and
     the call is exactly [Array.map f arr]. If tasks raise, every task

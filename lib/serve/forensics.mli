@@ -3,7 +3,7 @@ module Ring = Qca_obs.Ring
 module Tracectx = Qca_obs.Tracectx
 
 (** Anomaly auto-capture for the daemon: when a request breaches its
-    deadline, degrades below [Full], faults, or runs slow, its ring
+    deadline, degrades below [Full] or faults, its ring
     slice + span tree + metrics delta are written as one JSON document
     ([qca.dump.v1], see DESIGN.md section 7.9) into a bounded,
     rate-limited dump directory — plus a SIGUSR1 dump-everything

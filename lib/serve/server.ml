@@ -22,7 +22,6 @@ let m_shed = Obs.counter "serve.shed"
 let m_requests = Obs.counter "serve.requests"
 let m_ok = Obs.counter "serve.ok"
 let m_failed = Obs.counter "serve.errors"
-let m_retries = Obs.counter "serve.retries"
 let m_crashes = Obs.counter "serve.crashes"
 let m_cancelled = Obs.counter "serve.cancelled"
 let m_refuted = Obs.counter "serve.refuted_certificates"
@@ -38,25 +37,9 @@ type config = {
   host : string;
   port : int;
   workers : int;
-  queue_capacity : int;
-  shed_fraction : float;
-  direct_fraction : float;
-  cache_capacity : int;
-  default_timeout_ms : float;
-  max_timeout_ms : float;
-  max_request_bytes : int;
-  io_timeout_s : float;
-  retries : int;
-  retry_backoff_ms : float;
   certify : bool;
-  revalidate_period : int;
-  metrics : bool;
   fault : Fault.t;
-  options : Solver.options;
   dump_dir : string option;
-  dump_max_files : int;
-  dump_min_interval_ms : float;
-  slow_ms : float option;
   watchdog_period_ms : float;
 }
 
@@ -65,28 +48,24 @@ let default_config =
     host = "127.0.0.1";
     port = 7333;
     workers = 2;
-    queue_capacity = 16;
-    shed_fraction = 0.5;
-    direct_fraction = 0.875;
-    cache_capacity = 256;
-    default_timeout_ms = 2_000.0;
-    max_timeout_ms = 30_000.0;
-    max_request_bytes = Wire.default_max_bytes;
-    io_timeout_s = 10.0;
-    retries = 2;
-    retry_backoff_ms = 25.0;
     certify = false;
-    revalidate_period = 8;
-    metrics = true;
     fault = Fault.none;
-    options = Solver.default_options;
     dump_dir = Sys.getenv_opt "QCA_DUMP_DIR";
-    dump_max_files = 32;
-    dump_min_interval_ms = 1_000.0;
-    slow_ms =
-      Option.bind (Sys.getenv_opt "QCA_SLOW_MS") float_of_string_opt;
     watchdog_period_ms = 0.0;
   }
+
+(* {1 Fixed serving parameters} *)
+
+let queue_capacity = 16
+let shed_fraction = 0.5
+let direct_fraction = 0.875
+let cache_capacity = 256
+let default_timeout_ms = 2_000.0
+let max_timeout_ms = 30_000.0
+let io_timeout_s = 10.0
+let revalidate_period = 8
+let dump_max_files = 32
+let dump_min_interval_ms = 1_000.0
 
 type t = {
   cfg : config;
@@ -125,62 +104,32 @@ let demote shed method_ =
     Pipeline.Direct
   | Protocol.Shed_direct, m -> m
 
-(* Solve with bounded retry: a request degraded by *transient* budget
-   exhaustion (conflict/propagation caps — not the deadline, which a
-   retry cannot outrun) is retried with exponential backoff while the
-   deadline allows. *)
-let solve_with_retries t ~circuit ~eff_method ~deadline_at
-    (r : Protocol.adapt_request) =
-  let cfg = t.cfg in
-  let backoff k = cfg.retry_backoff_ms *. Float.pow 2.0 (float_of_int k) in
-  let rec attempt k =
-    let injected =
-      match Fault.check cfg.fault Fault.Serve_request with
-      | None -> `Real
-      | Some Fault.Exhaust -> `Exhaust
-      | Some Fault.Cancel -> raise Client_cancelled
-      | Some Fault.Spurious_conflict -> raise Injected_crash
+(* One solve per request. The search is deterministic, so a request
+   stopped by its conflict cap would stop the same way again. *)
+let solve t ~circuit ~eff_method ~deadline_at (r : Protocol.adapt_request) =
+  Trace.span "serve.solve" @@ fun () ->
+  match Fault.check t.cfg.fault Fault.Serve_request with
+  | Some Fault.Cancel -> raise Client_cancelled
+  | Some Fault.Spurious_conflict -> raise Injected_crash
+  | Some Fault.Exhaust ->
+    (* simulated conflict exhaustion: the ladder's floor serves *)
+    {
+      Pipeline.circuit =
+        Pipeline.adapt r.Protocol.hardware Pipeline.Direct circuit;
+      requested = eff_method;
+      tier = Pipeline.Direct_fallback;
+      reason = Some Solver.Out_of_conflicts;
+      spent = { Pipeline.conflicts = 0; propagations = 0; elapsed_ms = 0.0 };
+      info = Pipeline.no_info;
+      claimed_makespan = None;
+    }
+  | None ->
+    let budget =
+      Solver.budget
+        ~timeout_ms:(Clock.ms_between (Clock.now ()) deadline_at)
+        ?max_conflicts:r.Protocol.max_conflicts ()
     in
-    let remaining_ms = Clock.ms_between (Clock.now ()) deadline_at in
-    let outcome =
-      match injected with
-      | `Exhaust ->
-        (* simulated transient exhaustion: the ladder's floor serves,
-           and the transient reason makes the retry path eligible *)
-        {
-          Pipeline.circuit =
-            Pipeline.adapt ~options:cfg.options r.Protocol.hardware
-              Pipeline.Direct circuit;
-          requested = eff_method;
-          tier = Pipeline.Direct_fallback;
-          reason = Some Solver.Out_of_conflicts;
-          spent = { Pipeline.conflicts = 0; propagations = 0; elapsed_ms = 0.0 };
-          info = Pipeline.no_info;
-          claimed_makespan = None;
-        }
-      | `Real ->
-        let budget =
-          Solver.budget ~timeout_ms:remaining_ms
-            ?max_conflicts:r.Protocol.max_conflicts ()
-        in
-        Pipeline.adapt_governed ~options:cfg.options ~budget
-          r.Protocol.hardware eff_method circuit
-    in
-    let transient =
-      match outcome.Pipeline.reason with
-      | Some (Solver.Out_of_conflicts | Solver.Out_of_propagations) -> true
-      | Some _ | None -> false
-    in
-    let remaining_ms = Clock.ms_between (Clock.now ()) deadline_at in
-    if transient && k < cfg.retries && remaining_ms > 2.0 *. backoff k then begin
-      Obs.incr m_retries;
-      Trace.instant "serve.retry" ~args:[ ("attempt", string_of_int (k + 1)) ];
-      Unix.sleepf (Float.min (backoff k) (remaining_ms /. 2.0) /. 1000.0);
-      attempt (k + 1)
-    end
-    else outcome
-  in
-  Trace.span "serve.solve" (fun () -> attempt 0)
+    Pipeline.adapt_governed ~budget r.Protocol.hardware eff_method circuit
 
 let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
   let cfg = t.cfg in
@@ -202,10 +151,10 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
     Trace.span "serve.parse" @@ fun () ->
     match r.Protocol.format with
     | Protocol.Text ->
-      Parse.parse_untrusted ~max_bytes:cfg.max_request_bytes
+      Parse.parse_untrusted ~max_bytes:Wire.default_max_bytes
         r.Protocol.circuit_text
     | Protocol.Qasm ->
-      Qasm.of_qasm_untrusted ~max_bytes:cfg.max_request_bytes
+      Qasm.of_qasm_untrusted ~max_bytes:Wire.default_max_bytes
         r.Protocol.circuit_text
   in
   match parsed with
@@ -227,8 +176,8 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
     in
     let timeout_ms =
       Float.min
-        (Option.value r.Protocol.timeout_ms ~default:cfg.default_timeout_ms)
-        cfg.max_timeout_ms
+        (Option.value r.Protocol.timeout_ms ~default:default_timeout_ms)
+        max_timeout_ms
     in
     let deadline_at = started +. (timeout_ms /. 1000.0) in
     let elapsed () = Clock.ms_between started (Clock.now ()) in
@@ -252,9 +201,7 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
         }
     in
     let solve_fresh ~cache_status () =
-      let outcome =
-        solve_with_retries t ~circuit ~eff_method ~deadline_at r
-      in
+      let outcome = solve t ~circuit ~eff_method ~deadline_at r in
       let certified =
         if not cfg.certify then None
         else begin
@@ -306,7 +253,7 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
       let nth = Atomic.fetch_and_add t.cache_hits_seen 1 in
       let revalidate =
         cfg.certify
-        || (cfg.revalidate_period > 0 && nth mod cfg.revalidate_period = 0)
+        || nth mod revalidate_period = 0
       in
       if not revalidate then from_cache entry Protocol.Cache_hit None
       else begin
@@ -340,14 +287,11 @@ let protected_serve t ~shed ~queue_ms r =
     fail Protocol.Internal (Printexc.to_string e)
 
 (* The anomaly gate: what makes a finished request worth a dump. *)
-let anomaly_reason cfg ~elapsed_ms = function
+let anomaly_reason = function
   | Protocol.Result p when p.Protocol.tier <> Pipeline.Full -> Some "degraded"
   | Protocol.Result p when p.Protocol.reason <> None -> Some "budget"
   | Protocol.Error_resp { code = Protocol.Internal; _ } -> Some "fault"
-  | Protocol.Result _ | Protocol.Error_resp _ -> (
-    match cfg.slow_ms with
-    | Some s when elapsed_ms > s -> Some "slow"
-    | _ -> None)
+  | Protocol.Result _ | Protocol.Error_resp _ -> None
 
 (* Trace-scoped request wrapper: installs the request's trace context
    (adopted from a valid [traceparent], generated otherwise), times
@@ -380,7 +324,7 @@ let serve_tracked t ~shed ~queue_ms r =
       (int_of_float elapsed_ms) (int_of_float queue_ms);
     match (served, t.cfg.dump_dir) with
     | Some s, Some dir -> (
-      match anomaly_reason t.cfg ~elapsed_ms s with
+      match anomaly_reason s with
       | None -> ()
       | Some reason ->
         let describe =
@@ -398,8 +342,8 @@ let serve_tracked t ~shed ~queue_ms r =
           ]
         in
         ignore
-          (Forensics.write_dump ~dir ~max_files:t.cfg.dump_max_files
-             ~min_interval_ms:t.cfg.dump_min_interval_ms ~reason
+          (Forensics.write_dump ~dir ~max_files:dump_max_files
+             ~min_interval_ms:dump_min_interval_ms ~reason
              ~trace:(Some ctx) ~request:describe ~since_us ~before ()))
     | _ -> ()
   in
@@ -445,11 +389,11 @@ let handle_adapt t fd shed ~queue_ms ~params ~headers leftover =
   match Http.content_length headers with
   | Error msg -> send_error fd Protocol.Bad_frame msg
   | Ok None -> send_error fd Protocol.Bad_frame "missing Content-Length"
-  | Ok (Some n) when n > t.cfg.max_request_bytes ->
+  | Ok (Some n) when n > Wire.default_max_bytes ->
     (* refused from the head alone: a length bomb's body is never read *)
     send_error fd Protocol.Too_large
       (Printf.sprintf "body of %d bytes exceeds the %d byte cap" n
-         t.cfg.max_request_bytes)
+         Wire.default_max_bytes)
   | Ok (Some n) -> (
     let body =
       if String.length leftover >= n then Some (String.sub leftover 0 n)
@@ -498,8 +442,7 @@ let handle_connection t fd shed ~queue_ms =
         send fd
           ( 200,
             [],
-            Printf.sprintf "ok queue=%d/%d\n" (Chan.length t.queue)
-              t.cfg.queue_capacity )
+            Printf.sprintf "ok queue=%d/%d\n" (Chan.length t.queue) queue_capacity )
       | "POST", "/adapt" ->
         handle_adapt t fd shed ~queue_ms ~params ~headers leftover
       | _, ("/metrics" | "/healthz" | "/adapt") ->
@@ -549,9 +492,8 @@ let handle_accept t fd =
       if f = Some Fault.Exhaust then
         Admission.Refuse { retry_after_ms = Admission.retry_hint_ms ~depth }
       else
-        Admission.decide ~depth ~capacity:t.cfg.queue_capacity
-          ~shed_fraction:t.cfg.shed_fraction
-          ~direct_fraction:t.cfg.direct_fraction
+        Admission.decide ~depth ~capacity:queue_capacity ~shed_fraction
+          ~direct_fraction
     in
     match decision with
     | Admission.Refuse { retry_after_ms } ->
@@ -560,8 +502,8 @@ let handle_accept t fd =
     | Admission.Admit shed ->
       if shed <> Protocol.No_shed then Obs.incr m_shed;
       (try
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.io_timeout_s;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.io_timeout_s
+         Unix.setsockopt_float fd Unix.SO_RCVTIMEO io_timeout_s;
+         Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout_s
        with Unix.Unix_error (_, _, _) -> ());
       Obs.set m_queue_depth (float_of_int (depth + 1));
       if not (Chan.try_push t.queue (fd, shed, Clock.now ())) then begin
@@ -613,7 +555,7 @@ let watchdog_loop t =
       (match t.cfg.dump_dir with
       | Some dir -> (
         match
-          Forensics.service_live_dump ~dir ~max_files:t.cfg.dump_max_files
+          Forensics.service_live_dump ~dir ~max_files:dump_max_files
         with
         | Some path -> Printf.eprintf "qca-serve: dumped %s\n%!" path
         | None -> ())
@@ -625,8 +567,8 @@ let watchdog_loop t =
          match t.cfg.dump_dir with
          | Some dir ->
            ignore
-             (Forensics.write_dump ~dir ~max_files:t.cfg.dump_max_files
-                ~min_interval_ms:t.cfg.dump_min_interval_ms ~reason:"stuck"
+             (Forensics.write_dump ~dir ~max_files:dump_max_files
+                ~min_interval_ms:dump_min_interval_ms ~reason:"stuck"
                 ~trace:None
                 ~request:
                   [
@@ -647,10 +589,9 @@ let start (cfg : config) =
   if cfg.workers < 1 then invalid_arg "Server.start: workers < 1";
   (* a client that hangs up mid-write must never kill the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if cfg.metrics then Obs.set_enabled true;
-  (* the flight recorder is bounded and contention-free: leave it on
-     whenever telemetry or forensics is wanted *)
-  if cfg.metrics || cfg.dump_dir <> None then Ring.set_enabled true;
+  Obs.set_enabled true;
+  (* the flight recorder is bounded and contention-free: always on *)
+  Ring.set_enabled true;
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
@@ -670,8 +611,8 @@ let start (cfg : config) =
       cfg;
       listen_fd;
       bound_port;
-      queue = Chan.create ~capacity:cfg.queue_capacity;
-      cache = Cache.create ~capacity:cfg.cache_capacity;
+      queue = Chan.create ~capacity:queue_capacity;
+      cache = Cache.create ~capacity:cache_capacity;
       shutdown = Atomic.make false;
       cache_hits_seen = Atomic.make 0;
       inflight = Atomic.make 0;
@@ -705,7 +646,7 @@ let stop t =
 let run (cfg : config) =
   let t = start cfg in
   Printf.eprintf "qca-serve: listening on %s:%d (%d workers, queue %d, cache %d)\n%!"
-    cfg.host t.bound_port cfg.workers cfg.queue_capacity cfg.cache_capacity;
+    cfg.host t.bound_port cfg.workers queue_capacity cache_capacity;
   let stop_requested = Atomic.make false in
   let handler _ = Atomic.set stop_requested true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle handler);
@@ -717,7 +658,7 @@ let run (cfg : config) =
       (match cfg.dump_dir with
       | Some dir -> (
         match
-          Forensics.service_live_dump ~dir ~max_files:cfg.dump_max_files
+          Forensics.service_live_dump ~dir ~max_files:dump_max_files
         with
         | Some path -> Printf.eprintf "qca-serve: dumped %s\n%!" path
         | None -> ())

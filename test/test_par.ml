@@ -98,8 +98,9 @@ let test_pool_exception () =
 (* Every spawned domain that ran a task has exited (its [Domain.at_exit]
    hook has run) by the time [parallel_map] returns or raises. The first
    task waits for a second one to start, so at least one spawned domain
-   takes part. *)
+   takes part, which needs a second core. *)
 let test_pool_no_domain_left () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
   let started = Atomic.make 0 in
   let workers = Atomic.make 0 and exited = Atomic.make 0 in
   let registered = Domain.DLS.new_key (fun () -> false) in
@@ -127,6 +128,34 @@ let test_pool_no_domain_left () =
       checki "every spawned domain exited" (Atomic.get workers)
         (Atomic.get exited))
     [ false; true ]
+
+(* Domains beyond the cores only contend for them: whatever [jobs] asks
+   for, at most [Domain.recommended_domain_count () - 1] domains are
+   spawned. Each task sleeps, so every spawned domain takes one and
+   counts itself through its [Domain.at_exit] hook. *)
+let test_pool_clamped_to_cores () =
+  let spawned = Atomic.make 0 and exited = Atomic.make 0 in
+  let registered = Domain.DLS.new_key (fun () -> false) in
+  let f i =
+    if (not (Domain.is_main_domain ())) && not (Domain.DLS.get registered)
+    then begin
+      Domain.DLS.set registered true;
+      Atomic.incr spawned;
+      Domain.at_exit (fun () -> Atomic.incr exited)
+    end;
+    Unix.sleepf 0.002;
+    i
+  in
+  let jobs = 8 in
+  Alcotest.(check (array int))
+    "plain map" (Array.init 64 Fun.id)
+    (Pool.parallel_map ~jobs ~f (Array.init 64 Fun.id));
+  let cap = min jobs (Domain.recommended_domain_count ()) - 1 in
+  checkb
+    (Printf.sprintf "%d spawned, at most %d" (Atomic.get spawned) cap)
+    true
+    (Atomic.get spawned <= cap);
+  checki "every spawned domain exited" (Atomic.get spawned) (Atomic.get exited)
 
 (* {1 Random instances} *)
 
@@ -279,6 +308,7 @@ let suite =
     ("pool: jobs=1 is plain map", `Quick, test_pool_jobs1_is_map);
     ("pool: exception propagation", `Quick, test_pool_exception);
     ("pool: no domain left alive", `Quick, test_pool_no_domain_left);
+    ("pool: at most one domain per core", `Quick, test_pool_clamped_to_cores);
     ("pipeline: concurrent governed ladder shape", `Quick,
      test_concurrent_governed_ladder_shape);
     ("sat: phase-saving ablations agree", `Quick,

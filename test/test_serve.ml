@@ -486,6 +486,15 @@ let test_cli_removed_flags () =
       ("qca_serve_cli.exe", [ "daemon"; "--templates"; "4" ]);
       ("qca_serve_cli.exe", [ "daemon"; "--jobs"; "2" ]);
       ("qca_serve_cli.exe", [ "daemon"; "--no-incremental" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--slow-ms"; "5" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--queue"; "4" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--shed-at"; "0.5" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--direct-at"; "0.9" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--cache"; "4" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--default-timeout-ms"; "100" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--max-timeout-ms"; "100" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--max-request-bytes"; "100" ]);
+      ("qca_serve_cli.exe", [ "daemon"; "--revalidate-period"; "2" ]);
       ("qca_adapt_cli.exe", [ "--jobs"; "2" ]);
       ("qca_adapt_cli.exe", [ "--no-incremental" ]);
       ("qca_lint_cli.exe", [ "--jobs"; "2" ]);
@@ -514,7 +523,7 @@ let test_cli_removed_flags () =
 (* {1 Live daemon} *)
 
 let with_server ?(cfg = Server.default_config) f =
-  let cfg = { cfg with Server.port = 0; workers = 2; metrics = true } in
+  let cfg = { cfg with Server.port = 0; workers = 2 } in
   let t = Server.start cfg in
   Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f (Server.port t))
 
@@ -526,13 +535,13 @@ let call port req =
 let pings port = Client.ping ~host:"127.0.0.1" ~port () = Ok ()
 
 let adapt_req ?(method_ = Pipeline.Sat Model.Sat_p) ?(format = Protocol.Text)
-    ?timeout_ms ?(use_cache = true) text =
+    ?timeout_ms ?max_conflicts ?(use_cache = true) text =
   {
     Protocol.method_;
     hardware = Hardware.d0;
     format;
     timeout_ms;
-    max_conflicts = None;
+    max_conflicts;
     use_cache;
     traceparent = None;
     circuit_text = text;
@@ -634,6 +643,41 @@ let test_server_smt_parity () =
         p.Protocol.adapted_text)
     [ Pipeline.Sat Model.Sat_p; Pipeline.Sat Model.Sat_r ]
 
+(* A request stopped by its conflict cap is solved once: the search is
+   deterministic, so a second attempt under the same cap could only
+   repeat the degraded answer. The reply is the governed pipeline's
+   under the same cap, and the solver counters grow by exactly what the
+   reply reports. *)
+let test_server_capped_request_solved_once () =
+  let text =
+    Parse.to_text (Workloads.random_template ~seed:3 ~num_qubits:4 ~depth:100)
+  in
+  let meth = Pipeline.Sat Model.Sat_r in
+  let expected =
+    Pipeline.adapt_governed
+      ~budget:(Solver.budget ~max_conflicts:3 ())
+      Hardware.d0 meth (circ_of text)
+  in
+  with_server @@ fun port ->
+  let conflicts = Obs.counter "sat.conflicts" in
+  let before = Obs.value conflicts in
+  let p =
+    expect_result
+      (call port
+         (adapt_req ~method_:meth ~timeout_ms:30_000.0 ~max_conflicts:3
+            ~use_cache:false text))
+  in
+  checkb "stopped by the conflict cap" true
+    (p.Protocol.reason
+    = Some (Solver.string_of_stop_reason Solver.Out_of_conflicts));
+  checki "the pipeline ran once" p.Protocol.conflicts
+    (Obs.value conflicts - before);
+  checkb "tier equals adapt_governed's" true
+    (p.Protocol.tier = expected.Pipeline.tier);
+  checks "reply equals adapt_governed's"
+    (Parse.to_text expected.Pipeline.circuit)
+    p.Protocol.adapted_text
+
 let raw_exchange port bytes n_reply =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -715,33 +759,27 @@ let test_server_http_shim () =
 
 (* {2 Fault injection: the robustness paths} *)
 
-let test_server_retry_on_transient_exhaustion () =
+(* An injected exhaustion is served at the ladder's floor with its
+   reason, and the next request is solved in full. *)
+let test_server_injected_exhaustion () =
   let cfg =
     {
       Server.default_config with
       fault = Fault.inject [ (Fault.Serve_request, 1, Fault.Exhaust) ];
-      retries = 2;
-    }
-  in
-  with_server ~cfg @@ fun port ->
-  let retries = Obs.counter "serve.retries" in
-  let before = Obs.value retries in
-  let p = expect_result (call port (adapt_req sample_text)) in
-  checkb "retry recovered full service" true (p.Protocol.tier = Pipeline.Full);
-  checki "exactly one retry" (before + 1) (Obs.value retries)
-
-let test_server_exhaustion_without_retries_degrades () =
-  let cfg =
-    {
-      Server.default_config with
-      fault = Fault.inject [ (Fault.Serve_request, 1, Fault.Exhaust) ];
-      retries = 0;
     }
   in
   with_server ~cfg @@ fun port ->
   let p = expect_result (call port (adapt_req sample_text)) in
-  checkb "degraded without retries" true (p.Protocol.tier <> Pipeline.Full);
-  checkb "reason reported" true (p.Protocol.reason <> None)
+  checkb "served at the direct rung" true
+    (p.Protocol.tier = Pipeline.Direct_fallback);
+  checkb "reason names the conflict cap" true
+    (p.Protocol.reason
+    = Some (Solver.string_of_stop_reason Solver.Out_of_conflicts));
+  checkb "floor is equivalent" true
+    (Circuit.equivalent (circ_of sample_text) (circ_of p.Protocol.adapted_text));
+  checkb "next request served in full" true
+    ((expect_result (call port (adapt_req sample_text))).Protocol.tier
+    = Pipeline.Full)
 
 let test_server_handler_crash_isolated () =
   let cfg =
@@ -1005,8 +1043,6 @@ let test_server_soak () =
       Server.default_config with
       fault;
       certify = true;  (* every success response is checked end to end *)
-      cache_capacity = 4;
-      retries = 1;
     }
   in
   with_server ~cfg @@ fun port ->
@@ -1039,10 +1075,12 @@ let test_server_soak () =
   checkb "soak: successes happened" true (!results > 10);
   checkb "soak: typed errors happened" true (!errors > 0);
   checkb "soak: injected drops happened" true (!dropped > 0);
-  (* zero crashes: the daemon still answers, and the cache stayed bounded *)
+  (* zero crashes: the daemon still answers, and the cache holds at most
+     one entry per circuit *)
   checkb "soak: daemon alive after the storm" true (pings port);
-  checkb "soak: cache bounded" true
-    (Obs.gauge_value (Obs.gauge "serve.cache.size") <= 4.0)
+  checkb "soak: one cache entry per circuit" true
+    (Obs.gauge_value (Obs.gauge "serve.cache.size")
+    <= float_of_int (List.length texts))
 
 let test_server_stop_idempotent () =
   let t = Server.start { Server.default_config with Server.port = 0 } in
@@ -1082,11 +1120,11 @@ let suite =
     ("server: qasm and invalid input", `Quick, test_server_qasm_and_invalid);
     ("server: deadline degrades", `Quick, test_server_deadline_degrades);
     ("server: SMT replies equal qca-adapt", `Quick, test_server_smt_parity);
+    ("server: capped request solved once", `Quick, test_server_capped_request_solved_once);
     ("server: raw garbage and length bomb", `Quick, test_server_rejects_raw_garbage);
     ("server: oversize head answered", `Quick, test_server_oversize_head);
     ("server: http shim", `Quick, test_server_http_shim);
-    ("server: retry on transient exhaustion", `Quick, test_server_retry_on_transient_exhaustion);
-    ("server: no retries means degraded", `Quick, test_server_exhaustion_without_retries_degrades);
+    ("server: exhaustion served at the floor", `Quick, test_server_injected_exhaustion);
     ("server: handler crash isolated", `Quick, test_server_handler_crash_isolated);
     ("server: client gone mid-solve", `Quick, test_server_client_gone_midsolve);
     ("server: accept faults", `Quick, test_server_accept_faults);
