@@ -308,7 +308,6 @@ let suite =
     ("pool: jobs=1 is plain map", `Quick, test_pool_jobs1_is_map);
     ("pool: exception propagation", `Quick, test_pool_exception);
     ("pool: no domain left alive", `Quick, test_pool_no_domain_left);
-    ("pool: at most one domain per core", `Quick, test_pool_clamped_to_cores);
     ("pipeline: concurrent governed ladder shape", `Quick,
      test_concurrent_governed_ladder_shape);
     ("sat: phase-saving ablations agree", `Quick,
@@ -317,4 +316,5 @@ let suite =
      test_evaluate_case_jobs_parity);
     ("experiments: fig7 jobs rows equal jobs 1", `Quick,
      test_fig7_jobs_parity);
+    ("pool: at most one domain per core", `Quick, test_pool_clamped_to_cores);
   ]
