@@ -9,8 +9,9 @@ module Trace = Qca_obs.Trace
 module Ring = Qca_obs.Ring
 
 (* OMT-driver telemetry: round count and the incumbent-objective
-   trajectory (Eq. 8-10 values), both in the metrics registry and as a
-   Chrome-trace counter series. *)
+   trajectory (Eq. 8-10 values) in the metrics registry, and one ring
+   event per round and per incumbent, which a Chrome trace renders as
+   stepped series. *)
 let m_omt_rounds = Obs.counter "omt.rounds"
 let m_omt_incumbent_updates = Obs.counter "omt.incumbent_updates"
 let m_omt_incumbent = Obs.gauge "omt.incumbent"
@@ -471,9 +472,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
     | None when at_bound -> best (* no CDCL call *)
     | None ->
     match
-      Trace.span "omt.round"
-        ~args:[ ("round", string_of_int !rounds) ]
-        (fun () -> Solver.solve ~budget sat)
+      Trace.span "omt.round" (fun () -> Solver.solve ~budget sat)
     with
     | Solver.Unsat -> best
     | Solver.Unknown r ->
@@ -488,7 +487,6 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
         else begin
           Obs.incr m_omt_incumbent_updates;
           Obs.set m_omt_incumbent (float_of_int v);
-          Trace.counter "omt.incumbent" (float_of_int v);
           Ring.record k_omt_incumbent v !rounds d;
           (v, mask, d)
         end
@@ -514,12 +512,12 @@ let optimize ?round_budget ?(budget = Solver.no_budget) t obj =
   with
   | { interrupted = Some r; _ } -> Error (`Budget_exhausted r)
   | { mask; value; makespan; interrupted = None } ->
-    let ((value, _, _) as incumbent) =
+    let ((value, _, makespan) as incumbent) =
       if terms.d_weight = 0 && value > lb then separable_argmin t terms
       else (value, mask, makespan)
     in
     Obs.set m_omt_incumbent (float_of_int value);
-    Trace.counter "omt.incumbent" (float_of_int value);
+    Ring.record k_omt_incumbent value 0 makespan;
     let v, mask, d = improve incumbent in
     if not (verify_schedule t mask d) then Error `Unverified_schedule
     else

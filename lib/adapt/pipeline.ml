@@ -261,15 +261,6 @@ let adapt_governed ?options ?budget ?(jobs = 1) hw method_ circuit =
         | Some Solver.Out_of_rounds -> 4
         | Some Solver.Unverified_schedule -> 5)
         budget.Solver.conflicts_spent;
-      Trace.instant "degrade"
-        ~args:
-          [
-            ("tier", tier_name tier);
-            ( "reason",
-              match reason with
-              | None -> "none"
-              | Some r -> Solver.string_of_stop_reason r );
-          ]
     end;
     {
       circuit;

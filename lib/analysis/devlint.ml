@@ -122,16 +122,17 @@ let raw_syscalls =
 
 let print_prefixes = [ "Printf."; "Format." ]
 
-(* Span machinery allocates and serializes on the trace mutex — fine
-   around a solve, not inside its inner loops. *)
+(* Span machinery allocates (the open-span stack, the closure, the
+   args) and interns the span name under the kind lock — fine around a
+   solve, not inside its inner loops. *)
 let trace_calls =
   [
     "Trace.span";
-    "Trace.instant";
-    "Trace.counter";
+    "Trace.begin_span";
+    "Trace.end_span";
     "Qca_obs.Trace.span";
-    "Qca_obs.Trace.instant";
-    "Qca_obs.Trace.counter";
+    "Qca_obs.Trace.begin_span";
+    "Qca_obs.Trace.end_span";
   ]
 
 (* Array primitives that cost more than they look in a hot loop:
@@ -441,9 +442,9 @@ let rec iter_expr ctx e =
     if ctx.hot && (not (waived ctx rule_hot)) && List.mem h trace_calls then
       report ctx ~loc:e.pexp_loc rule_hot
         (Printf.sprintf
-           "%s inside a [@qca.hot] region: spans allocate and serialize on \
-            the trace mutex; use the flight recorder (Ring.record) or a \
-            metric instead"
+           "%s inside a [@qca.hot] region: spans allocate and intern \
+            their name under a lock; use the flight recorder \
+            (Ring.record) or a metric instead"
            h);
     if ctx.hot && (not (waived ctx rule_hot)) && List.mem h hot_array_calls
     then

@@ -1,5 +1,3 @@
-module Clock = Qca_util.Clock
-
 type span_record = {
   s_name : string;
   s_ts_us : int;
@@ -10,70 +8,27 @@ type span_record = {
   s_args : (string * string) list;
 }
 
-(* Spans carry their begin sequence number: timestamps are µs-coarse,
-   so ties are common and start order cannot be recovered from them. *)
-type event =
-  | Span of int * span_record
-  | Instant of {
-      i_name : string;
-      i_ts_us : int;
-      i_tid : int;
-      i_args : (string * string) list;
-    }
-  | Counter of { c_name : string; c_ts_us : int; c_tid : int; c_value : float }
-
 let live = Atomic.make false
 let enabled () = Atomic.get live
 
-let t0 = Atomic.make (Clock.now ())
+let set_enabled b =
+  Ring.set_keep_all b;
+  Atomic.set live b
 
-(* Completed events, in completion order, guarded by [rec_m] (several
-   domains — pool workers, serve workers — record concurrently). The
-   open-span stack is per-domain state in DLS: spans nest within one
-   domain and never migrate across domains. *)
-let rec_m = Mutex.create ()
-
-let events : event list ref = ref []
-  [@@qca.domain_safe "guarded by rec_m"]
-
-let n_events = ref 0
-  [@@qca.domain_safe "guarded by rec_m"]
-
-let next_seq = ref 0
-  [@@qca.domain_safe "guarded by rec_m"]
-
+(* The open-span stack is per-domain state in DLS: spans nest within
+   one domain and never migrate across domains. Each entry holds the
+   span's ring slot, its name and its begin-side args. *)
 let stack_key :
-    (int * string * int * (string * string) list) list ref Domain.DLS.key =
+    (int * string * (string * string) list) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let stack () = Domain.DLS.get stack_key
-let tid () = (Domain.self () :> int)
-
-let now_us () =
-  int_of_float (Clock.ms_between (Atomic.get t0) (Clock.now ()) *. 1000.0)
-
-let record e =
-  Mutex.lock rec_m;
-  events := e :: !events;
-  incr n_events;
-  Mutex.unlock rec_m
-
-let alloc_seq () =
-  Mutex.lock rec_m;
-  let seq = !next_seq in
-  incr next_seq;
-  Mutex.unlock rec_m;
-  seq
-
-let set_enabled b =
-  if b && not (Atomic.get live) then Atomic.set t0 (Clock.now ());
-  Atomic.set live b
 
 let begin_span ?(args = []) name =
   if Atomic.get live then begin
-    let seq = alloc_seq () in
     let st = stack () in
-    st := (seq, name, now_us (), args) :: !st
+    let seq = Ring.open_span (Ring.kind name) ~depth:(List.length !st) in
+    st := (seq, name, args) :: !st
   end
 
 let end_span ?(args = []) name =
@@ -83,23 +38,12 @@ let end_span ?(args = []) name =
     | [] ->
       invalid_arg
         (Printf.sprintf "Trace.end_span: no open span (closing %S)" name)
-    | (seq, top, ts, bargs) :: rest ->
+    | (seq, top, bargs) :: rest ->
       if top <> name then
         invalid_arg
           (Printf.sprintf "Trace.end_span: closing %S but %S is open" name top);
       st := rest;
-      record
-        (Span
-           ( seq,
-             {
-               s_name = name;
-               s_ts_us = ts;
-               s_dur_us = max 0 (now_us () - ts);
-               s_depth = List.length rest;
-               s_tid = tid ();
-               s_trace = Tracectx.current_word ();
-               s_args = bargs @ args;
-             } ))
+      Ring.close_span seq (bargs @ args)
   end
 
 let span ?args name f =
@@ -109,49 +53,33 @@ let span ?args name f =
     Fun.protect ~finally:(fun () -> end_span name) f
   end
 
-let instant ?(args = []) name =
-  if Atomic.get live then
-    record
-      (Instant { i_name = name; i_ts_us = now_us (); i_tid = tid (); i_args = args })
+let of_event (e : Ring.event) =
+  match e.Ring.e_span with
+  | None -> None
+  | Some args ->
+    Some
+      {
+        s_name = e.Ring.e_kind;
+        s_ts_us = e.Ring.e_ts_us;
+        s_dur_us = e.Ring.e_a;
+        s_depth = e.Ring.e_b;
+        s_tid = e.Ring.e_dom;
+        s_trace = e.Ring.e_trace;
+        s_args = args;
+      }
 
-let counter name v =
-  if Atomic.get live then
-    record
-      (Counter { c_name = name; c_ts_us = now_us (); c_tid = tid (); c_value = v })
-
-let all_events () =
-  Mutex.lock rec_m;
-  let es = !events in
-  Mutex.unlock rec_m;
-  es
-
-let spans () =
-  List.filter_map (function Span (q, s) -> Some (q, s) | _ -> None)
-    (all_events ())
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
-
+let spans () = List.filter_map of_event (Ring.events ())
 let open_depth () = List.length !(stack ())
 
-let events_recorded () =
-  Mutex.lock rec_m;
-  let n = !n_events in
-  Mutex.unlock rec_m;
-  n
-
 let reset () =
-  Mutex.lock rec_m;
-  events := [];
-  n_events := 0;
-  next_seq := 0;
-  Mutex.unlock rec_m;
-  stack () := [];
-  Atomic.set t0 (Clock.now ())
+  Ring.reset ();
+  stack () := []
 
 (* {1 Rendering} *)
 
 let pp_summary fmt () =
-  Format.fprintf fmt "@[<v>== trace (%d events) ==@," (events_recorded ());
+  let spans = spans () in
+  Format.fprintf fmt "@[<v>== trace (%d spans) ==@," (List.length spans);
   List.iter
     (fun s ->
       Format.fprintf fmt "%s%-*s %10.3f ms%s%s@,"
@@ -166,12 +94,12 @@ let pp_summary fmt () =
           "  ["
           ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) args)
           ^ "]"))
-    (spans ());
+    spans;
   (match !(stack ()) with
   | [] -> ()
   | open_ ->
     Format.fprintf fmt "(still open: %s)@,"
-      (String.concat " > " (List.rev_map (fun (_, n, _, _) -> n) open_)));
+      (String.concat " > " (List.rev_map (fun (_, n, _) -> n) open_)));
   Format.fprintf fmt "@]"
 
 let escape = Metrics.json_escape
@@ -184,47 +112,38 @@ let args_json args =
          args)
   ^ "}"
 
-let event_tid = function
-  | Span (_, s) -> s.s_tid
-  | Instant i -> i.i_tid
-  | Counter c -> c.c_tid
-
-let event_json buf e =
-  match e with
-  | Span (_, s) ->
+(* A span is a complete ("X") row; a point event is a counter ("C")
+   row carrying its payload, so e.g. omt.incumbent renders as a stepped
+   series in Perfetto. *)
+let event_json buf (e : Ring.event) =
+  match e.Ring.e_span with
+  | Some args ->
     let args =
-      if s.s_trace = 0 then s.s_args
-      else ("trace", string_of_int s.s_trace) :: s.s_args
+      if e.Ring.e_trace = 0 then args
+      else ("trace", string_of_int e.Ring.e_trace) :: args
     in
     Buffer.add_string buf
       (Printf.sprintf
          "{\"name\": \"%s\", \"cat\": \"qca\", \"ph\": \"X\", \"ts\": %d, \
           \"dur\": %d, \"pid\": 1, \"tid\": %d, \"args\": %s}"
-         (escape s.s_name) s.s_ts_us s.s_dur_us s.s_tid (args_json args))
-  | Instant i ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"name\": \"%s\", \"cat\": \"qca\", \"ph\": \"i\", \"ts\": %d, \
-          \"s\": \"t\", \"pid\": 1, \"tid\": %d, \"args\": %s}"
-         (escape i.i_name) i.i_ts_us i.i_tid (args_json i.i_args))
-  | Counter c ->
+         (escape e.Ring.e_kind) e.Ring.e_ts_us e.Ring.e_a e.Ring.e_dom
+         (args_json args))
+  | None ->
     Buffer.add_string buf
       (Printf.sprintf
          "{\"name\": \"%s\", \"cat\": \"qca\", \"ph\": \"C\", \"ts\": %d, \
-          \"pid\": 1, \"tid\": %d, \"args\": {\"value\": %s}}"
-         (escape c.c_name) c.c_ts_us c.c_tid (Metrics.json_float c.c_value))
+          \"pid\": 1, \"tid\": %d, \"args\": {\"a\": %d, \"b\": %d, \"c\": %d}}"
+         (escape e.Ring.e_kind) e.Ring.e_ts_us e.Ring.e_dom e.Ring.e_a
+         e.Ring.e_b e.Ring.e_c)
 
 let to_chrome_json () =
-  let es = all_events () in
+  let es = Ring.events () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\": [\n";
   Buffer.add_string buf
     "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
      \"args\": {\"name\": \"qca\"}}";
   (* One thread_name metadata row per distinct domain id seen. *)
-  let tids =
-    List.sort_uniq compare (0 :: List.rev_map event_tid es)
-  in
   List.iter
     (fun t ->
       Buffer.add_string buf
@@ -233,12 +152,12 @@ let to_chrome_json () =
             \"tid\": %d, \"args\": {\"name\": \"%s\"}}"
            t
            (if t = 0 then "main" else Printf.sprintf "domain-%d" t)))
-    tids;
+    (List.sort_uniq compare (0 :: List.map (fun e -> e.Ring.e_dom) es));
   List.iter
     (fun e ->
       Buffer.add_string buf ",\n  ";
       event_json buf e)
-    (List.rev es);
+    es;
   Buffer.add_string buf "\n],\n\"displayTimeUnit\": \"ms\",\n";
   Buffer.add_string buf ("\"otherData\": {\"metrics\": " ^ Metrics.json_object ());
   Buffer.add_string buf "}}\n";
@@ -252,18 +171,15 @@ let write_chrome file =
 (* QCA_TRACE: arm the tracer (and the metrics registry) for the whole
    process; the trace is flushed at exit — to the named file, or as the
    tree summary on stderr for QCA_TRACE=1. *)
-let env_file =
+let () =
   match Sys.getenv_opt "QCA_TRACE" with
-  | None | Some "" | Some "0" -> None
-  | Some v ->
+  | None | Some "" | Some "0" -> ()
+  | Some "1" ->
     set_enabled true;
     Metrics.set_enabled true;
-    if v = "1" then begin
-      at_exit (fun () ->
-          if events_recorded () > 0 then Format.eprintf "%a@." pp_summary ());
-      None
-    end
-    else begin
-      at_exit (fun () -> write_chrome v);
-      Some v
-    end
+    at_exit (fun () ->
+        if spans () <> [] then Format.eprintf "%a@." pp_summary ())
+  | Some file ->
+    set_enabled true;
+    Metrics.set_enabled true;
+    at_exit (fun () -> write_chrome file)

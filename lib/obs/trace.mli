@@ -1,14 +1,19 @@
 (** Span-based tracer with Chrome [trace_event] export.
 
-    Spans are timed with the monotone {!Qca_util.Clock}; timestamps are
-    microseconds relative to the tracer's start. When disabled (the
-    default) every entry point is a single predictable branch and the
-    traced code runs bit-identically.
+    Spans are stored in the {!Ring} event log, one slot per span, on
+    the log's clock: timestamps are microseconds since process start
+    or the last {!reset}, the same axis as every flight-recorder
+    event. Arming the tracer switches the log to keeping every event,
+    so a traced run loses no span; disarming it leaves an armed flight
+    recorder recording. When disabled (the default) every entry point
+    is a single predictable branch and the traced code runs
+    bit-identically.
 
     The recorded trace can be rendered as a human-readable tree
     ({!pp_summary}) or exported as Chrome [trace_event] JSON
     ({!to_chrome_json} / {!write_chrome}) loadable in
-    [chrome://tracing] and {{:https://ui.perfetto.dev}Perfetto}. The
+    [chrome://tracing] and {{:https://ui.perfetto.dev}Perfetto}: spans
+    as complete events and the log's point events as counter rows. The
     export embeds a {!Metrics} snapshot under ["otherData"].
 
     The [QCA_TRACE] environment variable arms the tracer for a whole
@@ -17,18 +22,16 @@
     the Chrome JSON at exit. Both forms also enable the metrics
     registry.
 
-    Recording is domain-safe: the event log is mutex-guarded and each
-    domain keeps its own open-span stack (spans nest within a domain
-    and never migrate). Events carry the recording domain's id, which
-    becomes the [tid] in the Chrome export (with a [thread_name]
-    metadata row per domain). {!set_enabled} and {!reset} are
-    management operations for the coordinating domain. *)
+    Recording is domain-safe and lock-free apart from interning the
+    span name: each domain keeps its own open-span stack (spans nest
+    within a domain and never migrate) and records into its own ring.
+    A span carries the recording domain's id, which becomes the [tid]
+    in the Chrome export (with a [thread_name] metadata row per
+    domain). {!set_enabled} and {!reset} are management operations for
+    the coordinating domain. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-
-val env_file : string option
-(** The file named by [QCA_TRACE], if it names one. *)
 
 (** {1 Recording spans} *)
 
@@ -46,18 +49,11 @@ val end_span : ?args:(string * string) list -> string -> unit
     mis-nesting the trace). [args] are appended to the begin-side
     args. *)
 
-val instant : ?args:(string * string) list -> string -> unit
-(** A zero-duration marker event (Chrome phase ["i"]). *)
-
-val counter : string -> float -> unit
-(** A counter sample (Chrome phase ["C"]) — e.g. the OMT incumbent
-    objective per round; renders as a stepped series in Perfetto. *)
-
 (** {1 Reading} *)
 
 type span_record = {
   s_name : string;
-  s_ts_us : int;  (** start, microseconds since tracer start *)
+  s_ts_us : int;  (** start, µs on the {!Ring} clock *)
   s_dur_us : int;
   s_depth : int;  (** nesting depth at begin time, within [s_tid] *)
   s_tid : int;  (** recording domain's id (0 = main) *)
@@ -68,14 +64,15 @@ type span_record = {
   s_args : (string * string) list;
 }
 
+val of_event : Ring.event -> span_record option
+(** The span a {!Ring.events} entry holds, or [None] for a point
+    event. *)
+
 val spans : unit -> span_record list
 (** Completed spans in start order. *)
 
 val open_depth : unit -> int
-(** Number of currently open spans. *)
-
-val events_recorded : unit -> int
-(** Total recorded events (spans + instants + counter samples). *)
+(** Number of spans currently open in this domain. *)
 
 (** {1 Export} *)
 
@@ -83,7 +80,7 @@ val pp_summary : Format.formatter -> unit -> unit
 (** Indented tree of completed spans with durations. *)
 
 val to_chrome_json : unit -> string
-(** The whole trace as a Chrome [trace_event] JSON object:
+(** The whole event log as a Chrome [trace_event] JSON object:
     [{"traceEvents": [...], "displayTimeUnit": "ms",
     "otherData": {"metrics": {...}}}]. *)
 
@@ -91,4 +88,5 @@ val write_chrome : string -> unit
 (** Writes {!to_chrome_json} to a file. *)
 
 val reset : unit -> unit
-(** Drops all recorded events and open spans; re-zeroes the clock. *)
+(** {!Ring.reset} (every span and point event goes, and the clock
+    re-zeroes) plus this domain's open spans. *)

@@ -62,7 +62,12 @@ let span_json (s : Trace.span_record) =
 
 (* {1 Dump documents} *)
 
-let dump_json ~reason ~trace ~request ~ring ~spans ~delta =
+(* [events] is one {!Ring.events} read, already sliced: its point
+   events become the [ring] field and its spans the [spans] field, both
+   on the log's one clock. *)
+let dump_json ~reason ~trace ~request ~events ~delta =
+  let ring = List.filter (fun e -> e.Ring.e_span = None) events in
+  let spans = List.filter_map Trace.of_event events in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"schema\": \"qca.dump.v1\",\n";
   Buffer.add_string b (Printf.sprintf "\"reason\": \"%s\",\n" (Obs.json_escape reason));
@@ -163,38 +168,29 @@ let write_dump ~dir ~max_files ~min_interval_ms ~reason ~trace ~request
     None
   end
   else begin
-    let tw = match trace with Some c -> Some (Tracectx.word c) | None -> None in
-    (* the request's own events (wherever they sit in the retention
-       window) plus everything any domain recorded while it ran:
-       cross-request context is evidence, not noise *)
-    let ring =
-      match tw with
-      | None -> Ring.events ~min_ts_us:since_us ()
-      | Some w ->
-        List.filter
-          (fun e -> e.Ring.e_trace = w || e.Ring.e_ts_us >= since_us)
-          (Ring.events ())
+    (* the request's own events and spans (wherever they sit in the
+       retention window) plus every point event any domain recorded
+       while it ran: cross-request context is evidence, not noise *)
+    let keep =
+      match trace with
+      | None -> fun e -> e.Ring.e_span <> None || e.Ring.e_ts_us >= since_us
+      | Some c ->
+        let w = Tracectx.word c in
+        fun e ->
+          e.Ring.e_trace = w
+          || (e.Ring.e_span = None && e.Ring.e_ts_us >= since_us)
     in
-    let spans =
-      if not (Trace.enabled ()) then []
-      else
-        match tw with
-        | None -> Trace.spans ()
-        | Some w ->
-          List.filter (fun s -> s.Trace.s_trace = w) (Trace.spans ())
-    in
+    let events = List.filter keep (Ring.events ()) in
     let delta = match before with Some s -> delta_json s | None -> "{}" in
     write_file ~dir ~max_files ~reason ~trace
-      (dump_json ~reason ~trace ~request ~ring ~spans ~delta)
+      (dump_json ~reason ~trace ~request ~events ~delta)
   end
 
 let dump_all ~dir ~max_files ~reason =
   let body =
     dump_json ~reason ~trace:None
       ~request:[ ("scope", "process") ]
-      ~ring:(Ring.events ())
-      ~spans:(if Trace.enabled () then Trace.spans () else [])
-      ~delta:"{}"
+      ~events:(Ring.events ()) ~delta:"{}"
   in
   write_file ~dir ~max_files ~reason ~trace:None body
 

@@ -1,10 +1,10 @@
-module Trace = Qca_obs.Trace
 module Ring = Qca_obs.Ring
 module Tracectx = Qca_obs.Tracectx
 
 (** Anomaly auto-capture for the daemon: when a request breaches its
     deadline, degrades below [Full] or faults, its ring
-    slice + span tree + metrics delta are written as one JSON document
+    slice + span tree (both from the one {!Ring} event log, on one
+    clock) + metrics delta are written as one JSON document
     ([qca.dump.v1], see DESIGN.md section 7.9) into a bounded,
     rate-limited dump directory — plus a SIGUSR1 dump-everything
     handler and a stuck-solver watchdog.
@@ -24,9 +24,6 @@ val snapshot : unit -> snapshot
     single request consumed. Take one per request only when forensics
     is armed. *)
 
-val delta_json : snapshot -> string
-(** JSON object of every series that moved since [snapshot]. *)
-
 (** {1 Writing dumps} *)
 
 val write_dump :
@@ -40,11 +37,12 @@ val write_dump :
   before:snapshot option ->
   unit ->
   string option
-(** Captures one request's forensics: ring events carrying the
-    request's trace word (plus everything recorded since [since_us]),
-    its span tree (when the tracer is armed), and the metrics moved
-    since [before]. Returns the path written, or [None] when
-    rate-limited or the write failed. *)
+(** Captures one request's forensics from one {!Ring.events} read:
+    the point events carrying the request's trace word (plus every
+    point event recorded since [since_us]), its span tree (spans are
+    recorded only while the tracer is armed), and the metrics moved since
+    [before]. Returns the path written, or [None] when rate-limited or
+    the write failed. *)
 
 val dump_all : dir:string -> max_files:int -> reason:string -> string option
 (** Whole-process dump (every ring event, every span), bypassing the
@@ -55,18 +53,6 @@ val reset_limiter : unit -> unit
 
 val is_dump_file : string -> bool
 (** Whether a directory entry looks like a dump this module wrote. *)
-
-val span_json : Trace.span_record -> string
-
-val dump_json :
-  reason:string ->
-  trace:Tracectx.t option ->
-  request:(string * string) list ->
-  ring:Ring.event list ->
-  spans:Trace.span_record list ->
-  delta:string ->
-  string
-(** The dump document itself, for callers assembling their own. *)
 
 (** {1 SIGUSR1} *)
 

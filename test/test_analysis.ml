@@ -110,6 +110,15 @@ let test_hot_trace_span_flagged () =
   check_rules "Trace.span inside [@qca.hot]" ~expect:[ "QCA-HOT-004" ]
     "let step x = Trace.span \"inner\" (fun () -> x + 1) [@@qca.hot]\n"
 
+let test_hot_trace_begin_end_flagged () =
+  check_rules "Trace.begin_span/end_span inside [@qca.hot]"
+    ~expect:[ "QCA-HOT-004"; "QCA-HOT-004" ]
+    "let step x =\n\
+    \  Trace.begin_span \"inner\";\n\
+    \  Trace.end_span \"inner\";\n\
+    \  x + 1\n\
+    \  [@@qca.hot]\n"
+
 let test_hot_ring_record_safe () =
   check_rules "Ring.record is hot-safe" ~expect:[]
     "let k = Ring.kind \"sat.step\"\n\
@@ -235,6 +244,7 @@ let suite =
     ("HOT: printf flagged", `Quick, test_hot_printf_flagged);
     ("HOT: unmarked clean", `Quick, test_hot_unmarked_clean);
     ("HOT: trace span flagged", `Quick, test_hot_trace_span_flagged);
+    ("HOT: trace begin/end flagged", `Quick, test_hot_trace_begin_end_flagged);
     ("HOT: ring record safe", `Quick, test_hot_ring_record_safe);
     ("HOT: metrics safe", `Quick, test_hot_metrics_safe);
     ("WVR: empty reason", `Quick, test_wvr_empty_reason);

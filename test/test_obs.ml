@@ -211,13 +211,11 @@ let test_ring_trace_filter () =
     (List.length (Ring.events ()))
 
 let test_ring_multidomain_hammer () =
-  (* 4 domains x 10_000 records against 512-slot rings: every retained
-     event must be whole (payload is a function of its seed), capacity
-     must bound retention, and nothing may be lost from the total *)
-  let cap = 512 and domains = 4 and per_domain = 10_000 in
-  Ring.set_capacity cap;
-  Fun.protect ~finally:(fun () -> Ring.set_capacity Ring.default_capacity)
-  @@ fun () ->
+  (* 4 domains x 10_000 records against default-capacity rings: every
+     retained event must be whole (payload is a function of its seed),
+     capacity must bound retention, and nothing may be lost from the
+     total *)
+  let cap = Ring.default_capacity and domains = 4 and per_domain = 10_000 in
   let k = Ring.kind "test.hammer" in
   let workers =
     List.init domains (fun d ->
@@ -351,9 +349,28 @@ let test_orphan_close () =
 
 let test_disabled_trace_records_nothing () =
   Trace.set_enabled false;
-  Trace.span "invisible" (fun () -> Trace.instant "nope");
-  Trace.counter "nada" 1.0;
-  Alcotest.(check int) "no events" 0 (Trace.events_recorded ())
+  Trace.span "invisible" (fun () ->
+      Trace.begin_span "nope";
+      Trace.end_span "nope");
+  Alcotest.(check int) "no slots claimed" 0 (Ring.total_recorded ());
+  Alcotest.(check int) "no spans" 0 (List.length (Trace.spans ()));
+  Alcotest.(check int) "nothing open" 0 (Trace.open_depth ())
+
+let test_disarming_tracer_keeps_recorder () =
+  let k = Ring.kind "test.recorder" in
+  Ring.set_enabled true;
+  Fun.protect ~finally:(fun () -> Ring.set_enabled false) @@ fun () ->
+  Trace.set_enabled true;
+  Trace.set_enabled false;
+  Ring.record k 1 2 3;
+  Alcotest.(check int) "the flight recorder still records" 1
+    (List.length
+       (List.filter (fun e -> e.Ring.e_kind = "test.recorder") (Ring.events ())));
+  Ring.set_enabled false;
+  Ring.record k 4 5 6;
+  Alcotest.(check int) "both switches off: nothing more" 1
+    (List.length
+       (List.filter (fun e -> e.Ring.e_kind = "test.recorder") (Ring.events ())))
 
 (* {1 A minimal JSON reader for validating the Chrome export} *)
 
@@ -574,6 +591,27 @@ let test_governed_trace_json () =
         Alcotest.(check bool) (phase ^ " dur >= 0") true (dur >= 0.0)
       | _ -> Alcotest.fail (phase ^ ": ts/dur not numbers)")))
     pipeline_phases;
+  (* the incumbent trajectory is a counter series of ring events: the
+     warm start opens it, each later row is a strict improvement *)
+  let incumbents =
+    List.filter_map
+      (fun e ->
+        match e with
+        | Obj _
+          when str_member "name" e = "omt.incumbent" && str_member "ph" e = "C"
+          -> (
+          match member "a" (member "args" e) with
+          | Num v -> Some v
+          | _ -> Alcotest.fail "omt.incumbent value not a number")
+        | _ -> None)
+      events
+  in
+  Alcotest.(check bool) "an omt.incumbent row" true (incumbents <> []);
+  let rec improving = function
+    | a :: (b :: _ as rest) -> b < a && improving rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "the series only improves" true (improving incumbents);
   (* solver telemetry travels inside the export *)
   let metrics = member "metrics" (member "otherData" doc) in
   (match member "sat.conflicts" metrics with
@@ -585,8 +623,7 @@ let test_governed_trace_json () =
 
 let test_chrome_escaping () =
   Trace.span "weird\"name" ~args:[ ("k\\ey", "line\nbreak") ] (fun () ->
-      Trace.instant "marker";
-      Trace.counter "series" 2.5);
+      Ring.record (Ring.kind "mark\"er") 1 2 3);
   let doc = parse_json (Trace.to_chrome_json ()) in
   let events =
     match member "traceEvents" doc with
@@ -598,7 +635,32 @@ let test_chrome_escaping () =
     (fun expected ->
       Alcotest.(check bool) ("event present: " ^ String.escaped expected) true
         (List.mem expected names))
-    [ "weird\"name"; "marker"; "series" ]
+    [ "weird\"name"; "mark\"er" ]
+
+let test_tracer_keeps_every_span () =
+  (* an armed tracer grows the ring instead of wrapping it *)
+  let n = Ring.default_capacity + 100 in
+  Trace.span "outer" (fun () ->
+      for _ = 1 to n do
+        Trace.span "leaf" ignore
+      done);
+  let spans = Trace.spans () in
+  Alcotest.(check int) "every span kept" (n + 1) (List.length spans);
+  Alcotest.(check string) "start order survives growth" "outer"
+    (List.hd spans).Trace.s_name;
+  Alcotest.(check bool) "leaves nest under it" true
+    (List.for_all (fun s -> s.Trace.s_name = "outer" || s.Trace.s_depth = 1) spans);
+  let leaves =
+    match member "traceEvents" (parse_json (Trace.to_chrome_json ())) with
+    | Arr es ->
+      List.filter
+        (function
+          | Obj _ as e -> str_member "name" e = "leaf" && str_member "ph" e = "X"
+          | _ -> false)
+        es
+    | _ -> Alcotest.fail "traceEvents not an array"
+  in
+  Alcotest.(check int) "every span exported" n (List.length leaves)
 
 let suite =
   [
@@ -637,4 +699,8 @@ let suite =
       (with_trace test_governed_trace_json);
     Alcotest.test_case "chrome export escapes strings" `Quick
       (with_trace test_chrome_escaping);
+    Alcotest.test_case "armed tracer keeps every span" `Quick
+      (with_trace test_tracer_keeps_every_span);
+    Alcotest.test_case "disarming the tracer keeps the recorder" `Quick
+      (with_obs test_disarming_tracer_keeps_recorder);
   ]

@@ -13,6 +13,7 @@ module Fault = Qca_util.Fault
 module Chan = Qca_par.Chan
 module Obs = Qca_obs.Metrics
 module Tracectx = Qca_obs.Tracectx
+module Trace = Qca_obs.Trace
 module J = Qca_obs.Json
 module Workloads = Qca_workloads.Workloads
 open Qca_adapt
@@ -1004,6 +1005,59 @@ let test_server_trace_and_dump () =
   checkb "typed queue time sane" true
     (p.Protocol.queue_ms >= 0.0 && p.Protocol.queue_ms < 60_000.0)
 
+let test_dump_one_clock () =
+  with_dump_dir @@ fun dir ->
+  Forensics.reset_limiter ();
+  let cfg =
+    {
+      Server.default_config with
+      dump_dir = Some dir;
+      fault = Fault.inject [ (Fault.Serve_request, 1, Fault.Spurious_conflict) ];
+    }
+  in
+  with_server ~cfg @@ fun port ->
+  (* arm the tracer well after the flight recorder: recorders counting
+     from their own origins would set the span 200 ms off its ring
+     event *)
+  Unix.sleepf 0.2;
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ())
+  @@ fun () ->
+  ignore (http_adapt ~traceparent:client_tp port sample_text);
+  let doc =
+    match dump_files dir with
+    | [ f ] -> (
+      match
+        J.parse
+          (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+      with
+      | Ok doc -> doc
+      | Error e -> Alcotest.fail ("dump does not parse: " ^ e))
+    | files ->
+      Alcotest.fail
+        (Printf.sprintf "expected exactly one dump, got %d" (List.length files))
+  in
+  let find field key =
+    match
+      List.find_opt
+        (fun e -> J.str_member key e = Some "serve.request")
+        (Option.value ~default:[] (J.arr_member field doc))
+    with
+    | Some e -> e
+    | None -> Alcotest.fail ("no serve.request entry in " ^ field)
+  in
+  let num e k = Option.value ~default:nan (J.num_member k e) in
+  let span = find "spans" "name" and event = find "ring" "kind" in
+  let span_end = num span "ts_us" +. num span "dur_us" in
+  (* the ring event is recorded right after the span closes *)
+  checkb "ring event after the span starts" true
+    (num event "ts_us" >= num span "ts_us");
+  checkb "ring event within 50 ms of the span's end" true
+    (Float.abs (num event "ts_us" -. span_end) <= 50_000.0)
+
 let test_server_prometheus_endpoint () =
   with_server @@ fun port ->
   (* one real request so the histograms have content *)
@@ -1132,6 +1186,7 @@ let suite =
     ("forensics: rate limit and bounded dir", `Quick, test_forensics_rate_limit_and_bound);
     ("forensics: watchdog stall detection", `Quick, test_forensics_watchdog);
     ("server: trace roundtrip and auto-dump", `Quick, test_server_trace_and_dump);
+    ("forensics: spans and ring on one clock", `Quick, test_dump_one_clock);
     ("server: prometheus endpoint", `Quick, test_server_prometheus_endpoint);
     ("server: fault storm soak", `Quick, test_server_soak);
     ("server: stop is idempotent", `Quick, test_server_stop_idempotent);
