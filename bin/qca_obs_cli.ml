@@ -160,6 +160,39 @@ let load_all files =
   (List.rev docs, errors = [])
 
 let doc_spans = function Dump d -> d.d_spans | Chrome c -> c.c_spans
+let doc_file = function Dump d -> d.d_file | Chrome c -> c.c_file
+
+(* A dump's span tree copies spans that the Chrome trace of the same
+   daemon also holds, on the same clock, so a copy has the same trace
+   word, domain, name and start. The trace word is compared as a float:
+   a dump stores it as a JSON number, which rounds words above 2^53. *)
+let span_key s =
+  (Option.value ~default:0.0 (float_of_string_opt s.sp_trace), s.sp_tid, s.sp_name, s.sp_ts_us)
+
+(* Each of [docs] with its spans, less the copies an earlier file
+   already gave. One file can hold distinct spans with one key (two
+   sub-µs spans in a row start on the same µs), so a key is kept as
+   often as the one file holding it most. *)
+let spans_once docs =
+  let kept = Hashtbl.create 256 in
+  let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  List.map
+    (fun d ->
+      let here = Hashtbl.create 256 in
+      let spans =
+        List.filter
+          (fun s ->
+            let k = span_key s in
+            let i = count here k in
+            Hashtbl.replace here k (i + 1);
+            i >= count kept k)
+          (doc_spans d)
+      in
+      Hashtbl.iter (fun k n -> if n > count kept k then Hashtbl.replace kept k n) here;
+      (d, spans))
+    docs
+
+let unique_spans docs = List.concat_map snd (spans_once docs)
 
 (* {1 phases: per-phase latency breakdown} *)
 
@@ -204,17 +237,18 @@ let print_phases spans =
 
 let phases files =
   let docs, ok = load_all files in
-  print_phases (List.concat_map doc_spans docs);
+  print_phases (unique_spans docs);
   if ok && docs <> [] then 0 else 3
 
 (* {1 slow: top-N slowest requests} *)
 
 (* A request is a dump (one anomalous request each, elapsed_ms in the
-   request block) or a `serve.request` span in a trace. *)
+   request block) or a `serve.request` span in a trace, listed once
+   however many traces hold it. *)
 let requests docs =
+  let traces = List.filter (function Chrome _ -> true | Dump _ -> false) docs in
   List.concat_map
-    (fun d ->
-      match d with
+    (function
       | Dump dd -> (
         match List.assoc_opt "elapsed_ms" dd.d_request with
         | Some ms -> (
@@ -228,7 +262,10 @@ let requests docs =
             ]
           | None -> [])
         | None -> [])
-      | Chrome c ->
+      | Chrome _ -> [])
+    docs
+  @ List.concat_map
+      (fun (d, spans) ->
         List.filter_map
           (fun s ->
             if s.sp_name = "serve.request" then
@@ -236,10 +273,10 @@ let requests docs =
                 ( s.sp_dur_us /. 1000.0,
                   s.sp_name,
                   (if s.sp_trace = "" then "-" else s.sp_trace),
-                  c.c_file )
+                  doc_file d )
             else None)
-          c.c_spans)
-    docs
+          spans)
+      (spans_once traces)
 
 let slow n files =
   let docs, ok = load_all files in
@@ -321,7 +358,7 @@ let folded spans =
 
 let flame files =
   let docs, ok = load_all files in
-  let rows = folded (List.concat_map doc_spans docs) in
+  let rows = folded (unique_spans docs) in
   List.iter
     (fun (path, self_us) ->
       (* clock skew between overlapping spans can push self time

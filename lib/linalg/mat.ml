@@ -188,15 +188,6 @@ let is_diagonal ?(tol = 1e-9) m =
   done;
   !ok
 
-let re m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> (get m i j).Cx.re))
-let im m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> (get m i j).Cx.im))
-
-let of_re_im re_part im_part =
-  let nrows = Array.length re_part in
-  if nrows = 0 then invalid_arg "Mat.of_re_im: empty";
-  let ncols = Array.length re_part.(0) in
-  init nrows ncols (fun i j -> Cx.make re_part.(i).(j) im_part.(i).(j))
-
 let map f m = { m with data = Array.map f m.data }
 
 let pp fmt m =

@@ -67,13 +67,6 @@ val is_hermitian : ?tol:float -> t -> bool
 val is_real : ?tol:float -> t -> bool
 val is_diagonal : ?tol:float -> t -> bool
 
-val re : t -> float array array
-(** Real parts as a row-major array of rows. *)
-
-val im : t -> float array array
-
-val of_re_im : float array array -> float array array -> t
-
 val map : (Cx.t -> Cx.t) -> t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -7,7 +7,12 @@
     basis, where local gates become real orthogonal matrices and the
     canonical interaction becomes diagonal; the complex symmetric matrix
     [MᵀM] is diagonalized by simultaneously diagonalizing its commuting
-    real and imaginary parts ({!Qca_linalg.Eig.simultaneous_diagonalize}). *)
+    real and imaginary parts ({!Qca_linalg.Eig.simultaneous_diagonalize}).
+
+    The arithmetic runs on fixed-size kernels over flat float arrays
+    that repeat the floating-point operations of the generic {!Mat}
+    path in the same order, so every output is bit-identical to it
+    (DESIGN §7.11). *)
 
 open Qca_linalg
 

@@ -33,6 +33,7 @@ let () =
       ("incremental", Test_incremental.suite);
       ("lockcheck", Test_lockcheck.suite);
       ("analysis", Test_analysis.suite);
+      ("kak", Test_kak.suite);
       ("serve", Test_serve.suite);
       ("integration", Test_integration.suite);
     ]

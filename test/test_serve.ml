@@ -1058,6 +1058,86 @@ let test_dump_one_clock () =
   checkb "ring event within 50 ms of the span's end" true
     (Float.abs (num event "ts_us" -. span_end) <= 50_000.0)
 
+(* qca-obs over a fault dump together with the Chrome trace of the same
+   daemon: the dump's spans are copies of spans the trace holds, and
+   each must count once. *)
+let obs_output args =
+  let ic =
+    Unix.open_process_args_in (Filename.concat bin_dir "qca_obs_cli.exe")
+      (Array.of_list ("qca_obs_cli.exe" :: args))
+  in
+  let out = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic);
+  out
+
+let test_obs_dump_with_trace () =
+  if not (Sys.file_exists (Filename.concat bin_dir "qca_obs_cli.exe")) then
+    Alcotest.skip ()  (* built by `dune runtest`, not by `dune exec` *)
+  else begin
+    with_dump_dir @@ fun dir ->
+    Forensics.reset_limiter ();
+    let cfg =
+      {
+        Server.default_config with
+        dump_dir = Some dir;
+        fault = Fault.inject [ (Fault.Serve_request, 2, Fault.Spurious_conflict) ];
+      }
+    in
+    Trace.reset ();
+    Trace.set_enabled true;
+    Fun.protect ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.reset ())
+    @@ fun () ->
+    with_server ~cfg (fun port ->
+        ignore (http_adapt ~traceparent:client_tp port sample_text);
+        ignore (http_adapt ~traceparent:client_tp port "qubits 2\ncx 1 0\n"));
+    let dump =
+      match dump_files dir with
+      | [ f ] -> Filename.concat dir f
+      | files ->
+        Alcotest.fail
+          (Printf.sprintf "expected exactly one dump, got %d" (List.length files))
+    in
+    let trace = Filename.concat dir "trace.json" in
+    Trace.write_chrome trace;
+    let alone = obs_output [ "phases"; trace ] in
+    checkb "the trace holds serve.request spans" true (contains "serve.request" alone);
+    Alcotest.(check string) "phases: dump + trace = trace" alone
+      (obs_output [ "phases"; dump; trace ]);
+    Alcotest.(check string) "phases: trace + dump = trace" alone
+      (obs_output [ "phases"; trace; dump ]);
+    let flame = obs_output [ "flame"; dump; trace ] in
+    checkb "flame has a serve.request row" true (contains "serve.request" flame);
+    List.iter
+      (fun line ->
+        let frames = String.split_on_char ';' (List.hd (String.split_on_char ' ' line)) in
+        ignore
+          (List.fold_left
+             (fun prev f ->
+               if prev = Some f then Alcotest.failf "self-nested row: %s" line;
+               Some f)
+             None frames))
+      (String.split_on_char '\n' (String.trim flame));
+    (* Two sub-µs spans in a row share their key within one file; both
+       count, and a second copy of the file adds neither. *)
+    let ties = Filename.concat dir "ties.json" in
+    let row = {|{"name": "omt.cut", "ph": "X", "ts": 7, "dur": 0, "pid": 1, "tid": 1}|} in
+    Out_channel.with_open_text ties (fun oc ->
+        Printf.fprintf oc {|{"traceEvents": [%s, %s]}|} row row);
+    List.iter
+      (fun files ->
+        let out = obs_output ("phases" :: files) in
+        checkb "two omt.cut spans" true
+          (List.exists
+             (fun l ->
+               match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+               | [ "omt.cut"; "2"; _; _; _ ] -> true
+               | _ -> false)
+             (String.split_on_char '\n' out)))
+      [ [ ties ]; [ ties; ties ] ]
+  end
+
 let test_server_prometheus_endpoint () =
   with_server @@ fun port ->
   (* one real request so the histograms have content *)
@@ -1187,6 +1267,7 @@ let suite =
     ("forensics: watchdog stall detection", `Quick, test_forensics_watchdog);
     ("server: trace roundtrip and auto-dump", `Quick, test_server_trace_and_dump);
     ("forensics: spans and ring on one clock", `Quick, test_dump_one_clock);
+    ("forensics: qca-obs counts a dumped span once", `Quick, test_obs_dump_with_trace);
     ("server: prometheus endpoint", `Quick, test_server_prometheus_endpoint);
     ("server: fault storm soak", `Quick, test_server_soak);
     ("server: stop is idempotent", `Quick, test_server_stop_idempotent);
