@@ -242,33 +242,60 @@ let phases files =
 
 (* {1 slow: top-N slowest requests} *)
 
+(* Where a dumped request ran: its trace word (as a span's [sp_trace]
+   spells it), its worker domain, and the µs window from its start to
+   start + elapsed. A domain runs one request at a time, so a span
+   with that word and domain starting in that window is this request's
+   own, even when a client reuses one traceparent. *)
+let dump_window dd ms =
+  let field k = List.assoc_opt k dd.d_request in
+  match
+    ( dd.d_trace,
+      Option.bind (field "domain") int_of_string_opt,
+      Option.bind (field "start_us") float_of_string_opt )
+  with
+  | Some trace_id, Some dom, Some start when String.length trace_id = 32 ->
+    let word =
+      Qca_obs.Tracectx.word { trace_id; parent_id = ""; sampled = false }
+    in
+    Some (string_of_int word, dom, start, start +. (ms *. 1000.0))
+  | _ -> None
+
 (* A request is a dump (one anomalous request each, elapsed_ms in the
    request block) or a `serve.request` span in a trace, listed once
-   however many traces hold it. *)
+   however many traces and dumps hold it. *)
 let requests docs =
   let traces = List.filter (function Chrome _ -> true | Dump _ -> false) docs in
-  List.concat_map
-    (function
-      | Dump dd -> (
-        match List.assoc_opt "elapsed_ms" dd.d_request with
-        | Some ms -> (
-          match float_of_string_opt ms with
-          | Some ms ->
-            [
-              ( ms,
-                Printf.sprintf "dump:%s" dd.d_reason,
-                Option.value ~default:"-" dd.d_trace,
-                dd.d_file );
-            ]
-          | None -> [])
-        | None -> [])
-      | Chrome _ -> [])
-    docs
+  let dumped =
+    List.filter_map
+      (function
+        | Dump dd ->
+          Option.map
+            (fun ms -> (dd, ms))
+            (Option.bind (List.assoc_opt "elapsed_ms" dd.d_request)
+               float_of_string_opt)
+        | Chrome _ -> None)
+      docs
+  in
+  let windows = List.filter_map (fun (dd, ms) -> dump_window dd ms) dumped in
+  let dumped_span s =
+    List.exists
+      (fun (word, dom, lo, hi) ->
+        s.sp_trace = word && s.sp_tid = dom && lo <= s.sp_ts_us && s.sp_ts_us <= hi)
+      windows
+  in
+  List.map
+    (fun (dd, ms) ->
+      ( ms,
+        Printf.sprintf "dump:%s" dd.d_reason,
+        Option.value ~default:"-" dd.d_trace,
+        dd.d_file ))
+    dumped
   @ List.concat_map
       (fun (d, spans) ->
         List.filter_map
           (fun s ->
-            if s.sp_name = "serve.request" then
+            if s.sp_name = "serve.request" && not (dumped_span s) then
               Some
                 ( s.sp_dur_us /. 1000.0,
                   s.sp_name,

@@ -51,8 +51,6 @@ let safe_ctors =
     "Semaphore.Counting.make";
     "Semaphore.Binary.make";
     "Domain.DLS.new_key";
-    "Lockcheck.create";
-    "Qca_par.Lockcheck.create";
   ]
 
 (* Allocators of shared mutable state when reached from a top-level
@@ -90,9 +88,7 @@ let blocking_calls =
     "Unix.sleepf";
     "Thread.delay";
     "Domain.join";
-    "Chan.push";
     "Chan.pop";
-    "Qca_par.Chan.push";
     "Qca_par.Chan.pop";
     "Io.read_exact";
     "Io.write_all";
@@ -102,12 +98,11 @@ let blocking_calls =
 
 (* A condition wait releases the mutex; it is the one legitimate way
    to block under a lock. *)
-let wait_calls = [ "Condition.wait"; "Lockcheck.wait"; "Qca_par.Lockcheck.wait" ]
+let wait_calls = [ "Condition.wait" ]
 
-let lock_calls = [ "Mutex.lock"; "Lockcheck.lock"; "Qca_par.Lockcheck.lock" ]
+let lock_calls = [ "Mutex.lock" ]
 
-let unlock_calls =
-  [ "Mutex.unlock"; "Lockcheck.unlock"; "Qca_par.Lockcheck.unlock" ]
+let unlock_calls = [ "Mutex.unlock" ]
 
 (* Raw data-plane syscalls that [lib/serve] must reach through [Io]. *)
 let raw_syscalls =

@@ -18,17 +18,15 @@
       every domain. It must be an [Atomic.t], or carry
       [[@@qca.domain_safe "which mutex guards it / why it is safe"]].
       Synchronisation primitives themselves ([Mutex.create],
-      [Condition.create], [Atomic.make], [Lockcheck.create],
-      [Domain.DLS.new_key]) are exempt; allocations under a [fun] are
-      per-call and exempt.
+      [Condition.create], [Atomic.make], [Domain.DLS.new_key]) are
+      exempt; allocations under a [fun] are per-call and exempt.
     - [QCA-LCK-002] {e blocking call under a held mutex}: between
-      [Mutex.lock]/[Lockcheck.lock] and the matching unlock in a
-      statement sequence, calls that can block indefinitely
+      [Mutex.lock] and the matching [Mutex.unlock] in a statement
+      sequence, calls that can block indefinitely
       ([Unix.read]/[write]/[recv]/[send]/[select]/[accept]/[connect],
-      [Unix.sleep]f, [Domain.join], [Chan.push]/[pop],
+      [Unix.sleep]f, [Domain.join], [Chan.pop],
       [Io.read_exact]/[write_all], [Pool.parallel_map]) are forbidden.
-      [Condition.wait]/[Lockcheck.wait] are allowed — a wait releases
-      the mutex.
+      [Condition.wait] is allowed — a wait releases the mutex.
     - [QCA-IO-003] {e raw data-plane syscall in lib/serve}: outside
       [io.ml], the serve library must reach [Unix.read]/[write]/
       [write_substring]/[single_write]/[recv]/[send] only through

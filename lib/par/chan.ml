@@ -1,9 +1,8 @@
 type 'a t = {
   cap : int;
   q : 'a Queue.t;
-  m : Lockcheck.t;
+  m : Mutex.t;
   not_empty : Condition.t;
-  not_full : Condition.t;
   mutable closed : bool;
 }
 
@@ -12,17 +11,14 @@ let create ~capacity =
   {
     cap = capacity;
     q = Queue.create ();
-    m = Lockcheck.create ~name:"chan" ();
+    m = Mutex.create ();
     not_empty = Condition.create ();
-    not_full = Condition.create ();
     closed = false;
   }
 
-let capacity t = t.cap
-
 let locked t f =
-  Lockcheck.lock t.m;
-  Fun.protect ~finally:(fun () -> Lockcheck.unlock t.m) f
+  Mutex.lock t.m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 let length t = locked t (fun () -> Queue.length t.q)
 
@@ -35,52 +31,20 @@ let try_push t x =
         true
       end)
 
-let push t x =
-  locked t (fun () ->
-      let rec go () =
-        if t.closed then false
-        else if Queue.length t.q >= t.cap then begin
-          Lockcheck.wait t.not_full t.m;
-          go ()
-        end
-        else begin
-          Queue.push x t.q;
-          Condition.signal t.not_empty;
-          true
-        end
-      in
-      go ())
-
 let pop t =
   locked t (fun () ->
       let rec go () =
         match Queue.take_opt t.q with
-        | Some x ->
-          Condition.signal t.not_full;
-          Some x
-        | None ->
-          if t.closed then None
-          else begin
-            Lockcheck.wait t.not_empty t.m;
-            go ()
-          end
+        | None when not t.closed ->
+          Condition.wait t.not_empty t.m;
+          go ()
+        | r -> r
       in
       go ())
-
-let try_pop t =
-  locked t (fun () ->
-      match Queue.take_opt t.q with
-      | Some x ->
-        Condition.signal t.not_full;
-        Some x
-      | None -> None)
 
 let close t =
   locked t (fun () ->
       if not t.closed then begin
         t.closed <- true;
-        Condition.broadcast t.not_empty;
-        Condition.broadcast t.not_full
+        Condition.broadcast t.not_empty
       end)
-
-let is_closed t = locked t (fun () -> t.closed)

@@ -1,4 +1,4 @@
-(** Bounded multi-producer/multi-consumer blocking channel.
+(** Bounded multi-producer/multi-consumer channel.
 
     The domain-safe queue between a producer that must observe
     backpressure and a set of consumer domains: {!length} is the
@@ -8,15 +8,13 @@
     the close is still delivered, then every blocked {!pop} returns
     [None].
 
-    Built on a [Mutex] and two [Condition]s; safe across domains and
+    Built on a [Mutex] and a [Condition]; safe across domains and
     systhreads alike. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
-
-val capacity : 'a t -> int
 
 val length : 'a t -> int
 (** Current queue depth (a racy snapshot, exact at the lock). *)
@@ -25,20 +23,10 @@ val try_push : 'a t -> 'a -> bool
 (** Enqueues without blocking; [false] when the channel is full or
     closed (the caller owns the rejected item). *)
 
-val push : 'a t -> 'a -> bool
-(** Blocks while full; [false] when the channel is (or becomes)
-    closed before the item could be enqueued. *)
-
 val pop : 'a t -> 'a option
 (** Dequeues, blocking while empty; [None] once the channel is closed
     {e and} drained — the consumer's exit signal. *)
 
-val try_pop : 'a t -> 'a option
-(** Dequeues without blocking; [None] when currently empty (says
-    nothing about closure). *)
-
 val close : 'a t -> unit
-(** Idempotent. Wakes every blocked producer and consumer; items
-    already enqueued are still delivered. *)
-
-val is_closed : 'a t -> bool
+(** Idempotent. Wakes every blocked consumer; items already enqueued
+    are still delivered. *)

@@ -1,6 +1,5 @@
 module Circuit = Qca_circuit.Circuit
 module Obs = Qca_obs.Metrics
-module Lockcheck = Qca_par.Lockcheck
 
 let m_hits = Obs.counter "serve.cache.hits"
 let m_misses = Obs.counter "serve.cache.misses"
@@ -20,19 +19,19 @@ type slot = { e : entry; mutable stamp : int }
 type t = {
   cap : int;
   tbl : (string, slot) Hashtbl.t;
-  m : Lockcheck.t;
+  m : Mutex.t;
   mutable clock : int;
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity < 1";
-  { cap = capacity; tbl = Hashtbl.create (2 * capacity); m = Lockcheck.create ~name:"serve.cache" (); clock = 0 }
+  { cap = capacity; tbl = Hashtbl.create (2 * capacity); m = Mutex.create (); clock = 0 }
 
 let capacity t = t.cap
 
 let locked t f =
-  Lockcheck.lock t.m;
-  Fun.protect ~finally:(fun () -> Lockcheck.unlock t.m) f
+  Mutex.lock t.m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 let length t = locked t (fun () -> Hashtbl.length t.tbl)
 

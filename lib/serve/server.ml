@@ -333,6 +333,11 @@ let serve_tracked t ~shed ~queue_ms r =
             ("shed", Protocol.shed_to_string shed);
             ("elapsed_ms", Printf.sprintf "%.3f" elapsed_ms);
             ("queue_ms", Printf.sprintf "%.3f" queue_ms);
+            (* with the trace word, these place the request on the
+               one worker domain that ran it, so a reader can tell
+               its span in a trace from another request's *)
+            ("start_us", string_of_int since_us);
+            ("domain", string_of_int (Domain.self () :> int));
             ( "outcome",
               match s with
               | Protocol.Result p ->

@@ -23,9 +23,10 @@ type site =
           [Cancel] a client that disconnects before its frame arrives *)
   | Serve_request
       (** in the daemon, before each admitted request is solved —
-          [Exhaust] simulates transient budget exhaustion (exercising
-          the retry-with-backoff path), [Cancel] a client gone mid-solve,
-          [Spurious_conflict] a handler crash (isolation path) *)
+          [Exhaust] simulates conflict-budget exhaustion (the request
+          is served at the direct rung with that reason), [Cancel] a
+          client gone mid-solve, [Spurious_conflict] a handler crash
+          (isolation path) *)
 
 type action =
   | Exhaust  (** report budget exhaustion at this site *)

@@ -31,7 +31,6 @@ let () =
       ("governance", Test_governance.suite);
       ("par", Test_par.suite);
       ("incremental", Test_incremental.suite);
-      ("lockcheck", Test_lockcheck.suite);
       ("analysis", Test_analysis.suite);
       ("kak", Test_kak.suite);
       ("serve", Test_serve.suite);

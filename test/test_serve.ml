@@ -119,7 +119,7 @@ let test_fault_site_names_roundtrip () =
 
 let test_chan_fifo () =
   let c = Chan.create ~capacity:8 in
-  List.iter (fun i -> checkb "push" true (Chan.push c i)) [ 1; 2; 3 ];
+  List.iter (fun i -> checkb "push" true (Chan.try_push c i)) [ 1; 2; 3 ];
   checki "length" 3 (Chan.length c);
   checkb "fifo" true
     (Chan.pop c = Some 1 && Chan.pop c = Some 2 && Chan.pop c = Some 3)
@@ -133,10 +133,9 @@ let test_chan_bounded () =
 
 let test_chan_close_drains () =
   let c = Chan.create ~capacity:8 in
-  ignore (Chan.push c 1);
-  ignore (Chan.push c 2);
+  checkb "push" true (Chan.try_push c 1 && Chan.try_push c 2);
   Chan.close c;
-  checkb "closed rejects pushes" false (Chan.push c 3);
+  checkb "closed rejects pushes" false (Chan.try_push c 3);
   checkb "drains queued items" true (Chan.pop c = Some 1 && Chan.pop c = Some 2);
   checkb "then signals exit" true (Chan.pop c = None);
   Chan.close c (* idempotent *)
@@ -152,7 +151,11 @@ let test_chan_cross_domain () =
         go 0)
   in
   for i = 1 to n do
-    ignore (Chan.push c i)
+    (* the queue holds 4, so the producer outruns the consumer and
+       must retry until a slot frees *)
+    while not (Chan.try_push c i) do
+      Domain.cpu_relax ()
+    done
   done;
   Chan.close c;
   checki "all items delivered across domains" (n * (n + 1) / 2)
@@ -1070,9 +1073,13 @@ let obs_output args =
   ignore (Unix.close_process_in ic);
   out
 
-let test_obs_dump_with_trace () =
+(* Two requests with one traceparent against a traced daemon whose
+   second solve crashes by injection: [f dir ~dump ~trace] gets the one
+   fault dump and the daemon's Chrome trace. Skips when qca-obs is not
+   built (`dune runtest` builds it, `dune exec` may not). *)
+let with_traced_fault_dump f =
   if not (Sys.file_exists (Filename.concat bin_dir "qca_obs_cli.exe")) then
-    Alcotest.skip ()  (* built by `dune runtest`, not by `dune exec` *)
+    Alcotest.skip ()
   else begin
     with_dump_dir @@ fun dir ->
     Forensics.reset_limiter ();
@@ -1101,42 +1108,72 @@ let test_obs_dump_with_trace () =
     in
     let trace = Filename.concat dir "trace.json" in
     Trace.write_chrome trace;
-    let alone = obs_output [ "phases"; trace ] in
-    checkb "the trace holds serve.request spans" true (contains "serve.request" alone);
-    Alcotest.(check string) "phases: dump + trace = trace" alone
-      (obs_output [ "phases"; dump; trace ]);
-    Alcotest.(check string) "phases: trace + dump = trace" alone
-      (obs_output [ "phases"; trace; dump ]);
-    let flame = obs_output [ "flame"; dump; trace ] in
-    checkb "flame has a serve.request row" true (contains "serve.request" flame);
-    List.iter
-      (fun line ->
-        let frames = String.split_on_char ';' (List.hd (String.split_on_char ' ' line)) in
-        ignore
-          (List.fold_left
-             (fun prev f ->
-               if prev = Some f then Alcotest.failf "self-nested row: %s" line;
-               Some f)
-             None frames))
-      (String.split_on_char '\n' (String.trim flame));
-    (* Two sub-µs spans in a row share their key within one file; both
-       count, and a second copy of the file adds neither. *)
-    let ties = Filename.concat dir "ties.json" in
-    let row = {|{"name": "omt.cut", "ph": "X", "ts": 7, "dur": 0, "pid": 1, "tid": 1}|} in
-    Out_channel.with_open_text ties (fun oc ->
-        Printf.fprintf oc {|{"traceEvents": [%s, %s]}|} row row);
-    List.iter
-      (fun files ->
-        let out = obs_output ("phases" :: files) in
-        checkb "two omt.cut spans" true
-          (List.exists
-             (fun l ->
-               match String.split_on_char ' ' l |> List.filter (( <> ) "") with
-               | [ "omt.cut"; "2"; _; _; _ ] -> true
-               | _ -> false)
-             (String.split_on_char '\n' out)))
-      [ [ ties ]; [ ties; ties ] ]
+    f dir ~dump ~trace
   end
+
+let test_obs_dump_with_trace () =
+  with_traced_fault_dump @@ fun dir ~dump ~trace ->
+  let alone = obs_output [ "phases"; trace ] in
+  checkb "the trace holds serve.request spans" true (contains "serve.request" alone);
+  Alcotest.(check string) "phases: dump + trace = trace" alone
+    (obs_output [ "phases"; dump; trace ]);
+  Alcotest.(check string) "phases: trace + dump = trace" alone
+    (obs_output [ "phases"; trace; dump ]);
+  let flame = obs_output [ "flame"; dump; trace ] in
+  checkb "flame has a serve.request row" true (contains "serve.request" flame);
+  List.iter
+    (fun line ->
+      let frames = String.split_on_char ';' (List.hd (String.split_on_char ' ' line)) in
+      ignore
+        (List.fold_left
+           (fun prev f ->
+             if prev = Some f then Alcotest.failf "self-nested row: %s" line;
+             Some f)
+           None frames))
+    (String.split_on_char '\n' (String.trim flame));
+  (* Two sub-µs spans in a row share their key within one file; both
+     count, and a second copy of the file adds neither. *)
+  let ties = Filename.concat dir "ties.json" in
+  let row = {|{"name": "omt.cut", "ph": "X", "ts": 7, "dur": 0, "pid": 1, "tid": 1}|} in
+  Out_channel.with_open_text ties (fun oc ->
+      Printf.fprintf oc {|{"traceEvents": [%s, %s]}|} row row);
+  List.iter
+    (fun files ->
+      let out = obs_output ("phases" :: files) in
+      checkb "two omt.cut spans" true
+        (List.exists
+           (fun l ->
+             match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+             | [ "omt.cut"; "2"; _; _; _ ] -> true
+             | _ -> false)
+           (String.split_on_char '\n' out)))
+    [ [ ties ]; [ ties; ties ] ]
+
+(* `slow` lists the faulted request once, as its dump, although the
+   trace holds its serve.request span too and the healthy request's
+   span carries the same trace word. *)
+let test_obs_slow_dump_with_trace () =
+  with_traced_fault_dump @@ fun _dir ~dump ~trace ->
+  let rows files =
+    match String.split_on_char '\n' (String.trim (obs_output ("slow" :: files))) with
+    | _header :: rows -> rows
+    | [] -> []
+  in
+  let kinds files =
+    List.sort compare
+      (List.map
+         (fun row ->
+           match String.split_on_char ' ' row |> List.filter (( <> ) "") with
+           | _ms :: kind :: _ -> kind
+           | _ -> Alcotest.failf "malformed slow row: %s" row)
+         (rows files))
+  in
+  Alcotest.(check (list string)) "trace alone: both requests"
+    [ "serve.request"; "serve.request" ] (kinds [ trace ]);
+  Alcotest.(check (list string)) "dump + trace: each request once"
+    [ "dump:fault"; "serve.request" ] (kinds [ dump; trace ]);
+  Alcotest.(check (list string)) "trace + dump: each request once"
+    [ "dump:fault"; "serve.request" ] (kinds [ trace; dump ])
 
 let test_server_prometheus_endpoint () =
   with_server @@ fun port ->
@@ -1271,4 +1308,6 @@ let suite =
     ("server: prometheus endpoint", `Quick, test_server_prometheus_endpoint);
     ("server: fault storm soak", `Quick, test_server_soak);
     ("server: stop is idempotent", `Quick, test_server_stop_idempotent);
+    ("forensics: qca-obs slow lists a dumped request once", `Quick,
+     test_obs_slow_dump_with_trace);
   ]
